@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages so each is independently runnable:
 ``enhance``, ``texture``, ``segment``, ``eval``, ``pipeline``,
-``experiment``, and ``bench``.
+``experiment``, and ``bench``. Stage subcommands call the same stage
+functions of ``pipeline`` that ``run_pipeline`` calls.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable inputs,
 missing records, degenerate data), 3 internal invariant violation.
@@ -16,11 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import segment as seg
-from .enhance import clahe, srad
-from .errors import InternalInvariantError, MissingRecordError, TexturedgeError
+from .errors import InternalInvariantError, TexturedgeError
 from .evalmetrics import confusion, metrics, roc_az, roc_points_csv
 from .imgio import parse_mias_index, read_pgm, write_pgm
 from .pipeline import (
@@ -29,25 +26,21 @@ from .pipeline import (
     ThresholdSpec,
     bench,
     bench_csv,
+    enhance_image,
     experiment_csv,
     experiment_jsonl,
     find_index_file,
     load_config,
     run_experiment,
     run_pipeline,
+    segment_map,
+    select_record,
     serialize_config,
+    texture_maps,
+    write_maps,
+    write_segmentation,
 )
-from .texture import (
-    ANGLES,
-    Descriptor,
-    decode_texture_map,
-    directional_sum,
-    encode_texture_map,
-    offsets_for_distance,
-    quantize,
-    texture_map_sliding,
-    texture_map_to_gray,
-)
+from .texture import Descriptor, decode_texture_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,54 +193,23 @@ def _dataset_dir(args) -> Path:
 
 def _cmd_enhance(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
-    img = read_pgm(args.input)
-    write_pgm(args.output, clahe(srad(img, config.srad), config.clahe))
+    write_pgm(args.output, enhance_image(read_pgm(args.input), config))
     return EXIT_OK
 
 
 def _cmd_texture(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
-    img = read_pgm(args.input)
-    q = quantize(img, config.glcm.levels)
-    offsets = offsets_for_distance(config.glcm.distance)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = args.descriptor
-    maps = []
-    for angle in ANGLES:
-        m = texture_map_sliding(q, args.descriptor, config.glcm.window_side,
-                                offsets[angle], config.glcm.symmetric)
-        maps.append(m)
-        _write_map(out / f"{name}_{angle}.pgm", m)
-    total = directional_sum(maps)
-    _write_map(out / f"{name}_sum.pgm", total)
-    (out / f"{name}_sum.f64").write_bytes(encode_texture_map(total))
+    maps, total = texture_maps(read_pgm(args.input), config.glcm, args.descriptor)
+    write_maps(Path(args.out), args.descriptor, maps, total)
     return EXIT_OK
-
-
-def _write_map(path: Path, m) -> None:
-    gray, lo, hi = texture_map_to_gray(m)
-    write_pgm(path, gray)
-    path.with_suffix(".minmax.txt").write_text(f"min {lo!r}\nmax {hi!r}\n")
 
 
 def _cmd_segment(args) -> int:
     config = _apply_overrides(_load_base_config(args), args)
     sum_map = decode_texture_map(Path(args.input).read_bytes())
     cx, cy = (float(tok) for tok in args.center.split(","))
-    spec = config.segment.threshold_method
-    if spec.method == "otsu":
-        threshold = seg.otsu_threshold(sum_map)
-    elif spec.method == "fixed":
-        threshold = float(spec.value)
-    else:
-        threshold = float(np.percentile(sum_map, spec.value))
-    mask = seg.refine_mask(seg.binarize(sum_map, threshold), (cx, cy),
-                           config.segment.close_radius, config.segment.fill_holes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "mask.pgm", seg.mask_to_gray(mask))
-    (out / "contours.txt").write_text(seg.contours_to_text(seg.trace_contour(mask)))
+    threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
+    write_segmentation(Path(args.out), mask, contours)
     print(f"threshold {threshold!r}")
     return EXIT_OK
 
@@ -279,13 +241,8 @@ def _record_for(args):
         if not records:
             raise ValueError("--record is empty")
         return records[0]
-    root = _dataset_dir(args)
-    records = parse_mias_index(find_index_file(root).read_text())
-    matches = [r for r in records if r.ref_id == args.ref_id]
-    if not matches:
-        raise MissingRecordError(f"no annotation record for id {args.ref_id!r}")
-    with_geometry = [r for r in matches if r.has_geometry]
-    return with_geometry[0] if with_geometry else matches[0]
+    index = find_index_file(_dataset_dir(args)).read_text()
+    return select_record(parse_mias_index(index), args.ref_id)
 
 
 def _cmd_pipeline(args) -> int:

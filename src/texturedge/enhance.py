@@ -64,15 +64,18 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     if not (0.0 < params.time_step <= 0.25):
         raise InvalidTimeStepError(
             f"time_step must be in (0, 0.25], got {params.time_step}")
+    if params.homogeneous_region is not None:
+        x, y, w, h = params.homogeneous_region
+        if not (x >= 0 and y >= 0 and w >= 1 and h >= 1
+                and x + w <= a.shape[1] and y + h <= a.shape[0]):
+            raise ValueError(f"homogeneous_region {params.homogeneous_region} is not "
+                             f"inside the {a.shape[1]}x{a.shape[0]} image")
     if params.iterations == 0:
         return a.copy()
 
     u = a.astype(np.float64) / 255.0 + _EPS
     if params.homogeneous_region is not None:
-        x, y, w, h = params.homogeneous_region
         region = u[y:y + h, x:x + w]
-        if region.size == 0:
-            raise ValueError("homogeneous_region is empty or out of bounds")
         q0_init = float(region.std() / region.mean())
         q0_init = max(q0_init, 1e-8)
     else:

@@ -88,8 +88,9 @@ def _header_int(field: bytes, what: str) -> int:
 def decode_pgm(data: bytes) -> np.ndarray:
     """Decode a binary (P5) or ASCII (P2) PGM byte stream.
 
-    Header comments are allowed; maxval must not exceed 255. Raises
-    ``BadMagicError``, ``TruncatedDataError``, or ``MaxvalUnsupportedError``.
+    Header comments are allowed; maxval must not exceed 255, and no sample
+    may exceed maxval. Raises ``BadMagicError``, ``TruncatedDataError``, or
+    ``MaxvalUnsupportedError``.
     """
     if len(data) < 2 or data[:2] not in (b"P2", b"P5"):
         raise BadMagicError(f"not a P2/P5 PGM stream (starts with {data[:2]!r})")
@@ -110,12 +111,12 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raster = data[pos:pos + n]
         if len(raster) < n:
             raise TruncatedDataError(f"raster has {len(raster)} of {n} bytes")
-        return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-    # P2: whitespace-separated ASCII samples (comments tolerated)
-    samples, _ = _header_fields_all(data[pos:], n)
-    values = [_header_int(tok, "sample") for tok in samples]
-    arr = np.array(values, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > maxval):
+        arr = np.frombuffer(raster, dtype=np.uint8)
+    else:
+        # P2: whitespace-separated ASCII samples (comments tolerated)
+        samples, _ = _header_fields_all(data[pos:], n)
+        arr = np.array([_header_int(tok, "sample") for tok in samples], dtype=np.int64)
+    if arr.min() < 0 or arr.max() > maxval:
         raise TruncatedDataError("sample value outside [0, maxval]")
     return arr.astype(np.uint8).reshape(height, width)
 

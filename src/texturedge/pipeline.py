@@ -1,16 +1,21 @@
 """End-to-end orchestration: enhance -> ROI -> texture -> segment -> evaluate.
 
-One JSON config document drives every stage; identical inputs and config
-produce byte-identical output trees. Batch experiments aggregate per
+Each stage is one function here (``enhance_image``, ``crop_roi``,
+``texture_maps``, ``segment_map`` and the ``write_*`` writers), called by
+``run_pipeline`` and by the CLI's stage subcommands alike. One JSON config
+document drives every stage; identical inputs and config produce
+byte-identical output trees. Batch experiments aggregate per
 tissue class, and ``bench`` times the naive vs. incremental map kernels
 while insisting their outputs match exactly.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -107,87 +112,54 @@ class PipelineConfig:
     roi: RoiConfig = field(default_factory=RoiConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def to_dict(self) -> dict:
-        region = self.srad.homogeneous_region
-        return {
-            "srad": {
-                "iterations": self.srad.iterations,
-                "time_step": self.srad.time_step,
-                "q0_decay_rho": self.srad.q0_decay_rho,
-                "homogeneous_region": list(region) if region is not None else None,
-            },
-            "clahe": {
-                "clip_limit": self.clahe.clip_limit,
-                "tiles_x": self.clahe.tiles_x,
-                "tiles_y": self.clahe.tiles_y,
-                "bins": self.clahe.bins,
-            },
-            "glcm": {
-                "levels": self.glcm.levels,
-                "window_side": self.glcm.window_side,
-                "distance": self.glcm.distance,
-                "symmetric": self.glcm.symmetric,
-            },
-            "segment": {
-                "threshold_method": _threshold_to_dict(self.segment.threshold_method),
-                "close_radius": self.segment.close_radius,
-                "fill_holes": self.segment.fill_holes,
-            },
-            "roi": {"margin_factor": self.roi.margin_factor},
-            "eval": {"use_circle_proxy": self.eval.use_circle_proxy},
-        }
+
+def _to_plain(value):
+    """A config object as JSON-ready dicts, lists and scalars."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_plain(v) for v in value]
+    return value
 
 
-def _threshold_to_dict(t: ThresholdSpec) -> dict:
-    d = {"method": t.method}
-    if t.value is not None:
-        d["value"] = t.value
-    return d
+def _from_plain(tp, value, where: str):
+    """Check ``value`` (parsed JSON) against the annotation ``tp`` and build it.
 
-
-def _threshold_from_dict(d) -> ThresholdSpec:
-    if not isinstance(d, dict):
-        raise ValueError(
-            f"threshold_method must be an object like {{'method': 'otsu'}}, got {d!r}")
-    return ThresholdSpec(method=d.get("method", "otsu"), value=d.get("value"))
-
-
-def config_from_dict(d: dict) -> PipelineConfig:
-    base = PipelineConfig().to_dict()
-    unknown = set(d) - set(base)
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    merged = {k: {**base[k], **d.get(k, {})} for k in base}
-    for section, fields_ in merged.items():
-        extra = set(fields_) - set(base[section])
-        if extra:
-            raise ValueError(f"unknown fields in {section!r}: {sorted(extra)}")
-    region = merged["srad"]["homogeneous_region"]
-    return PipelineConfig(
-        srad=SradParams(
-            iterations=merged["srad"]["iterations"],
-            time_step=merged["srad"]["time_step"],
-            q0_decay_rho=merged["srad"]["q0_decay_rho"],
-            homogeneous_region=tuple(region) if region is not None else None,
-        ),
-        clahe=ClaheParams(**merged["clahe"]),
-        glcm=GlcmConfig(**merged["glcm"]),
-        segment=SegmentConfig(
-            threshold_method=_threshold_from_dict(merged["segment"]["threshold_method"]),
-            close_radius=merged["segment"]["close_radius"],
-            fill_holes=merged["segment"]["fill_holes"],
-        ),
-        roi=RoiConfig(**merged["roi"]),
-        eval=EvalConfig(**merged["eval"]),
-    )
+    bool is never a number and a float never fits an int field; a JSON int
+    widens to float. Omitted dataclass fields keep their defaults; unknown
+    ones raise. Errors name the dotted field, e.g. ``config.glcm.symmetric``.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be an object, got {value!r}")
+        hints = typing.get_type_hints(tp)
+        unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
+        if unknown:
+            raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+        return tp(**{k: _from_plain(hints[k], v, f"{where}.{k}") for k, v in value.items()})
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is typing.Union:
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _from_plain(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ValueError(f"{where} must be a list of {len(args)} values, got {value!r}")
+        return tuple(_from_plain(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}[tp]
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
 
 
 def serialize_config(config: PipelineConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_to_plain(config), indent=2, sort_keys=True) + "\n"
 
 
 def parse_config(text: str) -> PipelineConfig:
-    return config_from_dict(json.loads(text))
+    return _from_plain(PipelineConfig, json.loads(text), "config")
 
 
 def load_config(path) -> PipelineConfig:
@@ -213,12 +185,53 @@ class PipelineResult:
     eval_scope: str = "roi"
 
 
-def _resolve_threshold(sum_map: np.ndarray, spec: ThresholdSpec) -> float:
+def enhance_image(img, config: PipelineConfig) -> np.ndarray:
+    """SRAD then CLAHE on the whole image."""
+    return clahe(srad(img, config.srad), config.clahe)
+
+
+def crop_roi(enhanced: np.ndarray, record: MiasRecord,
+             roi: RoiConfig) -> tuple[RoiCrop, tuple[int, int]]:
+    """The square crop around the record's mass and the mass center (x, y)
+    inside that crop."""
+    spec = RoiSpec.from_mias(record, enhanced.shape[0], roi.margin_factor)
+    crop = extract_roi(enhanced, spec)
+    return crop, (spec.center_x - crop.x0, spec.center_y - crop.y0)
+
+
+def texture_maps(roi_image, glcm: GlcmConfig,
+                 kind=Descriptor.CONTRAST) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """One descriptor map per direction in ``ANGLES`` and their sum."""
+    q = quantize(roi_image, glcm.levels)
+    offsets = offsets_for_distance(glcm.distance)
+    maps = {angle: texture_map_sliding(q, kind, glcm.window_side, offsets[angle],
+                                       glcm.symmetric)
+            for angle in ANGLES}
+    return maps, directional_sum([maps[a] for a in ANGLES])
+
+
+def segment_map(sum_map: np.ndarray, center, segment: SegmentConfig):
+    """Threshold, refined mask and outer contours of the component nearest
+    ``center`` (x, y in map coordinates)."""
+    spec = segment.threshold_method
     if spec.method == "otsu":
-        return seg.otsu_threshold(sum_map)
-    if spec.method == "fixed":
-        return float(spec.value)
-    return float(np.percentile(sum_map, spec.value))
+        threshold = seg.otsu_threshold(sum_map)
+    elif spec.method == "fixed":
+        threshold = float(spec.value)
+    else:
+        threshold = float(np.percentile(sum_map, spec.value))
+    mask = seg.refine_mask(seg.binarize(sum_map, threshold), center,
+                           segment.close_radius, segment.fill_holes)
+    return threshold, mask, seg.trace_contour(mask)
+
+
+def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
+    """The first record for ``ref_id`` carrying circle geometry, else its
+    first record."""
+    matches = [r for r in records if r.ref_id == ref_id]
+    if not matches:
+        raise MissingRecordError(f"no annotation record for id {ref_id!r}")
+    return next((r for r in matches if r.has_geometry), matches[0])
 
 
 def run_pipeline(image, record: MiasRecord,
@@ -247,35 +260,18 @@ def run_pipeline(image, record: MiasRecord,
         raise NoGroundTruthError(
             f"record {record.ref_id} has no center/radius annotation")
 
-    enhanced = clahe(srad(img, config.srad), config.clahe)
-    roi_spec = RoiSpec.from_mias(record, img.shape[0], config.roi.margin_factor)
-    crop = extract_roi(enhanced, roi_spec)
-
-    q = quantize(crop.image, config.glcm.levels)
-    offsets = offsets_for_distance(config.glcm.distance)
-    direction_maps = {
-        angle: texture_map_sliding(q, Descriptor.CONTRAST, config.glcm.window_side,
-                                   offsets[angle], config.glcm.symmetric)
-        for angle in ANGLES
-    }
-    sum_map = directional_sum([direction_maps[a] for a in ANGLES])
-
-    threshold = _resolve_threshold(sum_map, config.segment.threshold_method)
-    raw_mask = seg.binarize(sum_map, threshold)
-    center_in_crop = (roi_spec.center_x - crop.x0, roi_spec.center_y - crop.y0)
-    mask = seg.refine_mask(raw_mask, center_in_crop,
-                           config.segment.close_radius, config.segment.fill_holes)
-    contours = seg.trace_contour(mask)
+    enhanced = enhance_image(img, config)
+    crop, (cx, cy) = crop_roi(enhanced, record, config.roi)
+    direction_maps, sum_map = texture_maps(crop.image, config.glcm)
+    threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
 
     report = roc = None
     if config.eval.use_circle_proxy:
-        truth = circle_mask(crop.width, crop.height,
-                            center_in_crop[0], center_in_crop[1], record.radius)
+        truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
         roc = roc_az(sum_map, truth)
         if eval_full_image:
             h, w = img.shape
-            full_truth = circle_mask(w, h, roi_spec.center_x, roi_spec.center_y,
-                                     record.radius)
+            full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
             full_mask = np.zeros((h, w), dtype=bool)
             full_mask[crop.y0:crop.y0 + crop.height,
                       crop.x0:crop.x0 + crop.width] = mask
@@ -291,10 +287,23 @@ def run_pipeline(image, record: MiasRecord,
     return result
 
 
-def _write_map_pgm(path: Path, m: np.ndarray) -> None:
-    gray, lo, hi = texture_map_to_gray(m)
-    write_pgm(path, gray)
-    path.with_suffix(".minmax.txt").write_text(f"min {lo!r}\nmax {hi!r}\n")
+def write_maps(dest: Path, name: str, maps: dict[int, np.ndarray], sum_map: np.ndarray) -> None:
+    """``<name>_<angle>.pgm`` per direction and ``<name>_sum.pgm``, each with
+    its ``.minmax.txt`` scale, plus the exact sum map as ``<name>_sum.f64``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    for label, m in [(a, maps[a]) for a in ANGLES] + [("sum", sum_map)]:
+        path = dest / f"{name}_{label}.pgm"
+        gray, lo, hi = texture_map_to_gray(m)
+        write_pgm(path, gray)
+        path.with_suffix(".minmax.txt").write_text(f"min {lo!r}\nmax {hi!r}\n")
+    (dest / f"{name}_sum.f64").write_bytes(encode_texture_map(sum_map))
+
+
+def write_segmentation(dest: Path, mask: np.ndarray, contours) -> None:
+    """``mask.pgm`` (0/255) and ``contours.txt``."""
+    dest.mkdir(parents=True, exist_ok=True)
+    write_pgm(dest / "mask.pgm", seg.mask_to_gray(mask))
+    (dest / "contours.txt").write_text(seg.contours_to_text(contours))
 
 
 def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path:
@@ -303,12 +312,8 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path
     dest.mkdir(parents=True, exist_ok=True)
     write_pgm(dest / "enhanced.pgm", result.enhanced)
     write_pgm(dest / "roi.pgm", result.roi.image)
-    for angle in ANGLES:
-        _write_map_pgm(dest / f"contrast_{angle}.pgm", result.direction_maps[angle])
-    _write_map_pgm(dest / "contrast_sum.pgm", result.sum_map)
-    (dest / "contrast_sum.f64").write_bytes(encode_texture_map(result.sum_map))
-    write_pgm(dest / "mask.pgm", seg.mask_to_gray(result.mask))
-    (dest / "contours.txt").write_text(seg.contours_to_text(result.contours))
+    write_maps(dest, "contrast", result.direction_maps, result.sum_map)
+    write_segmentation(dest, result.mask, result.contours)
     write_pgm(dest / "overlay.pgm", seg.make_overlay(result.roi.image, result.mask))
     if result.roc is not None:
         (dest / "roc_points.csv").write_text(roc_points_csv(result.roc))
@@ -371,21 +376,15 @@ def run_experiment(dataset_dir, ids: Sequence[str],
         raise ValueError("experiment rows need evaluation; enable eval.use_circle_proxy")
     root = Path(dataset_dir)
     records = parse_mias_index(find_index_file(root).read_text())
-    by_id: dict[str, MiasRecord] = {}
-    for rec in records:
-        if rec.ref_id not in by_id or (not by_id[rec.ref_id].has_geometry and rec.has_geometry):
-            by_id[rec.ref_id] = rec
-
     rows = []
     for ref in sorted(set(ids)):
-        if ref not in by_id:
-            raise MissingRecordError(f"no annotation record for id {ref!r}")
+        record = select_record(records, ref)
         image_path = root / f"{ref}.pgm"
         if not image_path.is_file():
             raise MissingImageError(f"no image file at {image_path}")
-        result = run_pipeline(image_path, by_id[ref], config, out_dir=out_dir,
+        result = run_pipeline(image_path, record, config, out_dir=out_dir,
                               eval_full_image=eval_full_image)
-        rows.append(ExperimentRow(ref, by_id[ref].tissue, result.report, result.roc.az))
+        rows.append(ExperimentRow(ref, record.tissue, result.report, result.roc.az))
     return rows
 
 

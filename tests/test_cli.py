@@ -4,11 +4,26 @@ import numpy as np
 import pytest
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
-from texturedge import PipelineConfig, parse_config, read_pgm, write_pgm
+from texturedge import (
+    PipelineConfig,
+    parse_config,
+    parse_mias_index,
+    quantize,
+    read_pgm,
+    run_experiment,
+    run_pipeline,
+    write_pgm,
+)
 from texturedge.cli import main
-from texturedge.pipeline import DATASET_ENV_VAR
+from texturedge.pipeline import DATASET_ENV_VAR, crop_roi
 from texturedge.segment import mask_to_gray
-from texturedge.texture import decode_texture_map
+from texturedge.texture import (
+    ANGLES,
+    decode_texture_map,
+    directional_sum,
+    offsets_for_distance,
+    texture_map_naive,
+)
 
 
 def run_cli(*argv) -> int:
@@ -42,6 +57,13 @@ class TestEnhanceCommand:
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli("enhance", "-i", str(tmp_path / "none.pgm"),
                        "-o", str(tmp_path / "out.pgm")) == 2
+
+    def test_mistyped_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"glcm": {"symmetric": "no"}}')
+        assert run_cli("enhance", "-i", str(tmp_path / "none.pgm"),
+                       "-o", str(tmp_path / "out.pgm"), "--config", str(config)) == 1
+        assert "config.glcm.symmetric" in capsys.readouterr().err
 
 
 class TestTextureSegmentEvalChain:
@@ -79,6 +101,59 @@ class TestTextureSegmentEvalChain:
         flat.write_bytes(encode_texture_map(np.ones((8, 8))))
         assert run_cli("segment", "-i", str(flat), "--center", "4,4",
                        "--out", str(tmp_path / "seg")) == 2
+
+
+class TestStagesMatchLibrary:
+    """The stage subcommands reproduce ``run_pipeline``'s artifacts."""
+
+    def test_texture_and_segment_equal_write_artifacts(self, synth_dataset, tmp_path):
+        ref, tissue, cx, cy, r, _ = SYNTH_CASES[1]
+        record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0]
+        result = run_pipeline(synth_dataset / f"{ref}.pgm", record, PipelineConfig(),
+                              out_dir=tmp_path / "lib")
+        lib = tmp_path / "lib" / ref
+
+        tex = tmp_path / "tex"
+        assert run_cli("texture", "-i", str(lib / "roi.pgm"), "--out", str(tex)) == 0
+        labels = [str(a) for a in ANGLES] + ["sum"]
+        names = ([f"contrast_{x}.pgm" for x in labels]
+                 + [f"contrast_{x}.minmax.txt" for x in labels] + ["contrast_sum.f64"])
+
+        _, (mx, my) = crop_roi(result.enhanced, record, PipelineConfig().roi)
+        seg_dir = tmp_path / "seg"
+        assert run_cli("segment", "-i", str(tex / "contrast_sum.f64"),
+                       "--center", f"{mx},{my}", "--out", str(seg_dir)) == 0
+        for name in names:
+            assert (tex / name).read_bytes() == (lib / name).read_bytes(), name
+        for name in ("mask.pgm", "contours.txt"):
+            assert (seg_dir / name).read_bytes() == (lib / name).read_bytes(), name
+
+        idm = tmp_path / "idm"
+        assert run_cli("texture", "-i", str(lib / "roi.pgm"), "--out", str(idm),
+                       "--descriptor", "idm", "--symmetric") == 0
+        glcm = PipelineConfig().glcm
+        q = quantize(result.roi.image, glcm.levels)
+        want = directional_sum([texture_map_naive(q, "idm", glcm.window_side, off, True)
+                                for off in offsets_for_distance(glcm.distance).values()])
+        assert np.array_equal(decode_texture_map((idm / "idm_sum.f64").read_bytes()), want)
+
+    def test_pipeline_id_and_experiment_pick_the_same_record(self, tmp_path):
+        # a NORM line, then two geometry lines: the first geometry line wins
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
+        data = tmp_path / "data"
+        data.mkdir()
+        write_pgm(data / f"{ref}.pgm", synth_mass_image(seed, cx, cy, r))
+        (data / "Info.txt").write_text("\n".join([
+            f"{ref} F NORM",
+            synth_index_line(ref, tissue, cx, cy, r),
+            synth_index_line(ref, "G", cx + 6, cy - 6, r + 4),
+        ]) + "\n")
+        assert run_cli("pipeline", "--image", str(data / f"{ref}.pgm"), "--id", ref,
+                       "--dataset", str(data), "--out", str(tmp_path / "cli")) == 0
+        run_experiment(data, [ref], out_dir=tmp_path / "exp")
+        report = (tmp_path / "cli" / ref / "report.json").read_bytes()
+        assert report == (tmp_path / "exp" / ref / "report.json").read_bytes()
+        assert json.loads(report)["tissue"] == tissue
 
 
 class TestPipelineCommand:

@@ -48,9 +48,11 @@ class TestSrad:
         assert out.shape == img.shape
 
     def test_bad_homogeneous_region(self):
-        img = np.full((8, 8), 10, dtype=np.uint8)
-        with pytest.raises(ValueError):
-            srad(img, SradParams(iterations=1, homogeneous_region=(20, 20, 4, 4)))
+        # wholly outside, and partly outside (q0 would come from a 4x10 sliver)
+        for size, region in [(8, (20, 20, 4, 4)), (64, (60, 0, 10, 10))]:
+            img = np.full((size, size), 10, dtype=np.uint8)
+            with pytest.raises(ValueError):
+                srad(img, SradParams(iterations=1, homogeneous_region=region))
 
     def test_deterministic(self, rng):
         img = speckled_patch(rng)

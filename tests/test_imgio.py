@@ -54,6 +54,10 @@ class TestDecodePgm:
         with pytest.raises(MaxvalUnsupportedError):
             decode_pgm(b"P5 1 1 65535 \x00\x00")
 
+    def test_p5_sample_over_maxval(self):
+        with pytest.raises(TruncatedDataError, match="outside"):
+            decode_pgm(b"P5\n2 1\n100\n" + bytes([200, 5]))
+
     def test_truncated_raster(self):
         with pytest.raises(TruncatedDataError):
             decode_pgm(b"P5 4 4 255 " + bytes(7))

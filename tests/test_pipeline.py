@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,32 @@ class TestConfig:
     def test_threshold_must_be_object(self):
         with pytest.raises(ValueError):
             parse_config('{"segment": {"threshold_method": "otsu"}}')
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"glcm": {"symmetric": "no"}}, "config.glcm.symmetric"),
+        ({"srad": {"iterations": True}}, "config.srad.iterations"),
+        ({"eval": {"use_circle_proxy": 0}}, "config.eval.use_circle_proxy"),
+        ({"glcm": {"levels": 8.0}}, "config.glcm.levels"),
+        ({"roi": {"margin_factor": None}}, "config.roi.margin_factor"),
+        ({"segment": {"threshold_method": {"method": "fixed", "value": "0.4"}}},
+         "config.segment.threshold_method.value"),
+        ({"srad": {"homogeneous_region": [1, 2, 3]}}, "config.srad.homogeneous_region"),
+        ({"srad": {"homogeneous_region": [1, 2, 3, 4.5]}},
+         "config.srad.homogeneous_region[3]"),
+        ({"glcm": 8}, "config.glcm"),
+        ([], "config"),
+    ])
+    def test_mistyped_value_rejected(self, doc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            parse_config(json.dumps(doc))
+
+    def test_int_widens_and_null_value_parses(self):
+        config = parse_config('{"roi": {"margin_factor": 2}, "clahe": {"clip_limit": 3}}')
+        assert type(config.roi.margin_factor) is float and config.roi.margin_factor == 2.0
+        assert type(config.clahe.clip_limit) is float
+        for threshold in ('{"method": "otsu"}', '{"method": "otsu", "value": null}'):
+            doc = '{"segment": {"threshold_method": %s}}' % threshold
+            assert parse_config(doc) == PipelineConfig()
 
     @pytest.mark.parametrize("method,value", [
         ("fixed", None), ("percentile", None), ("percentile", 150.0), ("magic", 1.0),
