@@ -6,7 +6,10 @@ are deterministic, and preserve image dimensions.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -15,6 +18,8 @@ from .errors import InvalidTimeStepError, TilesTooManyError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
+# rows per SRAD tile; the seven scratch planes of a 1024-wide tile are 3.7 MB
+TILE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,32 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     variation built from the one-sided gradients and the Laplacian.
     Intensities are processed as ``v/255 + 1e-6`` and re-quantized by
     round-half-up, so a constant image (zero flux) comes back unchanged.
+
+    Step ``n`` evaluates, per pixel and left to right,
+
+        grad_sq = (d_n^2 + d_s^2 + d_w^2 + d_e^2) / u^2
+        lap     = (d_n + d_s + d_w + d_e) / u
+        q_sq    = (0.5 grad_sq - 0.0625 lap lap) / (1 + 0.25 lap)^2
+        u'      = u + (0.25 dt) (c_s d_s + c d_n + c_e d_e + c d_w)
+
+    with ``q0`` decayed from its start value, ``c`` NaN-sanitized before
+    the clamp, and ``c_s``/``c_e`` the coefficients one pixel south/east
+    (Yu & Acton 2002). The mirrored border makes a difference 0 at the
+    image edge and repeats the last row/column of ``c``.
+
+    The field lives in two image-sized float64 buffers: each step reads one
+    and writes the other. The rows are split into contiguous bands, one per
+    CPU this process may run on but never more than there are
+    ``TILE_ROWS``-row tiles, and the bands run on a thread pool (NumPy's
+    ufuncs release the GIL). A worker walks its band tile by tile and keeps
+    every temporary in its own scratch planes, so no step allocates an
+    image-sized array or a padded copy. A tile also computes ``c`` for the
+    one row south of it, which ``c_s`` reads; every band is joined before
+    the buffers swap, so that one barrier per step is the only
+    synchronisation. Each pixel goes through the same IEEE operations in
+    the same order for any tiling and worker count, so the float field is
+    bit-identical to evaluating the formulas above one whole array at a
+    time.
     """
     a = as_gray_image(img)
     if params.iterations < 0:
@@ -74,38 +105,121 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
         return a.copy()
 
     u = a.astype(np.float64) / 255.0 + _EPS
+    return np.clip(np.floor(_diffuse(u, params) * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
+    """The float field after ``params.iterations`` SRAD steps from ``u``.
+
+    ``u`` must be float64; it serves as one of the two field buffers and
+    is overwritten. ``q0`` starts from the whole image's homogeneous region.
+    """
     if params.homogeneous_region is not None:
+        x, y, w, h = params.homogeneous_region
         region = u[y:y + h, x:x + w]
         q0_init = float(region.std() / region.mean())
         q0_init = max(q0_init, 1e-8)
     else:
         q0_init = 1.0
 
+    height, width = u.shape
+    tiles = [(r, min(r + TILE_ROWS, height)) for r in range(0, height, TILE_ROWS)]
+    workers = min(_worker_count(), len(tiles))
+    bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
+             for i in range(workers)]
+    scratch = [np.empty((7, min(TILE_ROWS, height) + 1, width)) for _ in bands]
+    src, dst = u, np.empty_like(u)
     dt = params.time_step
-    for n in range(params.iterations):
-        q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
-        q0_sq = q0 * q0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for n in range(params.iterations):
+            q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
+            q0_sq = q0 * q0
+            step = partial(_srad_band, src, dst, q0_sq, q0_sq * (1.0 + q0_sq), 0.25 * dt)
+            # every band is joined before the buffers swap: the next step
+            # reads rows that other workers wrote in this one
+            list(pool.map(step, bands, scratch))
+            src, dst = dst, src
+    return src
 
-        p = np.pad(u, 1, mode="symmetric")
-        d_n = p[:-2, 1:-1] - u
-        d_s = p[2:, 1:-1] - u
-        d_w = p[1:-1, :-2] - u
-        d_e = p[1:-1, 2:] - u
 
-        grad_sq = (d_n * d_n + d_s * d_s + d_w * d_w + d_e * d_e) / (u * u)
-        lap = (d_n + d_s + d_w + d_e) / u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_sq = (0.5 * grad_sq - 0.0625 * lap * lap) / np.square(1.0 + 0.25 * lap)
-            c = 1.0 / (1.0 + (q_sq - q0_sq) / (q0_sq * (1.0 + q0_sq)))
-        c = np.clip(np.nan_to_num(c, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
+    """One SRAD step for the tiles ``(r0, r1)`` of ``band``: reads ``src``,
+    writes rows ``r0:r1`` of ``dst``, and keeps every temporary in the seven
+    planes of ``scratch``. Each ufunc runs in the IEEE order of the textbook
+    expressions in ``srad``'s docstring."""
+    height = src.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0, r1 in band:
+            end = min(r1 + 1, height)  # one halo row: c_s needs c one row south
+            rows, t = end - r0, r1 - r0
+            d_n, d_s, d_w, d_e, g, lap, tmp = (plane[:rows] for plane in scratch)
+            u = src[r0:end]
 
-        # fluxes use the south/east neighbor's coefficient (Yu-Acton stencil)
-        cp = np.pad(c, 1, mode="symmetric")
-        c_s = cp[2:, 1:-1]
-        c_e = cp[1:-1, 2:]
-        u = u + 0.25 * dt * (c_s * d_s + c * d_n + c_e * d_e + c * d_w)
+            # one-sided differences; the mirrored border makes them 0 at the image edge
+            top = 1 if r0 == 0 else 0
+            d_n[:top] = 0.0
+            np.subtract(src[r0 - 1 + top:end - 1], u[top:], out=d_n[top:])
+            bottom = 1 if end == height else 0
+            np.subtract(src[r0 + 1:end + 1 - bottom], u[:rows - bottom], out=d_s[:rows - bottom])
+            d_s[rows - bottom:] = 0.0
+            d_w[:, 0] = 0.0
+            np.subtract(u[:, :-1], u[:, 1:], out=d_w[:, 1:])
+            np.subtract(u[:, 1:], u[:, :-1], out=d_e[:, :-1])
+            d_e[:, -1] = 0.0
 
-    return np.clip(np.floor(u * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
+            # grad_sq = (d_n^2 + d_s^2 + d_w^2 + d_e^2) / u^2
+            np.multiply(d_n, d_n, out=g)
+            for d in (d_s, d_w, d_e):
+                np.multiply(d, d, out=tmp)
+                np.add(g, tmp, out=g)
+            np.multiply(u, u, out=tmp)
+            np.divide(g, tmp, out=g)
+            # lap = (d_n + d_s + d_w + d_e) / u
+            np.add(d_n, d_s, out=lap)
+            np.add(lap, d_w, out=lap)
+            np.add(lap, d_e, out=lap)
+            np.divide(lap, u, out=lap)
+            # q_sq = (0.5 grad_sq - 0.0625 lap lap) / (1 + 0.25 lap)^2
+            np.multiply(g, 0.5, out=g)
+            np.multiply(lap, 0.0625, out=tmp)
+            np.multiply(tmp, lap, out=tmp)
+            np.subtract(g, tmp, out=g)
+            np.multiply(lap, 0.25, out=tmp)
+            np.add(tmp, 1.0, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.divide(g, tmp, out=g)
+            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))), clamped to [0, 1]
+            np.subtract(g, q0_sq, out=g)
+            np.divide(g, q0_scale, out=g)
+            np.add(g, 1.0, out=g)
+            c = np.divide(1.0, g, out=g)
+            np.nan_to_num(c, copy=False, nan=0.0, posinf=1.0, neginf=0.0)
+            np.clip(c, 0.0, 1.0, out=c)
+
+            # u + k (c_s d_s + c d_n + c_e d_e + c d_w), summed in that order;
+            # c_s and c_e repeat the last row and column of the image
+            acc, tmp = lap[:t], tmp[:t]
+            south = rows - 1
+            np.multiply(c[1:rows], d_s[:south], out=acc[:south])
+            if south < t:
+                np.multiply(c[t - 1], d_s[t - 1], out=acc[t - 1])
+            np.multiply(c[:t], d_n[:t], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(c[:t, 1:], d_e[:t, :-1], out=tmp[:, :-1])
+            np.multiply(c[:t, -1], d_e[:t, -1], out=tmp[:, -1])
+            np.add(acc, tmp, out=acc)
+            np.multiply(c[:t], d_w[:t], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.multiply(acc, k, out=acc)
+            np.add(u[:t], acc, out=dst[r0:r1])
 
 
 def _tile_edges(extent: int, tiles: int) -> list[int]:

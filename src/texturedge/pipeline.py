@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import time
 import typing
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ from .texture import (
     texture_map_sliding,
     texture_map_to_gray,
 )
+
+logger = logging.getLogger(__name__)
 
 DATASET_ENV_VAR = "TEXTUREDGE_MIAS_DIR"
 _INDEX_CANDIDATES = ("Info.txt", "info.txt", "index.txt", "mias_index.txt")
@@ -227,11 +230,16 @@ def segment_map(sum_map: np.ndarray, center, segment: SegmentConfig):
 
 def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     """The first record for ``ref_id`` carrying circle geometry, else its
-    first record."""
+    first record. Only one lesion per id is scored: further geometry records
+    are ignored, and a ``WARNING`` names the id and how many."""
     matches = [r for r in records if r.ref_id == ref_id]
     if not matches:
         raise MissingRecordError(f"no annotation record for id {ref_id!r}")
-    return next((r for r in matches if r.has_geometry), matches[0])
+    located = [r for r in matches if r.has_geometry]
+    if len(located) > 1:
+        logger.warning("id %s: %d more geometry record(s) ignored; only the first is scored",
+                       ref_id, len(located) - 1)
+    return located[0] if located else matches[0]
 
 
 def run_pipeline(image, record: MiasRecord,
@@ -248,6 +256,12 @@ def run_pipeline(image, record: MiasRecord,
     ``eval_full_image=True`` scores the mask against the circle on the whole
     image instead (the ROC area always sweeps the crop, the only place
     texture scores exist).
+
+    ``az`` is ``roc_az(sum_map, filled circle)`` over the crop: it asks how
+    well the summed contrast map ranks mass pixels above the rest. The map
+    peaks on the mass border, not inside it, so ``az`` stays near or below
+    chance even when the mask is good: 0.253/0.530/0.434 against Dice
+    0.64/0.80/0.77 on the three synthetic test cases.
     """
     if isinstance(image, (str, Path)):
         path = Path(image)

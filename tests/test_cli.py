@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -137,8 +138,9 @@ class TestStagesMatchLibrary:
                                 for off in offsets_for_distance(glcm.distance).values()])
         assert np.array_equal(decode_texture_map((idm / "idm_sum.f64").read_bytes()), want)
 
-    def test_pipeline_id_and_experiment_pick_the_same_record(self, tmp_path):
-        # a NORM line, then two geometry lines: the first geometry line wins
+    def test_pipeline_id_and_experiment_pick_the_same_record(self, tmp_path, caplog):
+        # a NORM line, then two geometry lines: the first geometry line wins,
+        # and each pick warns that the second one is not scored
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
         data = tmp_path / "data"
         data.mkdir()
@@ -154,6 +156,9 @@ class TestStagesMatchLibrary:
         report = (tmp_path / "cli" / ref / "report.json").read_bytes()
         assert report == (tmp_path / "exp" / ref / "report.json").read_bytes()
         assert json.loads(report)["tissue"] == tissue
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"id {ref}: 1 more geometry record(s) ignored; "
+                            "only the first is scored"] * 2
 
 
 class TestPipelineCommand:

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from texturedge import ClaheParams, SradParams, clahe, srad
+from texturedge import ClaheParams, SradParams, clahe, enhance, srad
 from texturedge.errors import InvalidTimeStepError, TilesTooManyError
 
 
@@ -10,7 +12,78 @@ def speckled_patch(rng, mean=128.0, sigma=0.25, size=64):
     return np.clip(noisy, 0, 255).astype(np.uint8)
 
 
+def _srad_reference_field(img, params):
+    """The straightforward SRAD loop: whole-image temporaries and
+    symmetric-padded copies of ``u`` and ``c`` each iteration. Returns the
+    float field before re-quantization."""
+    u = img.astype(np.float64) / 255.0 + 1e-6
+    if params.homogeneous_region is not None:
+        x, y, w, h = params.homogeneous_region
+        region = u[y:y + h, x:x + w]
+        q0_init = max(float(region.std() / region.mean()), 1e-8)
+    else:
+        q0_init = 1.0
+    dt = params.time_step
+    for n in range(params.iterations):
+        q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
+        q0_sq = q0 * q0
+        p = np.pad(u, 1, mode="symmetric")
+        d_n = p[:-2, 1:-1] - u
+        d_s = p[2:, 1:-1] - u
+        d_w = p[1:-1, :-2] - u
+        d_e = p[1:-1, 2:] - u
+        grad_sq = (d_n * d_n + d_s * d_s + d_w * d_w + d_e * d_e) / (u * u)
+        lap = (d_n + d_s + d_w + d_e) / u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_sq = (0.5 * grad_sq - 0.0625 * lap * lap) / np.square(1.0 + 0.25 * lap)
+            c = 1.0 / (1.0 + (q_sq - q0_sq) / (q0_sq * (1.0 + q0_sq)))
+        c = np.clip(np.nan_to_num(c, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
+        cp = np.pad(c, 1, mode="symmetric")
+        c_s = cp[2:, 1:-1]
+        c_e = cp[1:-1, 2:]
+        u = u + 0.25 * dt * (c_s * d_s + c * d_n + c_e * d_e + c * d_w)
+    return u
+
+
+def _field(img):
+    return img.astype(np.float64) / 255.0 + 1e-6
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSrad:
+    # one either side of the 64-row tile edges
+    @pytest.mark.parametrize("height", [1, 2, 63, 64, 65, 129, 130])
+    @pytest.mark.parametrize("width,iterations", [(1, 20), (9, 1), (31, 7)])
+    @pytest.mark.parametrize("with_region", [False, True])
+    def test_field_matches_reference_bits(self, height, width, iterations, with_region, rng):
+        img = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        region = (0, 0, max(1, width // 2), max(1, height // 2)) if with_region else None
+        params = SradParams(iterations=iterations, homogeneous_region=region)
+        want = _srad_reference_field(img, params)
+        assert_same_bits(enhance._diffuse(_field(img), params), want)
+        assert np.array_equal(srad(img, params),
+                              np.clip(np.floor(want * 255.0 + 0.5), 0, 255).astype(np.uint8))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
+        # more workers than cores, and a thread switch every microsecond: a
+        # halo row read before its neighbour tile was joined breaks equality
+        monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
+        img = speckled_patch(rng, size=5 * 64 + 3)[:, :13]
+        params = SradParams(iterations=4, homogeneous_region=(2, 2, 8, 8))
+        want = _srad_reference_field(img, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = enhance._diffuse(_field(img), params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(got, want)
+
     @pytest.mark.parametrize("iterations", [1, 10, 100])
     def test_constant_image_identity(self, iterations):
         img = np.full((32, 32), 100, dtype=np.uint8)

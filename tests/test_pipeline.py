@@ -212,9 +212,10 @@ class TestRunPipeline:
 
 
 class TestExperiment:
-    def test_three_ids_three_rows_plus_aggregates(self, synth_dataset):
+    def test_three_ids_three_rows_plus_aggregates(self, synth_dataset, caplog):
         ids = [case[0] for case in SYNTH_CASES]
         rows = run_experiment(synth_dataset, ids)
+        assert caplog.records == []  # one geometry record per id: nothing ignored
         assert [row.ref_id for row in rows] == sorted(ids)
         assert all(row.report.dice >= 0.5 for row in rows)
         aggs = tissue_aggregates(rows)
