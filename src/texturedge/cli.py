@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -52,6 +53,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _StderrHandler(logging.Handler):
+    """Prints log records to the current ``sys.stderr``, as the CLI prints errors."""
+
+    def emit(self, record):
+        try:
+            print(f"texturedge: {self.format(record)}", file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+_LOG_HANDLER = _StderrHandler()
 
 
 def _int_list(text: str) -> list[int]:
@@ -291,6 +305,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    logging.getLogger("texturedge").addHandler(_LOG_HANDLER)  # a no-op once attached
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.print_defaults:

@@ -115,7 +115,7 @@ def f_measure_from_precision_recall(precision: float, recall: float) -> float:
     return 2.0 / (1.0 / precision + 1.0 / recall)
 
 
-def roc_az(scores, truth, eval_region=None) -> RocCurve:
+def roc_az(scores, truth) -> RocCurve:
     """ROC curve from per-pixel scores against a boolean reference.
 
     Thresholds sweep the sorted unique score values (plus sentinels at both
@@ -126,14 +126,7 @@ def roc_az(scores, truth, eval_region=None) -> RocCurve:
     t = np.asarray(truth, dtype=bool)
     if s.shape != t.shape:
         raise DimensionMismatchError(f"score/truth shapes differ: {s.shape} vs {t.shape}")
-    if eval_region is not None:
-        region = np.asarray(eval_region, dtype=bool)
-        if region.shape != s.shape:
-            raise DimensionMismatchError(
-                f"eval_region shape {region.shape} differs from {s.shape}")
-        s, t = s[region], t[region]
-    else:
-        s, t = s.ravel(), t.ravel()
+    s, t = s.ravel(), t.ravel()
     n_pos = int(np.count_nonzero(t))
     n_neg = t.size - n_pos
     if n_pos == 0:

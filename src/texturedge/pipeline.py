@@ -5,7 +5,7 @@ Each stage is one function here (``enhance_image``, ``crop_roi``,
 ``run_pipeline`` and by the CLI's stage subcommands alike. One JSON config
 document drives every stage; identical inputs and config produce
 byte-identical output trees. Batch experiments aggregate per
-tissue class, and ``bench`` times the naive vs. incremental map kernels
+tissue class, and ``bench`` times the naive vs. sliding map kernels
 while insisting their outputs match exactly.
 """
 from __future__ import annotations

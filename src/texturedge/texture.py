@@ -7,11 +7,11 @@ computed for a fixed pixel displacement. Four displacement directions
 outlines.
 
 Two window kernels are provided. ``texture_map_naive`` recounts every
-window from scratch; ``texture_map_sliding`` maintains the window's pair
-histogram incrementally as it slides (subtract the leaving anchor column,
-add the entering one), which drops the per-pixel counting cost from
-O(window^2) to O(window). Both funnel their integer pair counts through
-one shared descriptor evaluator, so their outputs are bit-identical.
+window from scratch. ``texture_map_sliding`` reads a contrast window as a
+box sum of squared differences from one summed-area table, and slides a
+per-column pair histogram along each row for the other descriptors. Both
+reach the same integer tallies and evaluate them as ``_descriptor_strip``
+does, so their outputs are bit-identical.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -272,47 +272,37 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     return out
 
 
-def _column_histograms(band: np.ndarray, ll: int) -> np.ndarray:
-    """Pair-code histogram of every anchor column in a row band.
-
-    ``band`` is (n_rows, n_total_cols) int64 codes; returns
-    (n_total_cols, ll) int64. Uses one offset-coded bincount when the
-    result fits comfortably, otherwise one bincount per column.
-    """
-    n_total = band.shape[1]
-    if n_total * ll <= 2_000_000:
-        shifted = band + np.arange(n_total, dtype=np.int64)[None, :] * ll
-        return np.bincount(shifted.ravel(), minlength=n_total * ll).reshape(n_total, ll)
-    out = np.empty((n_total, ll), dtype=np.int64)
-    for j in range(n_total):
-        out[j] = np.bincount(band[:, j], minlength=ll)
-    return out
-
-
 def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
-    """Incremental kernel: bit-identical to ``texture_map_naive``.
+    """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    Each anchor column of a row band is histogrammed once; sliding the
-    window right then subtracts the leaving column's pairs and adds the
-    entering column's (realized as a prefix-sum difference over the column
-    histograms). Counting work per pixel is O(window_side), not
-    O(window_side^2), and all tallies stay exact integers.
+    CONTRAST sums the per-anchor plane ``(a - b)^2`` times the plane count
+    (a reversed pair adds the same square) over each window from one
+    summed-area table, then divides once by the pair count. The others
+    histogram every anchor column of a row band in one offset-coded
+    bincount and slide the window right by a running-sum difference.
     """
     kind = as_descriptor(kind)
     h, w = q.values.shape
     planes, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
-    out = np.zeros((h, w), dtype=np.float64)
     if pair_count == 0:
-        return out
+        return np.zeros((h, w), dtype=np.float64)
     levels = q.levels
+    if kind is Descriptor.CONTRAST:
+        a, b = np.divmod(planes[0], levels)
+        table = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(np.square(a - b) * len(planes), axis=0), axis=1, out=table[1:, 1:])
+        sums = (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
+                - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
+        return sums.astype(np.float64) / pair_count
     ll = levels * levels
+    n_total = planes[0].shape[1]
+    coded = np.stack(planes) + np.arange(n_total, dtype=np.int64) * ll
+    out = np.empty((h, w), dtype=np.float64)
+    running = np.zeros((n_total + 1, ll), dtype=np.int64)
     for r in range(h):
-        col_hist = _column_histograms(planes[0][r:r + n_rows, :], ll)
-        for extra in planes[1:]:
-            col_hist = col_hist + _column_histograms(extra[r:r + n_rows, :], ll)
-        running = np.zeros((col_hist.shape[0] + 1, ll), dtype=np.int64)
-        np.cumsum(col_hist, axis=0, out=running[1:])
+        col_hist = np.bincount(coded[:, r:r + n_rows].ravel(), minlength=n_total * ll)
+        np.cumsum(col_hist.reshape(n_total, ll), axis=0, out=running[1:])
         strip = running[n_cols:] - running[:-n_cols]
         out[r] = _descriptor_strip(strip.reshape(w, levels, levels), pair_count, kind)
     return out

@@ -160,6 +160,21 @@ class TestStagesMatchLibrary:
         assert warnings == [f"id {ref}: 1 more geometry record(s) ignored; "
                             "only the first is scored"] * 2
 
+    def test_ignored_geometry_warning_is_one_prefixed_stderr_line(self, tmp_path, capfd):
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
+        data = tmp_path / "data"
+        data.mkdir()
+        write_pgm(data / f"{ref}.pgm", synth_mass_image(seed, cx, cy, r))
+        (data / "Info.txt").write_text(synth_index_line(ref, tissue, cx, cy, r) + "\n"
+                                       + synth_index_line(ref, "G", cx + 6, cy - 6, r + 4)
+                                       + "\n")
+        for _ in range(2):  # a second main() must not stack a second handler
+            assert run_cli("pipeline", "--image", str(data / f"{ref}.pgm"), "--id", ref,
+                           "--dataset", str(data), "--out", str(tmp_path / "cli")) == 0
+            assert capfd.readouterr().err.splitlines() == [
+                f"texturedge: id {ref}: 1 more geometry record(s) ignored; "
+                "only the first is scored"]
+
 
 class TestPipelineCommand:
     def test_inline_record(self, synth_dataset, tmp_path):

@@ -171,12 +171,6 @@ class TestRocAz:
         assert roc_az(3.0 * scores + 7.0, truth).az == base
         assert roc_az(np.arctan(scores), truth).az == base
 
-    def test_eval_region_restriction(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        truth = np.array([[1, 0], [1, 0]], bool)
-        region = np.array([[1, 1], [0, 0]], bool)
-        assert roc_az(scores, truth, region).az == 1.0
-
     def test_no_positives(self):
         with pytest.raises(NoPositivesError):
             roc_az(np.ones((2, 2)), np.zeros((2, 2), bool))

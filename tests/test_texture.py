@@ -263,10 +263,25 @@ class TestTextureMaps:
     def test_sliding_equals_naive_symmetric(self, rng):
         img = rng.integers(0, 256, size=(21, 17), dtype=np.uint8)
         q = quantize(img, 8)
-        for off in ALL_OFFSETS:
-            a = texture_map_naive(q, "idm", 5, off, symmetric=True)
-            b = texture_map_sliding(q, "idm", 5, off, symmetric=True)
-            assert np.array_equal(a, b)
+        for kind in Descriptor:
+            for distance in (1, 2):
+                for off in offsets_for_distance(distance).values():
+                    a = texture_map_naive(q, kind, 5, off, symmetric=True)
+                    b = texture_map_sliding(q, kind, 5, off, symmetric=True)
+                    assert np.array_equal(a, b), (kind, off)
+
+    def test_sliding_equals_naive_float_bits_at_256_levels(self, rng):
+        # full gray resolution: 65536 pair codes per anchor column, the
+        # widest row-band histograms the joint path builds
+        q = quantize(rng.integers(0, 256, size=(4, 40), dtype=np.uint8), 256)
+        for window in (3, 7):
+            for symmetric in (False, True):
+                for kind in Descriptor:
+                    for off in ALL_OFFSETS:
+                        a = texture_map_naive(q, kind, window, off, symmetric)
+                        b = texture_map_sliding(q, kind, window, off, symmetric)
+                        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), \
+                            (window, symmetric, kind, off)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 24), st.integers(5, 24),
            st.sampled_from([2, 8]), st.sampled_from([3, 5]))
