@@ -18,7 +18,8 @@ from .errors import InvalidTimeStepError, TilesTooManyError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
-# rows per SRAD tile; the seven scratch planes of a 1024-wide tile are 3.7 MB
+# rows per SRAD tile; its six scratch planes hold the shared d_s (one halo row
+# north) and c (one halo row south), 3.2 MB at 1024 columns
 TILE_ROWS = 64
 
 
@@ -88,6 +89,26 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     the same order for any tiling and worker count, so the float field is
     bit-identical to evaluating the formulas above one whole array at a
     time.
+
+    A tile computes each term that neighbours share once. IEEE subtraction
+    is sign-symmetric, so ``d_n(r) = -d_s(r-1)`` and ``d_w(j) = -d_e(j-1)``,
+    and ``a + (-b)`` is ``a - b`` bit for bit: the sums above read ``d_s``,
+    ``d_e``, their squares and the flux products ``P(r) = c(r+1) d_s(r)``
+    and ``E(j) = c(j+1) d_e(j)``, each made once per pixel, and every ±1
+    column shift runs along the tile's flattened rows, where the term that
+    crosses a row end is an exact 0. A shared term can differ from its
+    textbook twin only in the sign of an exact zero, which never reaches
+    the field: ``lap`` enters ``q_sq`` only as ``lap^2`` and ``4 + lap``,
+    and ``u + k acc`` with ``u > 0`` absorbs a signed zero. ``q_sq`` is
+    evaluated as ``(8 grad_sq - lap^2) / (4 + lap)^2``: numerator and
+    denominator are exactly 16 times the ones above, since scaling by a
+    power of two commutes with rounding while nothing overflows or goes
+    subnormal, so the quotient is the same double. Nothing does: each step
+    is a convex combination of a pixel and its neighbours (``k`` times the
+    four ``c`` is at most ``dt <= 0.25``), so ``u`` stays in
+    [1e-6, 1 + 1e-6] and a nonzero ``grad_sq`` or ``lap`` lies far above
+    the subnormal range. ``c`` is clamped as ``fmin(fmax(c, 0), 1)``, which
+    sends NaN and -inf to 0 and +inf to 1 like the sanitize-then-clip.
     """
     a = as_gray_image(img)
     if params.iterations < 0:
@@ -104,7 +125,7 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     if params.iterations == 0:
         return a.copy()
 
-    u = a.astype(np.float64) / 255.0 + _EPS
+    u = a.astype(np.float64, order="C") / 255.0 + _EPS
     return np.clip(np.floor(_diffuse(u, params) * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
@@ -135,7 +156,7 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    scratch = [np.empty((7, min(TILE_ROWS, height) + 1, width)) for _ in bands]
+    scratch = [np.empty((6, min(TILE_ROWS, height) + 2, width)) for _ in bands]
     src, dst = u, np.empty_like(u)
     dt = params.time_step
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -152,72 +173,78 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
 
 def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
     """One SRAD step for the tiles ``(r0, r1)`` of ``band``: reads ``src``,
-    writes rows ``r0:r1`` of ``dst``, and keeps every temporary in the seven
-    planes of ``scratch``. Each ufunc runs in the IEEE order of the textbook
-    expressions in ``srad``'s docstring."""
+    writes rows ``r0:r1`` of ``dst``, and keeps every temporary in the six
+    planes of ``scratch``. Each pixel goes through the IEEE operations of
+    the expressions in ``srad``'s docstring, in their order."""
     height = src.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for r0, r1 in band:
             end = min(r1 + 1, height)  # one halo row: c_s needs c one row south
             rows, t = end - r0, r1 - r0
-            d_n, d_s, d_w, d_e, g, lap, tmp = (plane[:rows] for plane in scratch)
+            # ds/ds2 row i is image row r0 - 1 + i; the rest start at row r0
+            ds, ds2 = (plane[:rows + 1] for plane in scratch[:2])
+            de, de2, g, lap = (plane[:rows] for plane in scratch[2:])
             u = src[r0:end]
 
-            # one-sided differences; the mirrored border makes them 0 at the image edge
+            # d_s = u(r+1) - u(r) over the tile and one row north of it, and
+            # d_e = u(j+1) - u(j) along the flattened rows; the mirrored
+            # border makes both 0 at the image edge, and so the one d_e that
+            # crosses a row end is overwritten with 0
             top = 1 if r0 == 0 else 0
-            d_n[:top] = 0.0
-            np.subtract(src[r0 - 1 + top:end - 1], u[top:], out=d_n[top:])
             bottom = 1 if end == height else 0
-            np.subtract(src[r0 + 1:end + 1 - bottom], u[:rows - bottom], out=d_s[:rows - bottom])
-            d_s[rows - bottom:] = 0.0
-            d_w[:, 0] = 0.0
-            np.subtract(u[:, :-1], u[:, 1:], out=d_w[:, 1:])
-            np.subtract(u[:, 1:], u[:, :-1], out=d_e[:, :-1])
-            d_e[:, -1] = 0.0
+            ds[:top] = 0.0
+            np.subtract(src[r0 + top:end + 1 - bottom], src[r0 - 1 + top:end - bottom],
+                        out=ds[top:rows + 1 - bottom])
+            ds[rows + 1 - bottom:] = 0.0
+            np.subtract(u.ravel()[1:], u.ravel()[:-1], out=de.ravel()[:-1])
+            de[:, -1] = 0.0
+            np.multiply(ds, ds, out=ds2)
+            np.multiply(de, de, out=de2)
 
-            # grad_sq = (d_n^2 + d_s^2 + d_w^2 + d_e^2) / u^2
-            np.multiply(d_n, d_n, out=g)
-            for d in (d_s, d_w, d_e):
-                np.multiply(d, d, out=tmp)
-                np.add(g, tmp, out=g)
-            np.multiply(u, u, out=tmp)
-            np.divide(g, tmp, out=g)
-            # lap = (d_n + d_s + d_w + d_e) / u
-            np.add(d_n, d_s, out=lap)
-            np.add(lap, d_w, out=lap)
-            np.add(lap, d_e, out=lap)
+            # d_n(r) = -d_s(r-1) and d_w(j) = -d_e(j-1), so
+            # grad_sq = (((d_s^2(r-1) + d_s^2(r)) + d_e^2(j-1)) + d_e^2(j)) / u^2
+            np.add(ds2[:-1], ds2[1:], out=g)
+            np.add(g.ravel()[1:], de2.ravel()[:-1], out=g.ravel()[1:])
+            np.add(g, de2, out=g)
+            np.multiply(u, u, out=de2)
+            np.divide(g, de2, out=g)
+            # lap = (((d_s(r) - d_s(r-1)) - d_e(j-1)) + d_e(j)) / u
+            np.subtract(ds[1:], ds[:-1], out=lap)
+            np.subtract(lap.ravel()[1:], de.ravel()[:-1], out=lap.ravel()[1:])
+            np.add(lap, de, out=lap)
             np.divide(lap, u, out=lap)
-            # q_sq = (0.5 grad_sq - 0.0625 lap lap) / (1 + 0.25 lap)^2
-            np.multiply(g, 0.5, out=g)
-            np.multiply(lap, 0.0625, out=tmp)
-            np.multiply(tmp, lap, out=tmp)
-            np.subtract(g, tmp, out=g)
-            np.multiply(lap, 0.25, out=tmp)
-            np.add(tmp, 1.0, out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            np.divide(g, tmp, out=g)
-            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))), clamped to [0, 1]
+            # q_sq = (8 grad_sq - lap^2) / (4 + lap)^2, both parts 16 times the
+            # textbook ones and so the same quotient: u in [1e-6, 1 + 1e-6]
+            # keeps every term normal (see srad)
+            np.multiply(g, 8.0, out=g)
+            np.multiply(lap, lap, out=de2)
+            np.subtract(g, de2, out=g)
+            np.add(lap, 4.0, out=de2)
+            np.multiply(de2, de2, out=de2)
+            np.divide(g, de2, out=g)
+            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))); NaN and
+            # -inf go to 0 and +inf to 1, as every finite value is clamped
             np.subtract(g, q0_sq, out=g)
             np.divide(g, q0_scale, out=g)
             np.add(g, 1.0, out=g)
             c = np.divide(1.0, g, out=g)
-            np.nan_to_num(c, copy=False, nan=0.0, posinf=1.0, neginf=0.0)
-            np.clip(c, 0.0, 1.0, out=c)
+            np.fmax(c, 0.0, out=c)
+            np.fmin(c, 1.0, out=c)
 
-            # u + k (c_s d_s + c d_n + c_e d_e + c d_w), summed in that order;
-            # c_s and c_e repeat the last row and column of the image
-            acc, tmp = lap[:t], tmp[:t]
-            south = rows - 1
-            np.multiply(c[1:rows], d_s[:south], out=acc[:south])
-            if south < t:
-                np.multiply(c[t - 1], d_s[t - 1], out=acc[t - 1])
-            np.multiply(c[:t], d_n[:t], out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.multiply(c[:t, 1:], d_e[:t, :-1], out=tmp[:, :-1])
-            np.multiply(c[:t, -1], d_e[:t, -1], out=tmp[:, -1])
-            np.add(acc, tmp, out=acc)
-            np.multiply(c[:t], d_w[:t], out=tmp)
-            np.add(acc, tmp, out=acc)
+            # P(r) = c(r+1) d_s(r) is pixel r's c_s d_s and -(pixel r+1's
+            # c d_n); E(j) = c(j+1) d_e(j) is pixel j's c_e d_e and -(pixel
+            # j+1's c d_w). P is 0 below the image and E across a row end,
+            # where d_s and d_e are, because c is finite.
+            p, e, acc = ds2[:t + 1], de2[:t], lap[:t]
+            np.multiply(c, ds[:rows], out=p[:rows])
+            p[rows:] = 0.0
+            np.multiply(c.ravel()[1:e.size], de[:t].ravel()[:-1], out=e.ravel()[:-1])
+            e[-1, -1] = 0.0
+            # u + k (((P(r) - P(r-1)) + E(j)) - E(j-1)): the textbook sum
+            # c_s d_s + c d_n + c_e d_e + c d_w, term by term
+            np.subtract(p[1:], p[:-1], out=acc)
+            np.add(acc, e, out=acc)
+            np.subtract(acc.ravel()[1:], e.ravel()[:-1], out=acc.ravel()[1:])
             np.multiply(acc, k, out=acc)
             np.add(u[:t], acc, out=dst[r0:r1])
 

@@ -112,13 +112,16 @@ def decode_pgm(data: bytes) -> np.ndarray:
         if len(raster) < n:
             raise TruncatedDataError(f"raster has {len(raster)} of {n} bytes")
         arr = np.frombuffer(raster, dtype=np.uint8)
+        in_range = int(arr.max()) <= maxval
     else:
-        # P2: whitespace-separated ASCII samples (comments tolerated)
+        # P2: whitespace-separated ASCII samples (comments tolerated), range
+        # checked as Python ints, so one too wide for int64 is only out of range
         samples, _ = _header_fields_all(data[pos:], n)
-        arr = np.array([_header_int(tok, "sample") for tok in samples], dtype=np.int64)
-    if arr.min() < 0 or arr.max() > maxval:
+        arr = [_header_int(tok, "sample") for tok in samples]
+        in_range = min(arr) >= 0 and max(arr) <= maxval
+    if not in_range:
         raise TruncatedDataError("sample value outside [0, maxval]")
-    return arr.astype(np.uint8).reshape(height, width)
+    return np.array(arr, dtype=np.uint8).reshape(height, width)
 
 
 def _header_fields_all(data: bytes, count: int) -> tuple[list[bytes], int]:

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import logging
+import sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -129,7 +130,8 @@ def _from_plain(tp, value, where: str):
     """Check ``value`` (parsed JSON) against the annotation ``tp`` and build it.
 
     bool is never a number and a float never fits an int field; a JSON int
-    widens to float. Omitted dataclass fields keep their defaults; unknown
+    widens to float, and a float field takes no NaN, ±Infinity or int past
+    the float range. Omitted dataclass fields keep their defaults; unknown
     ones raise. Errors name the dotted field, e.g. ``config.glcm.symmetric``.
     """
     if dataclasses.is_dataclass(tp):
@@ -154,6 +156,8 @@ def _from_plain(tp, value, where: str):
     accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}[tp]
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
         raise ValueError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and not abs(value) <= sys.float_info.max:  # false for NaN too
+        raise ValueError(f"{where} must be a finite float, got {value!r}")
     return float(value) if tp is float else value
 
 

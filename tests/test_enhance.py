@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def assert_field_matches_reference(img, iterations, with_region):
+    height, width = img.shape
+    region = (0, 0, max(1, width // 2), max(1, height // 2)) if with_region else None
+    params = SradParams(iterations=iterations, homogeneous_region=region)
+    want = _srad_reference_field(img, params)
+    assert_same_bits(enhance._diffuse(_field(img), params), want)
+    assert np.array_equal(srad(img, params),
+                          np.clip(np.floor(want * 255.0 + 0.5), 0, 255).astype(np.uint8))
+
+
 class TestSrad:
     # one either side of the 64-row tile edges
     @pytest.mark.parametrize("height", [1, 2, 63, 64, 65, 129, 130])
@@ -61,12 +72,25 @@ class TestSrad:
     @pytest.mark.parametrize("with_region", [False, True])
     def test_field_matches_reference_bits(self, height, width, iterations, with_region, rng):
         img = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
-        region = (0, 0, max(1, width // 2), max(1, height // 2)) if with_region else None
-        params = SradParams(iterations=iterations, homogeneous_region=region)
-        want = _srad_reference_field(img, params)
-        assert_same_bits(enhance._diffuse(_field(img), params), want)
-        assert np.array_equal(srad(img, params),
-                              np.clip(np.floor(want * 255.0 + 0.5), 0, 255).astype(np.uint8))
+        assert_field_matches_reference(img, iterations, with_region)
+
+    # On a 0/255 checkerboard 1 + lap/4 falls to about 1e-6 on the 255 cells,
+    # so q_sq is about 1e12 and c about 0; on its 0 cells, as on any flat
+    # pixel, c is above 1. A lone 255 whose region is all 0 floors q0 at 1e-8,
+    # so c = +inf on the flat background. c < 0, -inf and NaN cannot occur
+    # while u > 0: q_sq >= grad_sq / 4 >= 0 and 1 + lap/4 > 0.
+    @pytest.mark.parametrize("pattern", ["checkerboard", "lone_peak"])
+    @pytest.mark.parametrize("height", [1, 2, 63, 64, 65, 129, 130])
+    @pytest.mark.parametrize("width,iterations", [(1, 20), (9, 1), (31, 7)])
+    @pytest.mark.parametrize("with_region", [False, True])
+    def test_clamped_field_matches_reference_bits(self, pattern, height, width, iterations,
+                                                  with_region):
+        if pattern == "checkerboard":
+            img = (np.indices((height, width)).sum(axis=0) % 2 * 255).astype(np.uint8)
+        else:
+            img = np.zeros((height, width), dtype=np.uint8)
+            img[height // 2, width // 2] = 255
+        assert_field_matches_reference(img, iterations, with_region)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
@@ -83,6 +107,22 @@ class TestSrad:
         finally:
             sys.setswitchinterval(interval)
         assert_same_bits(got, want)
+
+    def test_steps_allocate_no_image_sized_array(self, monkeypatch, rng):
+        # the second field buffer, at most seven scratch planes per worker
+        # and a quarter image of slack: one image-sized temporary per step
+        # breaks the bound
+        workers = 2
+        monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
+        u = _field(rng.integers(0, 256, size=(512, 256), dtype=np.uint8))
+        scratch = workers * 7 * (enhance.TILE_ROWS + 2) * u.shape[1] * u.itemsize
+        tracemalloc.start()
+        try:
+            enhance._diffuse(u, SradParams(iterations=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes + scratch + u.nbytes // 4
 
     @pytest.mark.parametrize("iterations", [1, 10, 100])
     def test_constant_image_identity(self, iterations):

@@ -18,8 +18,26 @@ from texturedge.errors import (
     CenterOutOfBoundsError,
     MalformedLineError,
     MaxvalUnsupportedError,
+    TexturedgeError,
     TruncatedDataError,
 )
+
+# a P2/P5 header of small, zero or negative fields, then arbitrary bytes or
+# ASCII integers of any width, ones past int64 included
+pgm_streams = st.builds(
+    lambda magic, header, tail: magic + b" %d %d %d\n" % header + tail,
+    st.sampled_from([b"P2", b"P5"]),
+    st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 300)),
+    st.one_of(st.binary(max_size=32),
+              st.lists(st.integers() | st.integers(min_value=2 ** 63), max_size=20)
+              .map(lambda samples: b" ".join(b"%d" % v for v in samples))))
+
+# lines of index-like tokens mixed with arbitrary text
+mias_texts = st.lists(
+    st.lists(st.sampled_from(["mdb001", "F", "G", "D", "CIRC", "NORM", "B", "M",
+                              "0", "-4", "17", "1e3", "\u0663"]) | st.text(max_size=6),
+             max_size=8).map(" ".join),
+    max_size=5).map("\n".join)
 
 
 class TestDecodePgm:
@@ -69,6 +87,19 @@ class TestDecodePgm:
     def test_newline_separated_header(self):
         data = b"P5\n3 1\n255\n" + bytes([1, 2, 3])
         assert decode_pgm(data).tolist() == [[1, 2, 3]]
+
+    def test_p2_sample_wider_than_int64(self):
+        with pytest.raises(TruncatedDataError, match="outside"):
+            decode_pgm(b"P2 1 1 255 99999999999999999999999")
+
+    @given(pgm_streams)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_stream_decodes_or_raises_library_error(self, data):
+        try:
+            img = decode_pgm(data)
+        except TexturedgeError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2
 
 
 class TestEncodePgm:
@@ -137,6 +168,16 @@ class TestParseMiasIndex:
     def test_malformed_variants(self, line):
         with pytest.raises(MalformedLineError):
             parse_mias_index(line)
+
+    @given(mias_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_raises_malformed_line(self, text):
+        try:
+            records = parse_mias_index(text)
+        except MalformedLineError:
+            return
+        assert all(r.center_x >= 0 and r.center_y >= 0 and r.radius > 0
+                   for r in records if r.has_geometry)
 
 
 class TestRoi:

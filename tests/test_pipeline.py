@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
 from texturedge import (
@@ -56,6 +59,32 @@ def first_case_record():
     return parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0]
 
 
+# any JSON value: NaN, ±Infinity and ints past the float range included
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.integers(min_value=2 ** 1024)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+
+
+def _config_shaped(tp):
+    """JSON values shaped like the annotation ``tp``, or any JSON value in
+    place of it or of any field inside it."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        shaped = st.fixed_dictionaries({}, optional={
+            f.name: _config_shaped(hints[f.name]) for f in dataclasses.fields(tp)})
+    elif typing.get_origin(tp) is typing.Union:  # Optional[X]
+        shaped = st.none() | _config_shaped(typing.get_args(tp)[0])
+    elif typing.get_origin(tp) is tuple:
+        shaped = st.tuples(*map(_config_shaped, typing.get_args(tp))).map(list)
+    else:
+        shaped = {bool: st.booleans(), int: st.integers(), str: st.text(max_size=8),
+                  float: st.floats() | st.integers(min_value=2 ** 1024)}[tp]
+    return shaped | _json_values
+
+
 class TestConfig:
     def test_default_round_trip(self):
         config = PipelineConfig()
@@ -99,10 +128,24 @@ class TestConfig:
          "config.srad.homogeneous_region[3]"),
         ({"glcm": 8}, "config.glcm"),
         ([], "config"),
+        ({"roi": {"margin_factor": float("inf")}}, "config.roi.margin_factor"),
+        ({"clahe": {"clip_limit": float("nan")}}, "config.clahe.clip_limit"),
+        ({"segment": {"threshold_method": {"method": "fixed", "value": float("-inf")}}},
+         "config.segment.threshold_method.value"),
+        ({"srad": {"time_step": 10 ** 400}}, "config.srad.time_step"),
     ])
     def test_mistyped_value_rejected(self, doc, field):
         with pytest.raises(ValueError, match=re.escape(field)):
             parse_config(json.dumps(doc))
+
+    @given(_config_shaped(PipelineConfig))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_parses_or_raises_value_error(self, value):
+        try:
+            config = parse_config(json.dumps(value))
+        except ValueError:
+            return
+        assert parse_config(serialize_config(config)) == config
 
     def test_int_widens_and_null_value_parses(self):
         config = parse_config('{"roi": {"margin_factor": 2}, "clahe": {"clip_limit": 3}}')
