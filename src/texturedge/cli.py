@@ -11,7 +11,6 @@ missing records, degenerate data), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -31,6 +30,7 @@ from .pipeline import (
     experiment_csv,
     experiment_jsonl,
     find_index_file,
+    from_plain,
     load_config,
     run_experiment,
     run_pipeline,
@@ -38,6 +38,7 @@ from .pipeline import (
     select_record,
     serialize_config,
     texture_maps,
+    to_plain,
     write_maps,
     write_segmentation,
 )
@@ -82,58 +83,43 @@ def _parse_threshold(text: str) -> ThresholdSpec:
         f"threshold must be 'otsu', 'fixed:T', or 'percentile:P', got {text!r}")
 
 
-def _load_base_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return PipelineConfig()
-
-
-_OVERRIDES = (
-    # (flag dest, config section, field)
-    ("srad_iterations", "srad", "iterations"),
-    ("srad_time_step", "srad", "time_step"),
-    ("clahe_clip", "clahe", "clip_limit"),
-    ("levels", "glcm", "levels"),
-    ("window", "glcm", "window_side"),
-    ("distance", "glcm", "distance"),
-    ("symmetric", "glcm", "symmetric"),
-    ("threshold", "segment", "threshold_method"),
-    ("close_radius", "segment", "close_radius"),
-    ("margin", "roi", "margin_factor"),
+# (flag, dotted config field, argparse keywords); a flag left out parses to None
+_SRAD_CLAHE = (
+    ("--srad-iterations", "srad.iterations", {"type": int}),
+    ("--srad-time-step", "srad.time_step", {"type": float}),
+    ("--clahe-clip", "clahe.clip_limit", {"type": float}),
 )
+_GLCM = (
+    ("--levels", "glcm.levels", {"type": int}),
+    ("--window", "glcm.window_side", {"type": int}),
+    ("--distance", "glcm.distance", {"type": int}),
+    ("--symmetric", "glcm.symmetric", {"action": "store_const", "const": True}),
+)
+_SEGMENTING = (
+    ("--threshold", "segment.threshold_method", {"type": _parse_threshold}),
+    ("--close-radius", "segment.close_radius", {"type": int}),
+    ("--no-fill-holes", "segment.fill_holes", {"action": "store_const", "const": False}),
+)
+_ROI = (("--margin", "roi.margin_factor", {"type": float}),)
+_CONFIG_FLAGS = _SRAD_CLAHE + _GLCM + _SEGMENTING + _ROI
 
 
-def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    for dest, section, fieldname in _OVERRIDES:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        updated = dataclasses.replace(getattr(config, section), **{fieldname: value})
-        config = dataclasses.replace(config, **{section: updated})
-    if getattr(args, "no_fill_holes", False):
-        config = dataclasses.replace(
-            config, segment=dataclasses.replace(config.segment, fill_holes=False))
-    return config
-
-
-def _add_config_flags(p: argparse.ArgumentParser, *, glcm=False, srad_clahe=False,
-                      segmenting=False, roi=False):
+def _add_config_flags(p: argparse.ArgumentParser, flags):
     p.add_argument("--config", help="pipeline config JSON file")
-    if srad_clahe:
-        p.add_argument("--srad-iterations", type=int)
-        p.add_argument("--srad-time-step", type=float)
-        p.add_argument("--clahe-clip", type=float, dest="clahe_clip")
-    if glcm:
-        p.add_argument("--levels", type=int)
-        p.add_argument("--window", type=int)
-        p.add_argument("--distance", type=int)
-        p.add_argument("--symmetric", action="store_const", const=True, default=None)
-    if segmenting:
-        p.add_argument("--threshold", type=_parse_threshold)
-        p.add_argument("--close-radius", type=int, dest="close_radius")
-        p.add_argument("--no-fill-holes", action="store_true")
-    if roi:
-        p.add_argument("--margin", type=float)
+    for flag, _, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+
+
+def _build_config(args) -> PipelineConfig:
+    """``--config`` (or the defaults) with each given flag written over its
+    field, checked by the same schema walk as a config file's values."""
+    doc = to_plain(load_config(args.config) if args.config else PipelineConfig())
+    for flag, dotted, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            section, name = dotted.split(".")
+            doc[section][name] = to_plain(value)
+    return from_plain(PipelineConfig, doc, "config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,20 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="SRAD + CLAHE on a whole image")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
-    _add_config_flags(p, srad_clahe=True)
+    _add_config_flags(p, _SRAD_CLAHE)
 
     p = sub.add_parser("texture", help="direction contrast maps of a ROI image")
     p.add_argument("-i", "--input", required=True, help="ROI image (PGM)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--descriptor", default="contrast",
                    choices=[d.value for d in Descriptor])
-    _add_config_flags(p, glcm=True)
+    _add_config_flags(p, _GLCM)
 
     p = sub.add_parser("segment", help="mask + contours from a texture map")
     p.add_argument("-i", "--input", required=True, help="texture map (.f64)")
     p.add_argument("--center", required=True, help="mass center as X,Y in map coords")
     p.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p, segmenting=True)
+    _add_config_flags(p, _SEGMENTING)
 
     p = sub.add_parser("eval", help="metrics of a predicted mask vs. a reference mask")
     p.add_argument("--pred", required=True, help="predicted mask (0/255 PGM)")
@@ -177,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--eval-full-image", action="store_true",
                    help="score the mask over the whole image, not just the ROI crop")
-    _add_config_flags(p, glcm=True, srad_clahe=True, segmenting=True, roi=True)
+    _add_config_flags(p, _CONFIG_FLAGS)
 
     p = sub.add_parser("experiment", help="batch run over dataset ids")
     p.add_argument("--dataset", help=f"dataset dir (default ${DATASET_ENV_VAR})")
@@ -185,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--eval-full-image", action="store_true",
                    help="score masks over whole images, not just ROI crops")
-    _add_config_flags(p, glcm=True, srad_clahe=True, segmenting=True, roi=True)
+    _add_config_flags(p, _CONFIG_FLAGS)
 
     p = sub.add_parser("bench", help="time the naive vs. sliding map kernels")
     p.add_argument("--sizes", type=_int_list, default=[64, 128])
@@ -206,20 +192,20 @@ def _dataset_dir(args) -> Path:
 
 
 def _cmd_enhance(args) -> int:
-    config = _apply_overrides(_load_base_config(args), args)
+    config = _build_config(args)
     write_pgm(args.output, enhance_image(read_pgm(args.input), config))
     return EXIT_OK
 
 
 def _cmd_texture(args) -> int:
-    config = _apply_overrides(_load_base_config(args), args)
+    config = _build_config(args)
     maps, total = texture_maps(read_pgm(args.input), config.glcm, args.descriptor)
     write_maps(Path(args.out), args.descriptor, maps, total)
     return EXIT_OK
 
 
 def _cmd_segment(args) -> int:
-    config = _apply_overrides(_load_base_config(args), args)
+    config = _build_config(args)
     sum_map = decode_texture_map(Path(args.input).read_bytes())
     cx, cy = (float(tok) for tok in args.center.split(","))
     threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
@@ -260,7 +246,7 @@ def _record_for(args):
 
 
 def _cmd_pipeline(args) -> int:
-    config = _apply_overrides(_load_base_config(args), args)
+    config = _build_config(args)
     record = _record_for(args)
     result = run_pipeline(args.image, record, config, out_dir=args.out,
                           eval_full_image=args.eval_full_image)
@@ -270,7 +256,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = _apply_overrides(_load_base_config(args), args)
+    config = _build_config(args)
     root = _dataset_dir(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

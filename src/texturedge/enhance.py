@@ -107,8 +107,14 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     is a convex combination of a pixel and its neighbours (``k`` times the
     four ``c`` is at most ``dt <= 0.25``), so ``u`` stays in
     [1e-6, 1 + 1e-6] and a nonzero ``grad_sq`` or ``lap`` lies far above
-    the subnormal range. ``c`` is clamped as ``fmin(fmax(c, 0), 1)``, which
-    sends NaN and -inf to 0 and +inf to 1 like the sanitize-then-clip.
+    the subnormal range. ``c`` is clamped by ``fmin(c, 1)`` alone, which
+    sends +inf to 1; it would send NaN to 1, not 0, but no ``c`` is NaN or
+    below 0. With ``u > 0``, ``lap^2 <= 4 grad_sq`` (Cauchy-Schwarz, with a
+    factor-2 margin over rounding) and ``4 + lap`` is the neighbours' sum
+    over ``u``, so ``q_sq >= 0``; for ``0 < q0_sq < inf``, ``q0_scale >= q0_sq``
+    makes ``1 + (q_sq - q0_sq) / q0_scale >= +0`` (rounding is monotone), so
+    ``c`` is > 0 or +inf. A ``q0_sq`` of 0 or +inf makes every ``c`` 0 and
+    its step the identity, so that step is skipped.
     """
     a = as_gray_image(img)
     if params.iterations < 0:
@@ -163,6 +169,8 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
         for n in range(params.iterations):
             q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
             q0_sq = q0 * q0
+            if not 0.0 < q0_sq < np.inf:
+                continue  # every c is 0: the step leaves the field as it is
             step = partial(_srad_band, src, dst, q0_sq, q0_sq * (1.0 + q0_sq), 0.25 * dt)
             # every band is joined before the buffers swap: the next step
             # reads rows that other workers wrote in this one
@@ -222,13 +230,12 @@ def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
             np.add(lap, 4.0, out=de2)
             np.multiply(de2, de2, out=de2)
             np.divide(g, de2, out=g)
-            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))); NaN and
-            # -inf go to 0 and +inf to 1, as every finite value is clamped
+            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))) is > 0 or
+            # +inf (see srad), so fmin(c, 1) is the whole clamp
             np.subtract(g, q0_sq, out=g)
             np.divide(g, q0_scale, out=g)
             np.add(g, 1.0, out=g)
             c = np.divide(1.0, g, out=g)
-            np.fmax(c, 0.0, out=c)
             np.fmin(c, 1.0, out=c)
 
             # P(r) = c(r+1) d_s(r) is pixel r's c_s d_s and -(pixel r+1's
@@ -265,7 +272,8 @@ def _tile_mapping(tile: np.ndarray, clip_limit: float, bins: int) -> np.ndarray:
         # single-spike histogram: map every value to itself
         return np.arange(256, dtype=np.float64)
     area = tile.size
-    clip = max(1, int(clip_limit * area / bins))
+    # no bin holds more than the tile area, so a larger clip clips nothing
+    clip = max(1, int(min(clip_limit * area / bins, area)))
     clipped = np.minimum(hist, clip)
     excess = int(hist.sum() - clipped.sum())
     clipped = clipped + excess // bins  # uniform one-pass redistribution; residual dropped

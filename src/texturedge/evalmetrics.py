@@ -100,11 +100,7 @@ def metrics(c: ConfusionCounts) -> EvalReport:
     else:
         specificity = 1.0 - c.fp / (c.fp + c.tn)
     dice = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "dice", flags)
-    if 2 * c.tp + c.fp + c.fn == 0:
-        flags.append("f_measure")
-        f_measure = 0.0
-    else:
-        f_measure = 2 * c.tp / (2 * c.tp + c.fp + c.fn)
+    f_measure = _ratio(2 * c.tp, 2 * c.tp + c.fp + c.fn, "f_measure", flags)
     return EvalReport(dice, precision, recall, specificity, f_measure, c, tuple(flags))
 
 

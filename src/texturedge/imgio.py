@@ -280,7 +280,8 @@ def extract_roi(img, roi: RoiSpec) -> RoiCrop:
     if not (0 <= roi.center_x < w and 0 <= roi.center_y < h):
         raise CenterOutOfBoundsError(
             f"center ({roi.center_x}, {roi.center_y}) outside {w}x{h} image")
-    half = int(np.floor(roi.radius * roi.margin_factor + 0.5))
+    # a half side past the image's larger side crops the same whole-image clamp
+    half = int(np.floor(min(roi.radius * roi.margin_factor, max(h, w)) + 0.5))
     x0 = max(0, roi.center_x - half)
     x1 = min(w, roi.center_x + half)
     y0 = max(0, roi.center_y - half)

@@ -117,16 +117,16 @@ class PipelineConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _to_plain(value):
+def to_plain(value):
     """A config object as JSON-ready dicts, lists and scalars."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _to_plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {f.name: to_plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
-        return [_to_plain(v) for v in value]
+        return [to_plain(v) for v in value]
     return value
 
 
-def _from_plain(tp, value, where: str):
+def from_plain(tp, value, where: str):
     """Check ``value`` (parsed JSON) against the annotation ``tp`` and build it.
 
     bool is never a number and a float never fits an int field; a JSON int
@@ -141,17 +141,17 @@ def _from_plain(tp, value, where: str):
         unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
         if unknown:
             raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
-        return tp(**{k: _from_plain(hints[k], v, f"{where}.{k}") for k, v in value.items()})
+        return tp(**{k: from_plain(hints[k], v, f"{where}.{k}") for k, v in value.items()})
     args = typing.get_args(tp)
     if typing.get_origin(tp) is typing.Union:
         if value is None and type(None) in args:
             return None
         (tp,) = [a for a in args if a is not type(None)]
-        return _from_plain(tp, value, where)
+        return from_plain(tp, value, where)
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list) or len(value) != len(args):
             raise ValueError(f"{where} must be a list of {len(args)} values, got {value!r}")
-        return tuple(_from_plain(a, v, f"{where}[{i}]")
+        return tuple(from_plain(a, v, f"{where}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
     accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}[tp]
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
@@ -162,11 +162,11 @@ def _from_plain(tp, value, where: str):
 
 
 def serialize_config(config: PipelineConfig) -> str:
-    return json.dumps(_to_plain(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_plain(config), indent=2, sort_keys=True) + "\n"
 
 
 def parse_config(text: str) -> PipelineConfig:
-    return _from_plain(PipelineConfig, json.loads(text), "config")
+    return from_plain(PipelineConfig, json.loads(text), "config")
 
 
 def load_config(path) -> PipelineConfig:
@@ -397,39 +397,26 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     rows = []
     for ref in sorted(set(ids)):
         record = select_record(records, ref)
-        image_path = root / f"{ref}.pgm"
-        if not image_path.is_file():
-            raise MissingImageError(f"no image file at {image_path}")
-        result = run_pipeline(image_path, record, config, out_dir=out_dir,
+        result = run_pipeline(root / f"{ref}.pgm", record, config, out_dir=out_dir,
                               eval_full_image=eval_full_image)
         rows.append(ExperimentRow(ref, record.tissue, result.report, result.roc.az))
     return rows
 
 
+def _row_doc(row: ExperimentRow) -> dict:
+    """One row's fields: its CSV columns, its JSONL line, what aggregates average."""
+    return {"ref_id": row.ref_id, "tissue": row.tissue, "az": row.az, **row.report.as_dict()}
+
+
 def tissue_aggregates(rows: Sequence[ExperimentRow]) -> dict[str, dict[str, float]]:
     """Mean of each metric per tissue class, keyed by tissue letter."""
-    groups: dict[str, list[ExperimentRow]] = {}
-    for row in rows:
-        groups.setdefault(row.tissue, []).append(row)
     out = {}
-    for tissue in sorted(groups):
-        members = groups[tissue]
-        agg = {}
-        for name in _METRIC_FIELDS:
-            values = [row.az if name == "az" else getattr(row.report, name)
-                      for row in members]
-            agg[name] = float(np.mean(values))
-        agg["count"] = len(members)
-        out[tissue] = agg
+    for tissue in sorted({row.tissue for row in rows}):
+        docs = [_row_doc(row) for row in rows if row.tissue == tissue]
+        out[tissue] = {name: float(np.mean([doc[name] for doc in docs]))
+                       for name in _METRIC_FIELDS}
+        out[tissue]["count"] = len(docs)
     return out
-
-
-def _row_values(row: ExperimentRow) -> list:
-    c = row.report.counts
-    return [row.ref_id, row.tissue, c.tp, c.fp, c.fn, c.tn,
-            repr(row.report.dice), repr(row.report.precision),
-            repr(row.report.recall), repr(row.report.specificity),
-            repr(row.report.f_measure), repr(row.az)]
 
 
 def experiment_csv(rows: Sequence[ExperimentRow]) -> str:
@@ -437,20 +424,15 @@ def experiment_csv(rows: Sequence[ExperimentRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_values(row))
+    writer.writerows([doc[k] for k in CSV_COLUMNS] for doc in map(_row_doc, rows))
     for tissue, agg in tissue_aggregates(rows).items():
         writer.writerow([f"mean:{tissue}", tissue, "", "", "", ""]
-                        + [repr(agg[name]) for name in _METRIC_FIELDS])
+                        + [agg[name] for name in _METRIC_FIELDS])
     return buf.getvalue()
 
 
 def experiment_jsonl(rows: Sequence[ExperimentRow]) -> str:
-    lines = []
-    for row in rows:
-        doc = {"ref_id": row.ref_id, "tissue": row.tissue, "az": row.az}
-        doc.update(row.report.as_dict())
-        lines.append(json.dumps(doc, sort_keys=True))
+    lines = [json.dumps(_row_doc(row), sort_keys=True) for row in rows]
     for tissue, agg in tissue_aggregates(rows).items():
         lines.append(json.dumps({"aggregate": tissue, **agg}, sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -71,6 +71,8 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     component (8-connectivity) whose centroid is nearest ``roi_center``
     (an ``(x, y)`` point). An empty mask stays empty.
     """
+    if close_radius < 0:
+        raise ValueError(f"close_radius must be >= 0, got {close_radius}")
     m = np.asarray(mask, dtype=bool)
     if not m.any():
         return m.copy()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
 from texturedge import (
     PipelineConfig,
+    ThresholdSpec,
     parse_config,
     parse_mias_index,
     quantize,
@@ -15,7 +17,7 @@ from texturedge import (
     run_pipeline,
     write_pgm,
 )
-from texturedge.cli import main
+from texturedge.cli import _build_config, build_parser, main
 from texturedge.pipeline import DATASET_ENV_VAR, crop_roi
 from texturedge.segment import mask_to_gray
 from texturedge.texture import (
@@ -44,6 +46,94 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("pipeline", "--bogus")
         assert excinfo.value.code == 1
+
+
+# (flags, config section, field, value), spelled out here rather than read
+# from the CLI's table, so that a wrong dotted path there fails
+CONFIG_FLAG_CASES = {
+    "srad_clahe": [
+        (["--srad-iterations", "7"], "srad", "iterations", 7),
+        (["--srad-time-step", "0.125"], "srad", "time_step", 0.125),
+        (["--clahe-clip", "3.5"], "clahe", "clip_limit", 3.5),
+    ],
+    "glcm": [
+        (["--levels", "16"], "glcm", "levels", 16),
+        (["--window", "9"], "glcm", "window_side", 9),
+        (["--distance", "2"], "glcm", "distance", 2),
+        (["--symmetric"], "glcm", "symmetric", True),
+    ],
+    "segmenting": [
+        (["--threshold", "percentile:80"], "segment", "threshold_method",
+         ThresholdSpec("percentile", 80.0)),
+        (["--threshold", "fixed:2"], "segment", "threshold_method", ThresholdSpec("fixed", 2.0)),
+        (["--close-radius", "1"], "segment", "close_radius", 1),
+        (["--no-fill-holes"], "segment", "fill_holes", False),
+    ],
+    "roi": [(["--margin", "2.5"], "roi", "margin_factor", 2.5)],
+}
+# each subcommand's required arguments and the flag sets it takes
+SUBCOMMAND_FLAG_SETS = {
+    "enhance": (["-i", "in.pgm", "-o", "out.pgm"], ["srad_clahe"]),
+    "texture": (["-i", "roi.pgm", "--out", "tex"], ["glcm"]),
+    "segment": (["-i", "sum.f64", "--center", "1,2", "--out", "seg"], ["segmenting"]),
+    "pipeline": (["--image", "a.pgm", "--record", "a D CIRC B 1 2 3", "--out", "o"],
+                 list(CONFIG_FLAG_CASES)),
+    "experiment": (["--out", "o"], list(CONFIG_FLAG_CASES)),
+}
+
+
+def _flag_cases():
+    for command, (required, flag_sets) in SUBCOMMAND_FLAG_SETS.items():
+        for flag_set in flag_sets:
+            for flags, section, name, value in CONFIG_FLAG_CASES[flag_set]:
+                yield pytest.param(command, required + flags, section, name, value,
+                                   id="_".join([command, *flags]))
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command,argv,section,name,value", list(_flag_cases()))
+    def test_each_flag_changes_exactly_its_field(self, command, argv, section, name, value):
+        config = _build_config(build_parser().parse_args([command, *argv]))
+        defaults = PipelineConfig()
+        want = dataclasses.replace(defaults, **{section: dataclasses.replace(
+            getattr(defaults, section), **{name: value})})
+        assert want != defaults and config == want
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"glcm": {"levels": 4, "window_side": 5}}')
+        config = _build_config(build_parser().parse_args(
+            ["texture", "-i", "roi.pgm", "--out", "tex", "--config", str(path),
+             "--levels", "16"]))
+        assert (config.glcm.levels, config.glcm.window_side) == (16, 5)
+
+    def test_flag_outside_its_subcommand_is_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("enhance", "-i", "in.pgm", "-o", "out.pgm", "--levels", "4")
+        assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--margin", "inf", "config.roi.margin_factor"),
+        ("--clahe-clip", "inf", "config.clahe.clip_limit"),
+        ("--srad-time-step", "nan", "config.srad.time_step"),
+    ])
+    def test_non_finite_float_flag_is_usage_error(self, flag, value, field, tmp_path, capsys):
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
+        image = tmp_path / f"{ref}.pgm"
+        write_pgm(image, synth_mass_image(seed, cx, cy, r))
+        assert run_cli("pipeline", "--image", str(image),
+                       "--record", synth_index_line(ref, tissue, cx, cy, r),
+                       "--out", str(tmp_path / "out"), flag, value) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_close_radius_is_usage_error(self, tmp_path, capsys):
+        from texturedge.texture import encode_texture_map
+        ramp = tmp_path / "ramp.f64"
+        ramp.write_bytes(encode_texture_map(np.arange(64.0).reshape(8, 8)))
+        assert run_cli("segment", "-i", str(ramp), "--center", "4,4",
+                       "--out", str(tmp_path / "seg"), "--close-radius", "-2") == 1
+        assert "close_radius must be >= 0" in capsys.readouterr().err
 
 
 class TestEnhanceCommand:

@@ -4,6 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from texturedge import ClaheParams, SradParams, clahe, enhance, srad
 from texturedge.errors import InvalidTimeStepError, TilesTooManyError
 
@@ -91,6 +95,36 @@ class TestSrad:
             img = np.zeros((height, width), dtype=np.uint8)
             img[height // 2, width // 2] = 255
         assert_field_matches_reference(img, iterations, with_region)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_params_match_reference_bits(self, data):
+        # heights on both sides of one and two tile edges
+        height = data.draw(st.integers(1, 2 * enhance.TILE_ROWS + 2), label="height")
+        width = data.draw(st.integers(1, 9), label="width")
+        img = data.draw(arrays(np.uint8, (height, width)), label="img")
+        region = data.draw(st.none() | st.tuples(
+            st.integers(0, width - 1), st.integers(0, height - 1)).flatmap(
+            lambda xy: st.tuples(st.just(xy[0]), st.just(xy[1]),
+                                 st.integers(1, width - xy[0]),
+                                 st.integers(1, height - xy[1]))), label="region")
+        params = SradParams(
+            iterations=data.draw(st.integers(1, 5), label="iterations"),
+            time_step=data.draw(st.floats(0.0, 0.25, exclude_min=True), label="time_step"),
+            homogeneous_region=region)
+        assert_same_bits(enhance._diffuse(_field(img), params),
+                         _srad_reference_field(img, params))
+
+    # from step 1 on, rho 1e4 sends q0^2 to 0 and rho -1e4 to +inf, where
+    # every c is NaN before the clamp (fmin alone would make it 1): the
+    # reference's c is 0 and those steps leave the field as it is
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("rho", [1e4, -1e4])
+    def test_degenerate_q0_matches_reference_bits(self, rho, rng):
+        img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
+        params = SradParams(iterations=4, q0_decay_rho=rho, homogeneous_region=(1, 1, 5, 5))
+        assert_same_bits(enhance._diffuse(_field(img), params),
+                         _srad_reference_field(img, params))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
@@ -220,6 +254,13 @@ class TestClahe:
     def test_deterministic(self, rng):
         img = rng.integers(0, 256, size=(33, 47), dtype=np.uint8)
         assert np.array_equal(clahe(img), clahe(img))
+
+    def test_huge_clip_limit_clips_nothing(self, rng):
+        # clip_limit * area / bins overflows to inf; a clip at the tile area
+        # already leaves every bin whole
+        img = rng.integers(0, 256, size=(40, 40), dtype=np.uint8)
+        assert np.array_equal(clahe(img, ClaheParams(clip_limit=1e308)),
+                              clahe(img, ClaheParams(clip_limit=256.0)))
 
     def test_fewer_bins(self, rng):
         img = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)

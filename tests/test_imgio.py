@@ -199,6 +199,12 @@ class TestRoi:
         spec = RoiSpec.from_mias(rec, 1024)
         assert (spec.center_x, spec.center_y) == (477, 890)
 
+    def test_huge_margin_crops_whole_image(self):
+        # radius * margin is 1e308: the half side is capped before int()
+        img = np.arange(30 * 40, dtype=np.int64).reshape(30, 40).astype(np.uint8)
+        crop = extract_roi(img, RoiSpec(7, 22, 5, 1e308))
+        assert np.array_equal(crop.image, img) and (crop.x0, crop.y0) == (0, 0)
+
     def test_center_out_of_bounds(self):
         with pytest.raises(CenterOutOfBoundsError):
             extract_roi(np.zeros((10, 10), dtype=np.uint8), RoiSpec(50, 5, 3, 1.0))

@@ -165,6 +165,14 @@ class TestRefineMask:
                 d2 = ((ys - y) ** 2 + (xs - x) ** 2).min()
                 assert d2 <= radius * radius
 
+    def test_negative_close_radius_rejected(self):
+        m = np.zeros((8, 8), bool)
+        m[2:5, 2:5] = True
+        for mask in (m, np.zeros((8, 8), bool)):
+            with pytest.raises(ValueError, match="close_radius must be >= 0"):
+                refine_mask(mask, (3, 3), close_radius=-2)
+        assert np.array_equal(refine_mask(m, (3, 3), close_radius=0, fill_holes=False), m)
+
     def test_disk_footprint_shape(self):
         fp = disk_footprint(1)
         assert fp.tolist() == [[False, True, False], [True, True, True], [False, True, False]]
