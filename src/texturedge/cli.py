@@ -78,7 +78,10 @@ def _parse_threshold(text: str) -> ThresholdSpec:
         return ThresholdSpec("otsu")
     for name in ("fixed", "percentile"):
         if text.startswith(name + ":"):
-            return ThresholdSpec(name, float(text[len(name) + 1:]))
+            try:
+                return ThresholdSpec(name, float(text[len(name) + 1:]))
+            except ValueError as exc:  # argparse would print only the flag's text
+                raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
         f"threshold must be 'otsu', 'fixed:T', or 'percentile:P', got {text!r}")
 

@@ -167,11 +167,15 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     dt = params.time_step
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for n in range(params.iterations):
-            q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
-            q0_sq = q0 * q0
+            # an extreme q0_decay_rho overflows these scalars to +inf, which
+            # the skip below and the division by q0_scale in _srad_band handle
+            with np.errstate(over="ignore"):
+                q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
+                q0_sq = q0 * q0
+                q0_scale = q0_sq * (1.0 + q0_sq)
             if not 0.0 < q0_sq < np.inf:
                 continue  # every c is 0: the step leaves the field as it is
-            step = partial(_srad_band, src, dst, q0_sq, q0_sq * (1.0 + q0_sq), 0.25 * dt)
+            step = partial(_srad_band, src, dst, q0_sq, q0_scale, 0.25 * dt)
             # every band is joined before the buffers swap: the next step
             # reads rows that other workers wrote in this one
             list(pool.map(step, bands, scratch))

@@ -8,10 +8,12 @@ outlines.
 
 Two window kernels are provided. ``texture_map_naive`` recounts every
 window from scratch. ``texture_map_sliding`` reads a contrast window as a
-box sum of squared differences from one summed-area table, and slides a
-per-column pair histogram along each row for the other descriptors. Both
-reach the same integer tallies and evaluate them as ``_descriptor_strip``
-does, so their outputs are bit-identical.
+box sum of squared differences from one summed-area table; for the other
+descriptors it keeps one running pair histogram per window of the current
+row and moves them all down a row by adding the entering row's pairs and
+removing the leaving row's. Both reach the same integer tallies and
+evaluate them through one ``_StripEvaluator`` built per map, so their
+outputs are bit-identical.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -162,39 +164,64 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
 # Descriptor evaluation
 # ---------------------------------------------------------------------------
 
-def _descriptor_strip(counts: np.ndarray, pair_count: int, kind: Descriptor) -> np.ndarray:
-    """Evaluate one descriptor over a strip of count matrices.
+class _StripEvaluator:
+    """One descriptor over strips of flattened count matrices.
 
-    ``counts`` is (n, levels, levels) int64; returns (n,) float64. The
-    scalar API and both map kernels all evaluate through this function so
-    that equal tallies always produce bit-identical descriptor values.
+    Built once per ``(kind, levels, pair_count)``, so the weights and the
+    entropy table are made once per map, not per strip. Calling it on an
+    ``(n, levels^2)`` int64 strip writes the ``n`` float64 values into
+    ``out``. The scalar API and both map kernels evaluate through it, so
+    equal tallies always give bit-identical values: entropy and IDM sum each
+    window's contiguous ``levels^2`` terms with ``np.sum(..., axis=-1)``,
+    whose pairwise order depends only on that length.
     """
-    n, levels = counts.shape[0], counts.shape[1]
-    if pair_count == 0:
-        return np.zeros(n, dtype=np.float64)
-    flat = counts.reshape(n, levels * levels)
-    idx = np.arange(levels, dtype=np.int64)
-    diff_sq = np.square(idx[:, None] - idx[None, :]).reshape(-1)
-    if kind is Descriptor.CONTRAST:
-        # integer matmul is exact, so the division is the only rounding step
-        return (flat @ diff_sq).astype(np.float64) / pair_count
-    if kind is Descriptor.ASM:
-        return np.sum(flat * flat, axis=-1).astype(np.float64) / (pair_count * pair_count)
-    if kind is Descriptor.IDM:
-        weights = 1.0 / (1.0 + diff_sq.astype(np.float64))
-        return np.sum(flat * weights, axis=-1) / pair_count
-    if kind is Descriptor.ENTROPY:
-        # table of c * (log2 N - log2 c): each term >= 0, so the sum is too
-        ks = np.arange(1, pair_count + 1, dtype=np.float64)
-        table = np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
-        return np.sum(table[flat], axis=-1) / pair_count
-    raise ValueError(f"unknown descriptor {kind!r}")
+
+    def __init__(self, kind: Descriptor, levels: int, pair_count: int):
+        self.kind = kind
+        self.pair_count = pair_count
+        idx = np.arange(levels, dtype=np.int64)
+        diff_sq = np.square(idx[:, None] - idx[None, :]).reshape(-1)
+        self._terms = None
+        if kind is Descriptor.CONTRAST:
+            self._terms = diff_sq
+        elif kind is Descriptor.IDM:
+            self._terms = 1.0 / (1.0 + diff_sq.astype(np.float64))
+        elif kind is Descriptor.ENTROPY and pair_count > 0:
+            # table of c * (log2 N - log2 c): each term >= 0, so the sum is too
+            ks = np.arange(1, pair_count + 1, dtype=np.float64)
+            self._terms = np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
+        self._scratch = np.empty((0, levels * levels), dtype=np.float64)
+
+    def __call__(self, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        kind, divisor = self.kind, self.pair_count
+        if divisor == 0:
+            out[...] = 0.0
+            return out
+        if kind is Descriptor.CONTRAST:
+            # integer matmul is exact, so the division is the only rounding step
+            out[...] = flat @ self._terms
+        elif kind is Descriptor.ASM:
+            # an integer sum of squares is exact in any order
+            out[...] = np.einsum("ij,ij->i", flat, flat)
+            divisor *= divisor
+        else:
+            if self._scratch.shape != flat.shape:
+                self._scratch = np.empty(flat.shape, dtype=np.float64)
+            if kind is Descriptor.IDM:
+                np.multiply(flat, self._terms, out=self._scratch)
+            else:
+                # counts lie in [0, pair_count]; a mode other than "raise"
+                # writes straight into the scratch buffer
+                np.take(self._terms, flat, out=self._scratch, mode="wrap")
+            np.sum(self._scratch, axis=-1, out=out)
+        out /= divisor
+        return out
 
 
 def descriptor(g: Glcm, kind) -> float:
     """Scalar descriptor of one GLCM (contrast, entropy, asm, or idm)."""
-    k = as_descriptor(kind)
-    return float(_descriptor_strip(g.counts[None, :, :], g.pair_count, k)[0])
+    evaluate = _StripEvaluator(as_descriptor(kind), g.levels, g.pair_count)
+    return float(evaluate(g.counts.reshape(1, -1), np.empty(1))[0])
 
 
 def contrast(g: Glcm) -> float:
@@ -261,6 +288,7 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     if pair_count == 0:
         return out
     ll = q.levels * q.levels
+    evaluate = _StripEvaluator(kind, q.levels, pair_count)
     for r in range(h):
         strip = np.empty((w, ll), dtype=np.int64)
         for c in range(w):
@@ -268,7 +296,7 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
             for extra in planes[1:]:
                 cnt = cnt + np.bincount(extra[r:r + n_rows, c:c + n_cols].ravel(), minlength=ll)
             strip[c] = cnt
-        out[r] = _descriptor_strip(strip.reshape(w, q.levels, q.levels), pair_count, kind)
+        evaluate(strip, out[r])
     return out
 
 
@@ -279,8 +307,11 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     CONTRAST sums the per-anchor plane ``(a - b)^2`` times the plane count
     (a reversed pair adds the same square) over each window from one
     summed-area table, then divides once by the pair count. The others
-    histogram every anchor column of a row band in one offset-coded
-    bincount and slide the window right by a running-sum difference.
+    keep a ``(width, levels^2)`` histogram of the current row's windows:
+    each step down subtracts the pair codes of the anchor row leaving the
+    windows and adds those of the row entering them, then evaluates the
+    strip with the map's one ``_StripEvaluator``. The integer tallies are
+    exact, so the order of updates cannot change them.
     """
     kind = as_descriptor(kind)
     h, w = q.values.shape
@@ -296,15 +327,20 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                 - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
         return sums.astype(np.float64) / pair_count
     ll = levels * levels
-    n_total = planes[0].shape[1]
-    coded = np.stack(planes) + np.arange(n_total, dtype=np.int64) * ll
+    # segments[p, y, c] views the n_cols anchor codes of row y in column c's
+    # window; column c's histogram starts at flat index c * ll
+    segments = np.lib.stride_tricks.sliding_window_view(np.stack(planes), n_cols, axis=2)
+    base = np.arange(w, dtype=np.int64)[:, None] * ll
+    hist = np.bincount((segments[:, :n_rows] + base).ravel(), minlength=w * ll)
+    window = hist.reshape(w, ll)
+    evaluate = _StripEvaluator(kind, levels, pair_count)
     out = np.empty((h, w), dtype=np.float64)
-    running = np.zeros((n_total + 1, ll), dtype=np.int64)
-    for r in range(h):
-        col_hist = np.bincount(coded[:, r:r + n_rows].ravel(), minlength=n_total * ll)
-        np.cumsum(col_hist.reshape(n_total, ll), axis=0, out=running[1:])
-        strip = running[n_cols:] - running[:-n_cols]
-        out[r] = _descriptor_strip(strip.reshape(w, levels, levels), pair_count, kind)
+    evaluate(window, out[0])
+    for r in range(1, h):
+        # unbuffered scatter: one window may hold the same code more than once
+        np.subtract.at(hist, segments[:, r - 1] + base, 1)
+        np.add.at(hist, segments[:, r + n_rows - 1] + base, 1)
+        evaluate(window, out[r])
     return out
 
 

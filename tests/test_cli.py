@@ -135,6 +135,19 @@ class TestConfigFlags:
                        "--out", str(tmp_path / "seg"), "--close-radius", "-2") == 1
         assert "close_radius must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,message", [
+        ("percentile:101", "percentile must be in [0, 100], got 101.0"),
+        ("fixed:abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_threshold_flag_names_its_fault(self, value, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("segment", "-i", str(tmp_path / "sum.f64"), "--center", "4,4",
+                    "--out", str(tmp_path / "seg"), "--threshold", value)
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --threshold: {message}" in err
+        assert "invalid _parse_threshold value" not in err
+
 
 class TestEnhanceCommand:
     def test_writes_enhanced_image(self, tmp_path, rng):

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ class TestSrad:
         params = SradParams(iterations=4, q0_decay_rho=rho, homogeneous_region=(1, 1, 5, 5))
         assert_same_bits(enhance._diffuse(_field(img), params),
                          _srad_reference_field(img, params))
+
+    def test_extreme_q0_decay_warns_nothing(self, rng):
+        # rho -1e4 overflows q0^2 from step 1 on and exp itself from step 2;
+        # rho -4600 keeps q0^2 finite at step 1 but overflows q0^2 (1 + q0^2)
+        img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
+        for rho in (-10000.0, -4600.0):
+            params = SradParams(iterations=5, q0_decay_rho=rho)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = _srad_reference_field(img, params)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = enhance._diffuse(_field(img), params)
+                srad(img, params)
+            assert_same_bits(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):

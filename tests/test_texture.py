@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,12 @@ from texturedge.texture import (
 )
 
 ALL_OFFSETS = tuple(offsets_for_distance(1).values())
+JOINT_DESCRIPTORS = (Descriptor.ENTROPY, Descriptor.ASM, Descriptor.IDM)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # --- independent oracles -----------------------------------------------------
@@ -328,6 +336,59 @@ class TestTextureMaps:
         m = texture_map_naive(q, "contrast", 3, Offset(5, 0))
         assert not m.any()
         assert np.array_equal(m, texture_map_sliding(q, "contrast", 3, Offset(5, 0)))
+
+    def test_joint_descriptors_at_the_edge_cases(self, rng):
+        small = quantize(rng.integers(0, 256, size=(4, 5), dtype=np.uint8), 4)
+        q = quantize(rng.integers(0, 256, size=(10, 10), dtype=np.uint8), 4)
+        for kind in JOINT_DESCRIPTORS:
+            for symmetric in (False, True):
+                # a window larger than the image
+                a = texture_map_naive(small, kind, 9, Offset(1, 0), symmetric)
+                b = texture_map_sliding(small, kind, 9, Offset(1, 0), symmetric)
+                assert a.shape == (4, 5)
+                assert_same_bits(a, b)
+                # an offset beyond the window: no pairs, a zero map
+                m = texture_map_sliding(q, kind, 3, Offset(5, 0), symmetric)
+                assert not m.any()
+                assert_same_bits(m, texture_map_naive(q, kind, 3, Offset(5, 0), symmetric))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(2, 40),
+           st.sampled_from([2, 3, 8, 32]), st.sampled_from([3, 5, 9, 13]),
+           st.sampled_from([1, 2]), st.booleans(),
+           st.sampled_from(["random", "constant", "two-level"]))
+    @settings(max_examples=40, deadline=None)
+    def test_joint_descriptors_differential(self, seed, h, w, levels, window, distance,
+                                            symmetric, pattern):
+        # constant and two-level images repeat a pair code within one window,
+        # which a buffered scatter (hist[idx] += 1) would count once
+        rng = np.random.default_rng(seed)
+        if pattern == "random":
+            img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        elif pattern == "constant":
+            img = np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+        else:
+            img = np.where(rng.random((h, w)) < 0.5, 0, 255).astype(np.uint8)
+        q = quantize(img, levels)
+        for kind in JOINT_DESCRIPTORS:
+            for off in offsets_for_distance(distance).values():
+                assert_same_bits(texture_map_naive(q, kind, window, off, symmetric),
+                                 texture_map_sliding(q, kind, window, off, symmetric))
+
+    @pytest.mark.parametrize("kind", JOINT_DESCRIPTORS)
+    def test_joint_map_memory_is_a_few_window_histograms(self, kind, rng):
+        # one (w, levels^2) int64 histogram and one float term buffer fit;
+        # a (columns, levels^2) scan per row or a whole-map (h, w, levels^2)
+        # array does not
+        levels = 32
+        q = quantize(rng.integers(0, 256, size=(96, 96), dtype=np.uint8), levels)
+        bound = 4 * q.width * levels * levels * 8
+        tracemalloc.start()
+        try:
+            texture_map_sliding(q, kind, 13, Offset(1, -1), symmetric=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestDirectionalSum:
