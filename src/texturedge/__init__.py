@@ -32,7 +32,6 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
     ThresholdSpec,
-    bench,
     load_config,
     parse_config,
     run_experiment,
@@ -62,7 +61,7 @@ __all__ = [
     "ANGLES", "ClaheParams", "ConfusionCounts", "Descriptor", "EvalReport",
     "Glcm", "MiasRecord", "Offset", "PipelineConfig", "PipelineResult",
     "QuantizedImage", "RocCurve", "RoiCrop", "RoiSpec", "SradParams",
-    "ThresholdSpec", "bench", "binarize", "circle_mask", "clahe", "confusion",
+    "ThresholdSpec", "binarize", "circle_mask", "clahe", "confusion",
     "contrast", "decode_pgm", "descriptor", "directional_sum", "encode_pgm",
     "extract_roi", "f_measure_from_precision_recall", "glcm_window",
     "load_config", "metrics", "mias_to_image_y", "offsets_for_distance",

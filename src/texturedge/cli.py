@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages so each is independently runnable:
-``enhance``, ``texture``, ``segment``, ``eval``, ``pipeline``,
-``experiment``, and ``bench``. Stage subcommands call the same stage
-functions of ``pipeline`` that ``run_pipeline`` calls.
+``enhance``, ``texture``, ``segment``, ``eval``, ``pipeline`` and
+``experiment``. They call the same stage functions of ``pipeline`` that
+``run_pipeline`` calls.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable inputs,
-missing records, degenerate data), 3 internal invariant violation.
+Exit codes: 0 success, 1 usage error (bad flags, config values out of
+range), 2 data error (unreadable inputs, missing records, degenerate data),
+3 internal invariant violation.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,8 +26,6 @@ from .pipeline import (
     DATASET_ENV_VAR,
     PipelineConfig,
     ThresholdSpec,
-    bench,
-    bench_csv,
     enhance_image,
     experiment_csv,
     experiment_jsonl,
@@ -69,10 +69,6 @@ class _StderrHandler(logging.Handler):
 _LOG_HANDLER = _StderrHandler()
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
 def _parse_threshold(text: str) -> ThresholdSpec:
     if text == "otsu":
         return ThresholdSpec("otsu")
@@ -84,6 +80,16 @@ def _parse_threshold(text: str) -> ThresholdSpec:
                 raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
         f"threshold must be 'otsu', 'fixed:T', or 'percentile:P', got {text!r}")
+
+
+def _parse_center(text: str) -> tuple[float, float]:
+    try:
+        cx, cy = (float(tok) for tok in text.split(","))
+        if math.isfinite(cx) and math.isfinite(cy):
+            return cx, cy
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"center must be two finite numbers X,Y, got {text!r}")
 
 
 # (flag, dotted config field, argparse keywords); a flag left out parses to None
@@ -146,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segment", help="mask + contours from a texture map")
     p.add_argument("-i", "--input", required=True, help="texture map (.f64)")
-    p.add_argument("--center", required=True, help="mass center as X,Y in map coords")
+    p.add_argument("--center", required=True, type=_parse_center,
+                   help="mass center as X,Y in map coords")
     p.add_argument("--out", required=True, help="output directory")
     _add_config_flags(p, _SEGMENTING)
 
@@ -176,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score masks over whole images, not just ROI crops")
     _add_config_flags(p, _CONFIG_FLAGS)
 
-    p = sub.add_parser("bench", help="time the naive vs. sliding map kernels")
-    p.add_argument("--sizes", type=_int_list, default=[64, 128])
-    p.add_argument("--windows", type=_int_list, default=[3, 7, 9])
-    p.add_argument("--levels", type=_int_list, default=[8])
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
-
     return parser
 
 
@@ -210,8 +210,7 @@ def _cmd_texture(args) -> int:
 def _cmd_segment(args) -> int:
     config = _build_config(args)
     sum_map = decode_texture_map(Path(args.input).read_bytes())
-    cx, cy = (float(tok) for tok in args.center.split(","))
-    threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
+    threshold, mask, contours = segment_map(sum_map, args.center, config.segment)
     write_segmentation(Path(args.out), mask, contours)
     print(f"threshold {threshold!r}")
     return EXIT_OK
@@ -272,16 +271,6 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    rows = bench(args.sizes, args.windows, args.levels, repeats=args.repeats)
-    text = bench_csv(rows)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "enhance": _cmd_enhance,
     "texture": _cmd_texture,
@@ -289,7 +278,6 @@ _COMMANDS = {
     "eval": _cmd_eval,
     "pipeline": _cmd_pipeline,
     "experiment": _cmd_experiment,
-    "bench": _cmd_bench,
 }
 
 
@@ -308,12 +296,12 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"texturedge: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (ValueError, TypeError) as exc:  # before TexturedgeError: see errors.py
+        print(f"texturedge: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (TexturedgeError, OSError) as exc:
         print(f"texturedge: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, TypeError) as exc:
-        print(f"texturedge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

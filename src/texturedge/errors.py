@@ -2,7 +2,9 @@
 
 Every library-specific failure derives from :class:`TexturedgeError` so
 callers can catch one base class. The CLI maps these onto exit codes
-(data errors vs. internal invariant violations).
+(data errors vs. internal invariant violations). A parameter outside its
+range, which the caller chose, is also a ``ValueError``, as the library's
+other parameter checks are, so the CLI reports it as a usage error.
 """
 
 
@@ -38,7 +40,7 @@ class CenterOutOfBoundsError(TexturedgeError):
 
 # --- enhancement ------------------------------------------------------------
 
-class InvalidTimeStepError(TexturedgeError):
+class InvalidTimeStepError(TexturedgeError, ValueError):
     """Diffusion time step outside the stable range (0, 0.25]."""
 
 
@@ -48,7 +50,7 @@ class TilesTooManyError(TexturedgeError):
 
 # --- texture ----------------------------------------------------------------
 
-class LevelsOutOfRangeError(TexturedgeError):
+class LevelsOutOfRangeError(TexturedgeError, ValueError):
     """Quantization level count outside [2, 256]."""
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateMapError
+from .errors import DegenerateMapError, InternalInvariantError
 from .imgio import as_gray_image
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -73,6 +73,9 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     """
     if close_radius < 0:
         raise ValueError(f"close_radius must be >= 0, got {close_radius}")
+    cx, cy = float(roi_center[0]), float(roi_center[1])
+    if not (np.isfinite(cx) and np.isfinite(cy)):
+        raise ValueError(f"roi_center must be finite, got {roi_center}")
     m = np.asarray(mask, dtype=bool)
     if not m.any():
         return m.copy()
@@ -88,7 +91,6 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     if n <= 1:
         return m
     centroids = ndimage.center_of_mass(m, labels, range(1, n + 1))
-    cx, cy = float(roi_center[0]), float(roi_center[1])
     dists = [(py - cy) ** 2 + (px - cx) ** 2 for py, px in centroids]
     keep = 1 + int(np.argmin(dists))
     return labels == keep
@@ -143,7 +145,7 @@ def _moore_trace(comp: np.ndarray, start: tuple[int, int]) -> list[tuple[int, in
             break
         vertices.append((nx, ny))
     else:
-        raise AssertionError("boundary trace failed to close")
+        raise InternalInvariantError("boundary trace failed to close")
     if len(vertices) >= 2 and vertices[0] == vertices[-1]:
         vertices.pop()
     if len(vertices) == 1:

@@ -378,6 +378,8 @@ def decode_texture_map(data: bytes) -> np.ndarray:
     if len(data) < 12:
         raise TruncatedDataError("texture map header incomplete")
     w, h = struct.unpack("<II", data[4:12])
+    if w == 0 or h == 0:
+        raise TruncatedDataError(f"texture map is {w}x{h}; it holds no samples")
     need = 12 + 8 * w * h
     if len(data) < need:
         raise TruncatedDataError(f"texture map raster has {len(data) - 12} of {8 * w * h} bytes")

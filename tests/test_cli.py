@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import logging
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,16 @@ from texturedge import (
     run_pipeline,
     write_pgm,
 )
+from texturedge import cli
 from texturedge.cli import _build_config, build_parser, main
+from texturedge.errors import InternalInvariantError
 from texturedge.pipeline import DATASET_ENV_VAR, crop_roi
 from texturedge.segment import mask_to_gray
 from texturedge.texture import (
     ANGLES,
     decode_texture_map,
     directional_sum,
+    encode_texture_map,
     offsets_for_distance,
     texture_map_naive,
 )
@@ -46,6 +51,20 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("pipeline", "--bogus")
         assert excinfo.value.code == 1
+
+    def test_readme_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        examples = [argv for argv in (shlex.split(line, comments=True) for line in lines)
+                    if argv[:1] == ["texturedge"]]
+        commands = set()
+        for argv in examples:
+            try:
+                commands.add(build_parser().parse_args(argv[1:]).command)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+        assert commands >= set(cli._COMMANDS)
 
 
 # (flags, config section, field, value), spelled out here rather than read
@@ -128,7 +147,6 @@ class TestConfigFlags:
         assert not (tmp_path / "out").exists()
 
     def test_negative_close_radius_is_usage_error(self, tmp_path, capsys):
-        from texturedge.texture import encode_texture_map
         ramp = tmp_path / "ramp.f64"
         ramp.write_bytes(encode_texture_map(np.arange(64.0).reshape(8, 8)))
         assert run_cli("segment", "-i", str(ramp), "--center", "4,4",
@@ -147,6 +165,39 @@ class TestConfigFlags:
         err = capsys.readouterr().err
         assert f"argument --threshold: {message}" in err
         assert "invalid _parse_threshold value" not in err
+
+    @pytest.mark.parametrize("flags,doc,message", [
+        (["--window", "4"], None, "window_side must be odd and >= 3, got 4"),
+        (["--distance", "0"], None, "distance must be >= 1, got 0"),
+        (["--srad-iterations", "-1"], None, "iterations must be >= 0, got -1"),
+        (["--clahe-clip", "0"], None, "clip_limit must be > 0, got 0.0"),
+        ([], {"clahe": {"bins": 1}}, "bins must be in [2, 256], got 1"),
+        (["--levels", "1"], None, "levels must be in [2, 256], got 1"),
+        (["--levels", "300"], None, "levels must be in [2, 256], got 300"),
+        ([], {"glcm": {"levels": 1}}, "levels must be in [2, 256], got 1"),
+        (["--srad-time-step", "0.3"], None, "time_step must be in (0, 0.25], got 0.3"),
+        ([], {"srad": {"time_step": 0.3}}, "time_step must be in (0, 0.25], got 0.3"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, capsys):
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
+        image = tmp_path / f"{ref}.pgm"
+        write_pgm(image, synth_mass_image(seed, cx, cy, r))
+        if doc is not None:
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            flags = ["--config", str(tmp_path / "config.json")]
+        assert run_cli("pipeline", "--image", str(image),
+                       "--record", synth_index_line(ref, tissue, cx, cy, r),
+                       "--out", str(tmp_path / "out"), *flags) == 1
+        assert f"texturedge: {message}" in capsys.readouterr().err
+
+    def test_tiles_too_many_for_the_image_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.zeros((6, 6), dtype=np.uint8))
+        config = tmp_path / "config.json"
+        config.write_text('{"clahe": {"tiles_x": 8}}')
+        assert run_cli("enhance", "-i", str(src), "-o", str(tmp_path / "out.pgm"),
+                       "--config", str(config)) == 2
+        assert "tiles do not fit a 6x6 image" in capsys.readouterr().err
 
 
 class TestEnhanceCommand:
@@ -200,7 +251,6 @@ class TestTextureSegmentEvalChain:
         assert set(report) >= {"dice", "precision", "recall", "az"}
 
     def test_segment_constant_map_is_data_error(self, tmp_path):
-        from texturedge.texture import encode_texture_map
         flat = tmp_path / "flat.f64"
         flat.write_bytes(encode_texture_map(np.ones((8, 8))))
         assert run_cli("segment", "-i", str(flat), "--center", "4,4",
@@ -314,23 +364,37 @@ class TestExperimentCommand:
                        "--ids", "zz001", "--out", str(tmp_path / "x")) == 2
 
 
-class TestBenchCommand:
-    def test_csv_to_file(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--sizes", "16", "--windows", "3",
-                       "--levels", "8", "--repeats", "1", "-o", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2 and lines[1].endswith(",true")
+class TestSegmentCommand:
+    def _ramp(self, tmp_path):
+        path = tmp_path / "ramp.f64"
+        path.write_bytes(encode_texture_map(np.arange(64.0).reshape(8, 8)))
+        return path
 
-    def test_kernel_disagreement_exits_3(self, monkeypatch):
-        from texturedge import cli
-        from texturedge.errors import InternalInvariantError
+    def test_internal_invariant_exits_3(self, tmp_path, monkeypatch):
+        def broken_segment_map(*args, **kwargs):
+            raise InternalInvariantError("boundary trace failed to close")
 
-        def broken_bench(*args, **kwargs):
-            raise InternalInvariantError("kernel outputs differ")
+        monkeypatch.setattr(cli, "segment_map", broken_segment_map)
+        assert run_cli("segment", "-i", str(self._ramp(tmp_path)), "--center", "4,4",
+                       "--out", str(tmp_path / "seg")) == 3
 
-        monkeypatch.setattr(cli, "bench", broken_bench)
-        assert run_cli("bench", "--sizes", "16", "--windows", "3") == 3
+    @pytest.mark.parametrize("center", ["nan,nan", "inf,3", "1,2,3", "4"])
+    def test_bad_center_is_usage_error(self, center, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("segment", "-i", str(self._ramp(tmp_path)), "--center", center,
+                    "--out", str(tmp_path / "seg"))
+        assert excinfo.value.code == 1
+        assert "center must be two finite numbers X,Y" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("width,height", [(0, 3), (3, 0)])
+    def test_zero_sized_map_is_data_error(self, width, height, tmp_path, capsys):
+        empty = tmp_path / "empty.f64"
+        empty.write_bytes(encode_texture_map(np.ones((1, 1)))[:4]
+                          + width.to_bytes(4, "little") + height.to_bytes(4, "little"))
+        assert run_cli("segment", "-i", str(empty), "--center", "0,0",
+                       "--out", str(tmp_path / "seg")) == 2
+        assert "holds no samples" in capsys.readouterr().err
 
 
 class TestEvalScopeAndRoc:
@@ -343,7 +407,6 @@ class TestEvalScopeAndRoc:
         assert report["eval_scope"] == "full"
 
     def test_eval_roc_csv(self, tmp_path, rng):
-        from texturedge.texture import encode_texture_map
         mask = rng.random((12, 12)) > 0.5
         write_pgm(tmp_path / "pred.pgm", mask_to_gray(mask))
         write_pgm(tmp_path / "truth.pgm", mask_to_gray(rng.random((12, 12)) > 0.5))

@@ -26,13 +26,7 @@ from texturedge.errors import (
     MissingRecordError,
     NoGroundTruthError,
 )
-from texturedge.pipeline import (
-    bench,
-    bench_csv,
-    experiment_csv,
-    experiment_jsonl,
-    tissue_aggregates,
-)
+from texturedge.pipeline import experiment_csv, experiment_jsonl, tissue_aggregates
 from texturedge.texture import directional_sum, offsets_for_distance, texture_map_naive
 
 ARTIFACT_NAMES = {
@@ -310,13 +304,3 @@ class TestExperiment:
         assert docs[0]["ref_id"] == "sy001"
         assert docs[-1]["aggregate"] == "D"
 
-
-class TestBench:
-    def test_rows_and_equality(self):
-        rows = bench([24], [3, 5], [8], repeats=1)
-        assert len(rows) == 2
-        assert all(row.equal for row in rows)
-        text = bench_csv(rows)
-        assert text.splitlines()[0] == \
-            "size,window_side,levels,naive_seconds,sliding_seconds,equal"
-        assert all(line.endswith(",true") for line in text.splitlines()[1:])

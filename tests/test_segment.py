@@ -173,6 +173,17 @@ class TestRefineMask:
                 refine_mask(mask, (3, 3), close_radius=-2)
         assert np.array_equal(refine_mask(m, (3, 3), close_radius=0, fill_holes=False), m)
 
+    @pytest.mark.parametrize("center", [(np.nan, np.nan), (np.inf, 3.0), (3.0, -np.inf)])
+    def test_non_finite_center_rejected(self, center):
+        # with two components every distance would be NaN or inf, and argmin
+        # would keep the first component without a word
+        m = np.zeros((30, 30), bool)
+        m[12:18, 12:18] = True
+        m[0:4, 0:4] = True
+        for mask in (m, np.zeros((30, 30), bool)):
+            with pytest.raises(ValueError, match="roi_center must be finite"):
+                refine_mask(mask, center, close_radius=0)
+
     def test_disk_footprint_shape(self):
         fp = disk_footprint(1)
         assert fp.tolist() == [[False, True, False], [True, True, True], [False, True, False]]

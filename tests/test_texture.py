@@ -437,6 +437,13 @@ class TestMapSerialization:
         with pytest.raises(TruncatedDataError):
             decode_texture_map(data[:-8])
 
+    @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_dimension_is_truncated(self, width, height):
+        data = encode_texture_map(np.ones((4, 4)))
+        header = data[:4] + width.to_bytes(4, "little") + height.to_bytes(4, "little")
+        with pytest.raises(TruncatedDataError, match="holds no samples"):
+            decode_texture_map(header + data[12:])
+
     def test_to_gray_scaling(self):
         m = np.array([[0.0, 5.0], [10.0, 10.0]])
         gray, lo, hi = texture_map_to_gray(m)
