@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -51,6 +52,11 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.13's rule, so "--center -5,3" reads -5,3 as the value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -110,7 +116,9 @@ _SEGMENTING = (
     ("--no-fill-holes", "segment.fill_holes", {"action": "store_const", "const": False}),
 )
 _ROI = (("--margin", "roi.margin_factor", {"type": float}),)
-_CONFIG_FLAGS = _SRAD_CLAHE + _GLCM + _SEGMENTING + _ROI
+_EVAL = (("--eval-full-image", "eval.full_image", {"action": "store_const", "const": True,
+          "help": "score masks over whole images, not just ROI crops"}),)
+_CONFIG_FLAGS = _SRAD_CLAHE + _GLCM + _SEGMENTING + _ROI + _EVAL
 
 
 def _add_config_flags(p: argparse.ArgumentParser, flags):
@@ -171,16 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", dest="ref_id", help="record id resolved from --dataset")
     p.add_argument("--dataset", help=f"dataset dir (default ${DATASET_ENV_VAR})")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--eval-full-image", action="store_true",
-                   help="score the mask over the whole image, not just the ROI crop")
     _add_config_flags(p, _CONFIG_FLAGS)
 
     p = sub.add_parser("experiment", help="batch run over dataset ids")
     p.add_argument("--dataset", help=f"dataset dir (default ${DATASET_ENV_VAR})")
     p.add_argument("--ids", nargs="*", default=[], help="record ids (empty: no rows)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--eval-full-image", action="store_true",
-                   help="score masks over whole images, not just ROI crops")
     _add_config_flags(p, _CONFIG_FLAGS)
 
     return parser
@@ -250,10 +254,8 @@ def _record_for(args):
 def _cmd_pipeline(args) -> int:
     config = _build_config(args)
     record = _record_for(args)
-    result = run_pipeline(args.image, record, config, out_dir=args.out,
-                          eval_full_image=args.eval_full_image)
-    if result.report is not None:
-        print(f"{record.ref_id} dice {result.report.dice!r} az {result.roc.az!r}")
+    result = run_pipeline(args.image, record, config, out_dir=args.out)
+    print(f"{record.ref_id} dice {result.report.dice!r} az {result.roc.az!r}")
     return EXIT_OK
 
 
@@ -262,8 +264,7 @@ def _cmd_experiment(args) -> int:
     root = _dataset_dir(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = run_experiment(root, args.ids, config, out_dir=out,
-                          eval_full_image=args.eval_full_image)
+    rows = run_experiment(root, args.ids, config, out_dir=out)
     (out / "report.csv").write_text(experiment_csv(rows))
     (out / "report.jsonl").write_text(experiment_jsonl(rows))
     for row in rows:

@@ -19,7 +19,7 @@ class BadMagicError(TexturedgeError):
 
 
 class TruncatedDataError(TexturedgeError):
-    """PGM header or raster ends before the declared amount of data."""
+    """A PGM or texture-map stream does not match its header."""
 
 
 class MaxvalUnsupportedError(TexturedgeError):

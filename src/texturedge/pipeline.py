@@ -95,7 +95,7 @@ class RoiConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    use_circle_proxy: bool = True
+    full_image: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ class PipelineResult:
     threshold: float
     mask: np.ndarray
     contours: list[list[tuple[int, int]]]
-    report: Optional[EvalReport]
-    roc: Optional[RocCurve]
+    report: EvalReport
+    roc: RocCurve
     eval_scope: str = "roi"
 
 
@@ -239,17 +239,18 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
 
 def run_pipeline(image, record: MiasRecord,
                  config: PipelineConfig = PipelineConfig(),
-                 out_dir=None, eval_full_image: bool = False) -> PipelineResult:
-    """Run every stage on one image and, if ``out_dir`` is given, write the
-    full artifact set under ``out_dir/<ref_id>/``.
+                 out_dir=None) -> PipelineResult:
+    """Run every stage on one image, score the mask against the record's
+    circle and, if ``out_dir`` is given, write the full artifact set under
+    ``out_dir/<ref_id>/``.
 
     ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
     circle geometry (it defines the ROI and the proxy ground truth);
     otherwise ``NoGroundTruthError`` is raised.
 
     Confusion metrics are taken over the ROI crop by default;
-    ``eval_full_image=True`` scores the mask against the circle on the whole
-    image instead (the ROC area always sweeps the crop, the only place
+    ``config.eval.full_image`` scores the mask against the circle on the
+    whole image instead (the ROC area always sweeps the crop, the only place
     texture scores exist).
 
     ``az`` is ``roc_az(sum_map, filled circle)`` over the crop: it asks how
@@ -274,23 +275,20 @@ def run_pipeline(image, record: MiasRecord,
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
     threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
 
-    report = roc = None
-    if config.eval.use_circle_proxy:
-        truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
-        roc = roc_az(sum_map, truth)
-        if eval_full_image:
-            h, w = img.shape
-            full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
-            full_mask = np.zeros((h, w), dtype=bool)
-            full_mask[crop.y0:crop.y0 + crop.height,
-                      crop.x0:crop.x0 + crop.width] = mask
-            report = metrics(confusion(full_mask, full_truth))
-        else:
-            report = metrics(confusion(mask, truth))
+    truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
+    roc = roc_az(sum_map, truth)
+    if config.eval.full_image:
+        h, w = img.shape
+        full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
+        full_mask = np.zeros((h, w), dtype=bool)
+        full_mask[crop.y0:crop.y0 + crop.height, crop.x0:crop.x0 + crop.width] = mask
+        report = metrics(confusion(full_mask, full_truth))
+    else:
+        report = metrics(confusion(mask, truth))
 
     result = PipelineResult(record.ref_id, enhanced, crop, direction_maps,
                             sum_map, threshold, mask, contours, report, roc,
-                            "full" if eval_full_image else "roi")
+                            "full" if config.eval.full_image else "roi")
     if out_dir is not None:
         write_artifacts(result, record, out_dir)
     return result
@@ -324,25 +322,22 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path
     write_maps(dest, "contrast", result.direction_maps, result.sum_map)
     write_segmentation(dest, result.mask, result.contours)
     write_pgm(dest / "overlay.pgm", seg.make_overlay(result.roi.image, result.mask))
-    if result.roc is not None:
-        (dest / "roc_points.csv").write_text(roc_points_csv(result.roc))
+    (dest / "roc_points.csv").write_text(roc_points_csv(result.roc))
     (dest / "report.json").write_text(_report_json(result, record))
     return dest
 
 
 def _report_json(result: PipelineResult, record: MiasRecord) -> str:
-    doc = {
+    return json.dumps({
         "ref_id": result.ref_id,
         "tissue": record.tissue,
         "abnormality": record.abnormality,
         "roi_offset": [result.roi.x0, result.roi.y0],
         "threshold": result.threshold,
-    }
-    if result.report is not None:
-        doc.update(result.report.as_dict())
-        doc["az"] = result.roc.az
-        doc["eval_scope"] = result.eval_scope
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        "az": result.roc.az,
+        "eval_scope": result.eval_scope,
+        **result.report.as_dict(),
+    }, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +368,21 @@ def find_index_file(dataset_dir) -> Path:
 
 def run_experiment(dataset_dir, ids: Sequence[str],
                    config: PipelineConfig = PipelineConfig(),
-                   out_dir=None, eval_full_image: bool = False) -> list[ExperimentRow]:
-    """Run the pipeline for each id in a dataset directory.
+                   out_dir=None) -> list[ExperimentRow]:
+    """Run and score the pipeline for each id in a dataset directory, with
+    ``config`` (its ``eval.full_image`` included) for every image.
 
     The directory must hold ``<id>.pgm`` images and an annotation index.
     When an id has several annotation lines, the first one carrying circle
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling.
     """
-    if not config.eval.use_circle_proxy:
-        raise ValueError("experiment rows need evaluation; enable eval.use_circle_proxy")
     root = Path(dataset_dir)
     records = parse_mias_index(find_index_file(root).read_text())
     rows = []
     for ref in sorted(set(ids)):
         record = select_record(records, ref)
-        result = run_pipeline(root / f"{ref}.pgm", record, config, out_dir=out_dir,
-                              eval_full_image=eval_full_image)
+        result = run_pipeline(root / f"{ref}.pgm", record, config, out_dir=out_dir)
         rows.append(ExperimentRow(ref, record.tissue, result.report, result.roc.az))
     return rows
 

@@ -381,9 +381,12 @@ def decode_texture_map(data: bytes) -> np.ndarray:
     if w == 0 or h == 0:
         raise TruncatedDataError(f"texture map is {w}x{h}; it holds no samples")
     need = 12 + 8 * w * h
-    if len(data) < need:
+    if len(data) != need:
         raise TruncatedDataError(f"texture map raster has {len(data) - 12} of {8 * w * h} bytes")
-    return np.frombuffer(data[12:need], dtype="<f8").reshape(h, w).astype(np.float64)
+    m = np.frombuffer(data[12:], dtype="<f8").reshape(h, w).astype(np.float64)
+    if not np.isfinite(m).all():
+        raise TruncatedDataError("texture map holds a non-finite sample")
+    return m
 
 
 def texture_map_to_gray(m: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -89,6 +89,7 @@ CONFIG_FLAG_CASES = {
         (["--no-fill-holes"], "segment", "fill_holes", False),
     ],
     "roi": [(["--margin", "2.5"], "roi", "margin_factor", 2.5)],
+    "eval": [(["--eval-full-image"], "eval", "full_image", True)],
 }
 # each subcommand's required arguments and the flag sets it takes
 SUBCOMMAND_FLAG_SETS = {
@@ -130,6 +131,13 @@ class TestConfigFlags:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("enhance", "-i", "in.pgm", "-o", "out.pgm", "--levels", "4")
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("command", ["enhance", "texture", "segment"])
+    def test_eval_flag_only_on_scoring_subcommands(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, *SUBCOMMAND_FLAG_SETS[command][0], "--eval-full-image")
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --eval-full-image" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--margin", "inf", "config.roi.margin_factor"),
@@ -363,6 +371,20 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--dataset", str(synth_dataset),
                        "--ids", "zz001", "--out", str(tmp_path / "x")) == 2
 
+    def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"eval": {"full_image": true}}')
+        trees, outputs = [], []
+        for name, extra in (("file", ["--config", str(config)]), ("flag", ["--eval-full-image"])):
+            out = tmp_path / name
+            assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", "sy001",
+                           "--out", str(out), *extra) == 0
+            outputs.append(capsys.readouterr().out)
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1] and outputs[0] == outputs[1]
+        assert json.loads(trees[0][Path("sy001", "report.json")])["eval_scope"] == "full"
+
 
 class TestSegmentCommand:
     def _ramp(self, tmp_path):
@@ -377,6 +399,22 @@ class TestSegmentCommand:
         monkeypatch.setattr(cli, "segment_map", broken_segment_map)
         assert run_cli("segment", "-i", str(self._ramp(tmp_path)), "--center", "4,4",
                        "--out", str(tmp_path / "seg")) == 3
+
+    @pytest.mark.parametrize("argv,center", [
+        (["--center", "-5,3"], (-5.0, 3.0)),
+        (["--center", "-5.5,-3"], (-5.5, -3.0)),
+        (["--center=-5,3"], (-5.0, 3.0)),
+    ])
+    def test_negative_center_parses_in_both_forms(self, argv, center):
+        args = build_parser().parse_args(["segment", "-i", "m.f64", *argv, "--out", "seg"])
+        assert args.center == center
+
+    @pytest.mark.parametrize("argv", [["--center", "--out", "seg"], ["--out", "seg", "--center"]])
+    def test_missing_center_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("segment", "-i", "m.f64", *argv)
+        assert excinfo.value.code == 1
+        assert "argument --center: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("center", ["nan,nan", "inf,3", "1,2,3", "4"])
     def test_bad_center_is_usage_error(self, center, tmp_path, capsys):
@@ -395,6 +433,35 @@ class TestSegmentCommand:
         assert run_cli("segment", "-i", str(empty), "--center", "0,0",
                        "--out", str(tmp_path / "seg")) == 2
         assert "holds no samples" in capsys.readouterr().err
+
+
+def _bad_maps():
+    ramp = np.arange(64.0).reshape(8, 8)
+    for sample in (np.nan, np.inf, -np.inf):
+        m = ramp.copy()
+        m[3, 3] = sample
+        yield pytest.param(encode_texture_map(m), "non-finite sample", id=f"sample_{sample}")
+    yield pytest.param(encode_texture_map(ramp) + bytes(40), "has 552 of 512 bytes",
+                       id="trailing_bytes")
+
+
+class TestBadMapIsDataError:
+    @pytest.mark.parametrize("data,message", list(_bad_maps()))
+    def test_segment(self, data, message, tmp_path, capsys):
+        (tmp_path / "bad.f64").write_bytes(data)
+        assert run_cli("segment", "-i", str(tmp_path / "bad.f64"), "--center", "4,4",
+                       "--out", str(tmp_path / "seg")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("data,message", list(_bad_maps()))
+    def test_eval_scores(self, data, message, tmp_path, capsys):
+        (tmp_path / "bad.f64").write_bytes(data)
+        write_pgm(tmp_path / "m.pgm", mask_to_gray(np.arange(64).reshape(8, 8) > 30))
+        assert run_cli("eval", "--pred", str(tmp_path / "m.pgm"),
+                       "--truth", str(tmp_path / "m.pgm"),
+                       "--scores", str(tmp_path / "bad.f64")) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEvalScopeAndRoc:

@@ -25,8 +25,9 @@ from texturedge.errors import (
     MissingImageError,
     MissingRecordError,
     NoGroundTruthError,
+    NoNegativesError,
 )
-from texturedge.pipeline import experiment_csv, experiment_jsonl, tissue_aggregates
+from texturedge.pipeline import EvalConfig, experiment_csv, experiment_jsonl, tissue_aggregates
 from texturedge.texture import directional_sum, offsets_for_distance, texture_map_naive
 
 ARTIFACT_NAMES = {
@@ -112,7 +113,7 @@ class TestConfig:
     @pytest.mark.parametrize("doc,field", [
         ({"glcm": {"symmetric": "no"}}, "config.glcm.symmetric"),
         ({"srad": {"iterations": True}}, "config.srad.iterations"),
-        ({"eval": {"use_circle_proxy": 0}}, "config.eval.use_circle_proxy"),
+        ({"eval": {"full_image": 0}}, "config.eval.full_image"),
         ({"glcm": {"levels": 8.0}}, "config.glcm.levels"),
         ({"roi": {"margin_factor": None}}, "config.roi.margin_factor"),
         ({"segment": {"threshold_method": {"method": "fixed", "value": "0.4"}}},
@@ -196,20 +197,18 @@ class TestRunPipeline:
         with pytest.raises(MissingImageError):
             run_pipeline(tmp_path / "nope.pgm", first_case_record())
 
-    def test_eval_disabled(self):
+    def test_crop_inside_circle_has_no_negatives(self):
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
-        img = synth_mass_image(seed, cx, cy, r)
-        config = dataclasses.replace(
-            PipelineConfig(),
-            eval=dataclasses.replace(PipelineConfig().eval, use_circle_proxy=False))
-        result = run_pipeline(img, first_case_record(), config)
-        assert result.report is None and result.roc is None
+        # radius 200: the crop clamps to the whole 128x128 image, which the circle covers
+        record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, 200))[0]
+        with pytest.raises(NoNegativesError):
+            run_pipeline(synth_mass_image(seed, cx, cy, r), record)
 
     def test_full_image_eval_scope(self, result):
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
         img = synth_mass_image(seed, cx, cy, r)
-        full = run_pipeline(img, first_case_record(), PipelineConfig(),
-                            eval_full_image=True)
+        full = run_pipeline(img, first_case_record(), dataclasses.replace(
+            PipelineConfig(), eval=EvalConfig(full_image=True)))
         assert full.eval_scope == "full" and result.eval_scope == "roi"
         # whole-image scoring adds only true negatives for this centered mass
         assert full.report.counts.tn > result.report.counts.tn
@@ -281,13 +280,6 @@ class TestExperiment:
     def test_missing_index(self, tmp_path):
         with pytest.raises(MissingRecordError):
             run_experiment(tmp_path, ["sy001"])
-
-    def test_requires_evaluation_enabled(self, synth_dataset):
-        config = dataclasses.replace(
-            PipelineConfig(),
-            eval=dataclasses.replace(PipelineConfig().eval, use_circle_proxy=False))
-        with pytest.raises(ValueError):
-            run_experiment(synth_dataset, ["sy001"], config)
 
     def test_csv_layout(self, synth_dataset):
         rows = run_experiment(synth_dataset, ["sy001", "sy002"])

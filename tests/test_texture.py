@@ -444,6 +444,19 @@ class TestMapSerialization:
         with pytest.raises(TruncatedDataError, match="holds no samples"):
             decode_texture_map(header + data[12:])
 
+    @pytest.mark.parametrize("extra", [8, 40])
+    def test_trailing_bytes_are_rejected(self, extra):
+        data = encode_texture_map(np.ones((4, 4)))
+        with pytest.raises(TruncatedDataError, match="has 1[0-9]+ of 128 bytes"):
+            decode_texture_map(data + bytes(extra))
+
+    @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_rejected(self, sample):
+        m = np.ones((4, 4))
+        m[2, 1] = sample
+        with pytest.raises(TruncatedDataError, match="non-finite sample"):
+            decode_texture_map(encode_texture_map(m))
+
     def test_to_gray_scaling(self):
         m = np.array([[0.0, 5.0], [10.0, 10.0]])
         gray, lo, hi = texture_map_to_gray(m)
