@@ -18,8 +18,8 @@ from .errors import InvalidTimeStepError, TilesTooManyError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
-# rows per SRAD tile; its six scratch planes hold the shared d_s (one halo row
-# north) and c (one halo row south), 3.2 MB at 1024 columns
+# rows per SRAD tile; its six float32 scratch planes hold the shared d_s (one
+# halo row north) and c (one halo row south), 1.6 MB at 1024 columns
 TILE_ROWS = 64
 
 
@@ -76,7 +76,15 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     (Yu & Acton 2002). The mirrored border makes a difference 0 at the
     image edge and repeats the last row/column of ``c``.
 
-    The field lives in two image-sized float64 buffers: each step reads one
+    The field is float32; a float64 field makes every pass cost about twice
+    as much, in divides and in memory traffic. ``q0`` and its decay are
+    computed in float64, and each step rounds ``q0_sq``,
+    ``q0_scale = q0_sq (1 + q0_sq)`` and ``0.25 dt`` to float32 once.
+    Re-quantization is in float64. The output can therefore differ from a
+    float64 evaluation of the same formulas by one gray level, on a few
+    pixels per megapixel.
+
+    The field lives in two image-sized float32 buffers: each step reads one
     and writes the other. The rows are split into contiguous bands, one per
     CPU this process may run on but never more than there are
     ``TILE_ROWS``-row tiles, and the bands run on a thread pool (NumPy's
@@ -87,8 +95,8 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     the buffers swap, so that one barrier per step is the only
     synchronisation. Each pixel goes through the same IEEE operations in
     the same order for any tiling and worker count, so the float field is
-    bit-identical to evaluating the formulas above one whole array at a
-    time.
+    bit-identical to evaluating the formulas above in float32, with the
+    same float32 scalars, one whole array at a time.
 
     A tile computes each term that neighbours share once. IEEE subtraction
     is sign-symmetric, so ``d_n(r) = -d_s(r-1)`` and ``d_w(j) = -d_e(j-1)``,
@@ -103,17 +111,23 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     evaluated as ``(8 grad_sq - lap^2) / (4 + lap)^2``: numerator and
     denominator are exactly 16 times the ones above, since scaling by a
     power of two commutes with rounding while nothing overflows or goes
-    subnormal, so the quotient is the same double. Nothing does: each step
-    is a convex combination of a pixel and its neighbours (``k`` times the
-    four ``c`` is at most ``dt <= 0.25``), so ``u`` stays in
-    [1e-6, 1 + 1e-6] and a nonzero ``grad_sq`` or ``lap`` lies far above
-    the subnormal range. ``c`` is clamped by ``fmin(c, 1)`` alone, which
-    sends +inf to 1; it would send NaN to 1, not 0, but no ``c`` is NaN or
-    below 0. With ``u > 0``, ``lap^2 <= 4 grad_sq`` (Cauchy-Schwarz, with a
-    factor-2 margin over rounding) and ``4 + lap`` is the neighbours' sum
-    over ``u``, so ``q_sq >= 0``; for ``0 < q0_sq < inf``, ``q0_scale >= q0_sq``
-    makes ``1 + (q_sq - q0_sq) / q0_scale >= +0`` (rounding is monotone), so
-    ``c`` is > 0 or +inf. A ``q0_sq`` of 0 or +inf makes every ``c`` 0 and
+    subnormal, so the quotient is the same float. Nothing does, in float32's
+    normal range [1.2e-38, 3.4e38]: each step is a convex combination of a
+    pixel and its neighbours (``k`` times the four ``c`` is at most
+    ``dt <= 0.25``), so ``u`` stays in [1e-6, 1 + 1e-6]. Every value there
+    is a multiple of 2^-43, so a nonzero difference is at least about 1e-13
+    and its square about 1e-26; ``u^2 >= 1e-12``; and ``grad_sq <= 4 / u^2``
+    gives ``8 grad_sq <= ~3e13`` and ``lap^2 <= ~2e13``. ``c`` is clamped
+    by ``fmin(c, 1)`` alone, which sends +inf to 1; it would send NaN to 1,
+    not 0, but no ``c`` is NaN or below 0. With ``u > 0``,
+    ``lap^2 <= 4 grad_sq`` (Cauchy-Schwarz, with a factor-2 margin over
+    float32 rounding) and ``4 + lap`` is the neighbours' sum over ``u``, at
+    least 4e-6 against a rounding error in ``lap`` below 1e-6, so
+    ``q_sq >= 0``. For ``0 < q0_sq < inf``, ``q0_scale >= q0_sq`` (both are
+    rounded from float64 values in that order, and rounding is monotone)
+    makes ``1 + (q_sq - q0_sq) / q0_scale >= +0``, so ``c`` is > 0 or +inf;
+    a ``q0_scale`` that overflows the cast makes that quotient a zero and
+    every ``c`` 1. A float32 ``q0_sq`` of 0 or +inf makes every ``c`` 0 and
     its step the identity, so that step is skipped.
     """
     a = as_gray_image(img)
@@ -131,8 +145,9 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     if params.iterations == 0:
         return a.copy()
 
-    u = a.astype(np.float64, order="C") / 255.0 + _EPS
-    return np.clip(np.floor(_diffuse(u, params) * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
+    u = (a.astype(np.float64) / 255.0 + _EPS).astype(np.float32, order="C")
+    field = _diffuse(u, params).astype(np.float64)
+    return np.clip(np.floor(field * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
 def _worker_count() -> int:
@@ -146,12 +161,14 @@ def _worker_count() -> int:
 def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     """The float field after ``params.iterations`` SRAD steps from ``u``.
 
-    ``u`` must be float64; it serves as one of the two field buffers and
-    is overwritten. ``q0`` starts from the whole image's homogeneous region.
+    ``u`` must be C-ordered float32; it serves as one of the two field
+    buffers and is overwritten. ``q0`` starts from the whole image's
+    homogeneous region and decays in float64; each step rounds its scalars
+    to float32 once.
     """
     if params.homogeneous_region is not None:
         x, y, w, h = params.homogeneous_region
-        region = u[y:y + h, x:x + w]
+        region = u[y:y + h, x:x + w].astype(np.float64)
         q0_init = float(region.std() / region.mean())
         q0_init = max(q0_init, 1e-8)
     else:
@@ -162,20 +179,25 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    scratch = [np.empty((6, min(TILE_ROWS, height) + 2, width)) for _ in bands]
+    scratch = [np.empty((6, min(TILE_ROWS, height) + 2, width), dtype=np.float32)
+               for _ in bands]
     src, dst = u, np.empty_like(u)
     dt = params.time_step
+    # float32 scalars: a float64 one would promote every tile pass to float64
+    k = np.float32(0.25 * dt)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for n in range(params.iterations):
-            # an extreme q0_decay_rho overflows these scalars to +inf, which
-            # the skip below and the division by q0_scale in _srad_band handle
+            # an extreme q0_decay_rho overflows these scalars to +inf, in
+            # float64 or in the cast, which the skip below and the division
+            # by q0_scale in _srad_band handle
             with np.errstate(over="ignore"):
                 q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
                 q0_sq = q0 * q0
-                q0_scale = q0_sq * (1.0 + q0_sq)
+                q0_scale = np.float32(q0_sq * (1.0 + q0_sq))
+                q0_sq = np.float32(q0_sq)
             if not 0.0 < q0_sq < np.inf:
                 continue  # every c is 0: the step leaves the field as it is
-            step = partial(_srad_band, src, dst, q0_sq, q0_scale, 0.25 * dt)
+            step = partial(_srad_band, src, dst, q0_sq, q0_scale, k)
             # every band is joined before the buffers swap: the next step
             # reads rows that other workers wrote in this one
             list(pool.map(step, bands, scratch))
