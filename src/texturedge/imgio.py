@@ -78,9 +78,17 @@ def _header_fields(data: bytes, count: int) -> tuple[list[bytes], int]:
     return fields, i
 
 
+def _decimal(token: str) -> int:
+    """``int(token)`` for an optional ``-`` and ASCII digits, nothing else."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _header_int(field: bytes, what: str) -> int:
     try:
-        return int(field)
+        return _decimal(field.decode("latin-1"))
     except ValueError:
         raise TruncatedDataError(f"non-numeric {what} field {field!r}") from None
 
@@ -116,19 +124,15 @@ def decode_pgm(data: bytes) -> np.ndarray:
     else:
         # P2: whitespace-separated ASCII samples (comments tolerated), range
         # checked as Python ints, so one too wide for int64 is only out of range
-        samples, _ = _header_fields_all(data[pos:], n)
+        try:
+            samples, _ = _header_fields(data[pos:], n)
+        except TruncatedDataError:
+            raise TruncatedDataError(f"fewer than {n} ASCII samples") from None
         arr = [_header_int(tok, "sample") for tok in samples]
         in_range = min(arr) >= 0 and max(arr) <= maxval
     if not in_range:
         raise TruncatedDataError("sample value outside [0, maxval]")
     return np.array(arr, dtype=np.uint8).reshape(height, width)
-
-
-def _header_fields_all(data: bytes, count: int) -> tuple[list[bytes], int]:
-    try:
-        return _header_fields(data, count)
-    except TruncatedDataError:
-        raise TruncatedDataError(f"fewer than {count} ASCII samples") from None
 
 
 def encode_pgm(img) -> bytes:
@@ -181,6 +185,9 @@ def parse_mias_index(text: str) -> list[MiasRecord]:
 
         ref tissue NORM
         ref tissue abnormality [severity [x y radius]]
+
+    ``ref`` must be a plain file name (not ``.`` or ``..``, no ``/`` or ``\\``)
+    and geometry fields decimal integers (an optional ``-``, ASCII digits).
     """
     records: list[MiasRecord] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -191,6 +198,8 @@ def parse_mias_index(text: str) -> list[MiasRecord]:
         if len(tokens) < 3:
             raise MalformedLineError(lineno, f"expected at least 3 fields, got {len(tokens)}")
         ref, tissue, abnorm = tokens[0], tokens[1], tokens[2]
+        if ref in (".", "..") or "/" in ref or "\\" in ref:
+            raise MalformedLineError(lineno, f"id {ref!r} is not a plain file name")
         if tissue not in TISSUE_CLASSES:
             raise MalformedLineError(lineno, f"unknown tissue class {tissue!r}")
         if abnorm not in ABNORMALITY_CLASSES:
@@ -212,7 +221,7 @@ def parse_mias_index(text: str) -> list[MiasRecord]:
         if len(tokens) != 7:
             raise MalformedLineError(lineno, f"expected 3, 4, or 7 fields, got {len(tokens)}")
         try:
-            x, y, r = int(tokens[4]), int(tokens[5]), int(tokens[6])
+            x, y, r = (_decimal(t) for t in tokens[4:])
         except ValueError:
             raise MalformedLineError(lineno, "geometry fields must be integers") from None
         if x < 0 or y < 0:

@@ -23,8 +23,10 @@ def otsu_threshold(texture_map) -> float:
     """Threshold maximizing between-class variance over a 256-bin histogram
     of the min-max-normalized map. Ties break toward the lower threshold.
 
-    Returned in the map's original units; raises ``DegenerateMapError`` on a
-    constant map.
+    The variance numerator of every split comes from integer prefix sums of
+    the histogram, exact in int64 while ``255 * N**2 < 2**63`` for an
+    ``N``-pixel map, that is ``N < 1.9e8``. Returned in the map's original
+    units; raises ``DegenerateMapError`` on a constant map.
     """
     a = np.asarray(texture_map, dtype=np.float64)
     lo, hi = float(a.min()), float(a.max())
@@ -33,23 +35,15 @@ def otsu_threshold(texture_map) -> float:
     norm = (a - lo) / (hi - lo)
     bins = np.minimum((norm * 256.0).astype(np.int64), 255)
     hist = np.bincount(bins.ravel(), minlength=256)
-    total = int(hist.sum())
     weighted = hist * np.arange(256, dtype=np.int64)
-    sum_total = int(weighted.sum())
-
-    best_k, best_var = 0, -1.0
-    w0, s0 = 0, 0
-    for k in range(255):
-        w0 += int(hist[k])
-        s0 += int(weighted[k])
-        w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        num = float(s0 * total - sum_total * w0)
-        var = num * num / (float(w0) * float(w1))
-        if var > best_var:
-            best_var, best_k = var, k
-    return lo + (best_k + 1) * (hi - lo) / 256.0
+    total, sum_total = int(hist.sum()), int(weighted.sum())
+    w0 = np.cumsum(hist)[:-1]
+    s0 = np.cumsum(weighted)[:-1]
+    num = (s0 * total - sum_total * w0).astype(np.float64)
+    den = w0.astype(np.float64) * (total - w0).astype(np.float64)
+    # a split with an empty class scores -1; argmax keeps the first maximum
+    var = np.divide(num * num, den, out=np.full(255, -1.0), where=den > 0)
+    return lo + (int(np.argmax(var)) + 1) * (hi - lo) / 256.0
 
 
 def binarize(texture_map, threshold: float) -> np.ndarray:
@@ -80,10 +74,8 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     if not m.any():
         return m.copy()
     if close_radius > 0:
-        fp = disk_footprint(close_radius)
         padded = np.pad(m, close_radius, mode="constant", constant_values=False)
-        closed = ndimage.binary_erosion(ndimage.binary_dilation(padded, structure=fp),
-                                        structure=fp)
+        closed = ndimage.binary_closing(padded, structure=disk_footprint(close_radius))
         m = closed[close_radius:-close_radius, close_radius:-close_radius]
     if fill_holes:
         m = ndimage.binary_fill_holes(m)
@@ -109,10 +101,8 @@ def trace_contour(mask) -> list[list[tuple[int, int]]]:
     contours = []
     for i in range(1, n + 1):
         comp = labels == i
-        ys, xs = np.nonzero(comp)
-        order = np.lexsort((xs, ys))  # topmost, then leftmost
-        start = (int(ys[order[0]]), int(xs[order[0]]))
-        contours.append(_moore_trace(comp, start))
+        # the first set pixel in raster order is the topmost, then leftmost
+        contours.append(_moore_trace(comp, divmod(int(np.argmax(comp)), comp.shape[1])))
     return contours
 
 

@@ -11,9 +11,10 @@ window from scratch. ``texture_map_sliding`` reads a contrast window as a
 box sum of squared differences from one summed-area table; for the other
 descriptors it keeps one running pair histogram per window of the current
 row and moves them all down a row by adding the entering row's pairs and
-removing the leaving row's. Both reach the same integer tallies and
-evaluate them through one ``_StripEvaluator`` built per map, so their
-outputs are bit-identical.
+removing the leaving row's. Its contrast map divides exact integer box
+sums by the pair count, the one rounding step of the ``_StripEvaluator``
+through which every other map evaluates its exact integer tallies, so the
+two kernels' outputs are bit-identical.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -145,19 +146,30 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
         raise ValueError(f"region {region} not inside {q.width}x{q.height} image")
 
     levels = q.levels
-    ax0, ax1 = x + max(0, -dx), x + w - max(0, dx)
-    ay0, ay1 = y + max(0, -dy), y + h - max(0, dy)
-    counts = np.zeros(levels * levels, dtype=np.int64)
-    pair_count = 0
-    if ax1 > ax0 and ay1 > ay0:
-        a = q.values[ay0:ay1, ax0:ax1].astype(np.int64)
-        b = q.values[ay0 + dy:ay1 + dy, ax0 + dx:ax1 + dx].astype(np.int64)
-        counts = np.bincount((a * levels + b).ravel(), minlength=levels * levels)
-        pair_count = a.size
-        if symmetric:
-            counts = counts + np.bincount((b * levels + a).ravel(), minlength=levels * levels)
-            pair_count *= 2
-    return Glcm(counts.reshape(levels, levels), pair_count)
+    codes = _codes(*_pairs(q.values[y:y + h, x:x + w], dx, dy), levels, symmetric)
+    counts = np.bincount(codes.ravel(), minlength=levels * levels)
+    return Glcm(counts.reshape(levels, levels), codes.size)
+
+
+def _pairs(values: np.ndarray, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor and partner planes (int64) of every pair
+    ``(v[y, x], v[y+dy, x+dx])`` whose two ends both lie inside ``values``;
+    both are empty when ``|dx| >= width`` or ``|dy| >= height``."""
+    h, w = values.shape
+    rows, cols = max(0, h - abs(dy)), max(0, w - abs(dx))
+    y0, x0 = max(0, -dy), max(0, -dx)
+    v = values.astype(np.int64)
+    return (v[y0:y0 + rows, x0:x0 + cols],
+            v[y0 + dy:y0 + dy + rows, x0 + dx:x0 + dx + cols])
+
+
+def _codes(a: np.ndarray, b: np.ndarray, levels: int, symmetric: bool) -> np.ndarray:
+    """Pair codes ``a * levels + b`` as plane 0 of a stack, plus the reversed
+    codes ``b * levels + a`` as plane 1 when ``symmetric``."""
+    planes = [a * levels + b]
+    if symmetric:
+        planes.append(b * levels + a)
+    return np.stack(planes)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +246,13 @@ def contrast(g: Glcm) -> float:
 # ---------------------------------------------------------------------------
 
 def _map_prep(q: QuantizedImage, window_side: int, offset: Offset, symmetric: bool):
-    """Shared validation and pair-code planes for both map kernels.
+    """Shared validation and pair planes for both map kernels.
 
-    Returns ``(planes, n_rows_anchor, n_cols_anchor, pair_count)`` where each
-    plane P satisfies: the anchors of the window whose top-left padded corner
-    is (r, c) are exactly P[r:r+n_rows_anchor, c:c+n_cols_anchor].
+    Returns ``(a, b, n_rows, n_cols, pair_count)``: ``a`` and ``b`` are the
+    ``_pairs`` planes of the image reflect-padded by ``window_side // 2``,
+    and the anchors of the window whose top-left padded corner is (r, c) are
+    exactly ``a[r:r+n_rows, c:c+n_cols]``. ``pair_count`` is 0 when the
+    offset does not fit in a window.
     """
     dx, dy = int(offset[0]), int(offset[1])
     if (dx, dy) == (0, 0):
@@ -250,27 +264,11 @@ def _map_prep(q: QuantizedImage, window_side: int, offset: Offset, symmetric: bo
         raise WindowTooLargeError(
             f"windowed maps need both image dimensions >= 2, got {w}x{h}")
 
-    pad = window_side // 2
-    padded = np.pad(q.values, pad, mode="reflect").astype(np.int64)
-    hp, wp = padded.shape
-    levels = q.levels
-
-    n_cols = window_side - abs(dx)
-    n_rows = window_side - abs(dy)
-    if n_cols <= 0 or n_rows <= 0:
-        return [], 0, 0, 0
-
-    ys = slice(max(0, -dy), hp - max(0, dy))
-    xs = slice(max(0, -dx), wp - max(0, dx))
-    ys_b = slice(max(0, -dy) + dy, hp - max(0, dy) + dy)
-    xs_b = slice(max(0, -dx) + dx, wp - max(0, dx) + dx)
-    a = padded[ys, xs]
-    b = padded[ys_b, xs_b]
-    planes = [a * levels + b]
-    if symmetric:
-        planes.append(b * levels + a)
-    pair_count = n_rows * n_cols * len(planes)
-    return planes, n_rows, n_cols, pair_count
+    a, b = _pairs(np.pad(q.values, window_side // 2, mode="reflect"), dx, dy)
+    n_rows, n_cols = window_side - abs(dy), window_side - abs(dx)
+    if n_rows <= 0 or n_cols <= 0:
+        return a, b, 0, 0, 0
+    return a, b, n_rows, n_cols, n_rows * n_cols * (2 if symmetric else 1)
 
 
 def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
@@ -283,19 +281,17 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     """
     kind = as_descriptor(kind)
     h, w = q.values.shape
-    planes, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
+    a, b, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
     out = np.zeros((h, w), dtype=np.float64)
     if pair_count == 0:
         return out
+    codes = _codes(a, b, q.levels, symmetric)
     ll = q.levels * q.levels
     evaluate = _StripEvaluator(kind, q.levels, pair_count)
     for r in range(h):
         strip = np.empty((w, ll), dtype=np.int64)
         for c in range(w):
-            cnt = np.bincount(planes[0][r:r + n_rows, c:c + n_cols].ravel(), minlength=ll)
-            for extra in planes[1:]:
-                cnt = cnt + np.bincount(extra[r:r + n_rows, c:c + n_cols].ravel(), minlength=ll)
-            strip[c] = cnt
+            strip[c] = np.bincount(codes[:, r:r + n_rows, c:c + n_cols].ravel(), minlength=ll)
         evaluate(strip, out[r])
     return out
 
@@ -304,9 +300,9 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    CONTRAST sums the per-anchor plane ``(a - b)^2`` times the plane count
-    (a reversed pair adds the same square) over each window from one
-    summed-area table, then divides once by the pair count. The others
+    CONTRAST sums the per-anchor plane ``(a - b)^2``, doubled when
+    symmetric (a reversed pair adds the same square), over each window from
+    one summed-area table, then divides once by the pair count. The others
     keep a ``(width, levels^2)`` histogram of the current row's windows:
     each step down subtracts the pair codes of the anchor row leaving the
     windows and adds those of the row entering them, then evaluates the
@@ -315,21 +311,22 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     """
     kind = as_descriptor(kind)
     h, w = q.values.shape
-    planes, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
+    a, b, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
     if pair_count == 0:
         return np.zeros((h, w), dtype=np.float64)
     levels = q.levels
     if kind is Descriptor.CONTRAST:
-        a, b = np.divmod(planes[0], levels)
         table = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(np.square(a - b) * len(planes), axis=0), axis=1, out=table[1:, 1:])
+        squares = np.square(a - b) * (2 if symmetric else 1)
+        np.cumsum(np.cumsum(squares, axis=0), axis=1, out=table[1:, 1:])
         sums = (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
                 - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
         return sums.astype(np.float64) / pair_count
     ll = levels * levels
     # segments[p, y, c] views the n_cols anchor codes of row y in column c's
     # window; column c's histogram starts at flat index c * ll
-    segments = np.lib.stride_tricks.sliding_window_view(np.stack(planes), n_cols, axis=2)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        _codes(a, b, levels, symmetric), n_cols, axis=2)
     base = np.arange(w, dtype=np.int64)[:, None] * ll
     hist = np.bincount((segments[:, :n_rows] + base).ravel(), minlength=w * ll)
     window = hist.reshape(w, ll)

@@ -345,6 +345,13 @@ class TestPipelineCommand:
                        "--record", line, "--out", str(tmp_path)) == 0
         assert (tmp_path / ref / "report.json").is_file()
 
+    def test_record_id_cannot_write_outside_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_pgm("img.pgm", synth_mass_image(11, 64, 64, 14))
+        assert run_cli("pipeline", "--image", "img.pgm",
+                       "--record", "../../escaped F CIRC B 64 63 14", "--out", "a/b/out") == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["img.pgm"]
+
     def test_id_resolved_from_dataset(self, synth_dataset, tmp_path):
         assert run_cli("pipeline", "--image", str(synth_dataset / "sy002.pgm"),
                        "--id", "sy002", "--dataset", str(synth_dataset),
@@ -370,6 +377,18 @@ class TestExperimentCommand:
     def test_unknown_id_is_data_error(self, synth_dataset, tmp_path):
         assert run_cli("experiment", "--dataset", str(synth_dataset),
                        "--ids", "zz001", "--out", str(tmp_path / "x")) == 2
+
+    def test_index_id_cannot_leave_the_dataset_or_out(self, tmp_path):
+        dataset = tmp_path / "data" / "set"
+        dataset.mkdir(parents=True)
+        # the image the id points at, two levels above the dataset
+        write_pgm(tmp_path / "escaped.pgm", synth_mass_image(11, 64, 64, 14))
+        (dataset / "Info.txt").write_text("../../escaped F CIRC B 64 63 14\n")
+        assert run_cli("experiment", "--dataset", str(dataset), "--ids", "../../escaped",
+                       "--out", str(tmp_path / "a" / "b" / "out")) == 2
+        # experiment makes --out before it reads the index; nothing else is written
+        written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["Info.txt", "escaped.pgm"]
 
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):
         config = tmp_path / "config.json"

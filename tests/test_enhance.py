@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -14,6 +16,17 @@ from hypothesis.extra.numpy import arrays
 
 from texturedge import ClaheParams, SradParams, clahe, enhance, srad
 from texturedge.errors import InvalidTimeStepError, TilesTooManyError
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# three 64-row tiles: with two or more CPUs the thread pool runs several bands
+THREADED_SRAD = '''
+import numpy as np
+from texturedge import SradParams, srad
+srad(np.random.default_rng(7).integers(0, 256, size=(130, 40), dtype=np.uint8),
+     SradParams(iterations=3))
+'''
 
 
 def speckled_patch(rng, mean=128.0, sigma=0.25, size=64):
@@ -268,6 +281,15 @@ class TestSrad:
         finally:
             sys.setswitchinterval(interval)
         assert_same_bits(got, want)
+
+    def test_threaded_srad_is_clean_in_development_mode(self):
+        # the README's development-mode check: an executor, thread or other
+        # resource left open warns under -X dev, and the warning is an error
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", THREADED_SRAD],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=300)
+        assert (result.returncode, result.stderr) == (0, "")
 
     def test_input_layout_does_not_change_output(self, rng):
         # the tiles shift along flattened C rows, so srad must hand them one

@@ -92,6 +92,22 @@ class TestDecodePgm:
         with pytest.raises(TruncatedDataError, match="outside"):
             decode_pgm(b"P2 1 1 255 99999999999999999999999")
 
+    @pytest.mark.parametrize("data", [
+        b"P5 1_0 1 2_5_5 " + bytes(10),  # int() reads 1_0 as 10
+        b"P2 2 1 255 +7 0_1",
+    ])
+    def test_integer_fields_are_plain_decimal(self, data):
+        with pytest.raises(TruncatedDataError, match="non-numeric"):
+            decode_pgm(data)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 -1 1 255 ", "invalid header: width=-1"),
+        (b"P2 2 1 255 7 -1", r"sample value outside \[0, maxval\]"),
+    ])
+    def test_negative_fields_keep_their_messages(self, data, message):
+        with pytest.raises(TruncatedDataError, match=message):
+            decode_pgm(data)
+
     @given(pgm_streams)
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_stream_decodes_or_raises_library_error(self, data):
@@ -164,10 +180,19 @@ class TestParseMiasIndex:
         "mdb001 G CIRC B 1 2",        # wrong arity
         "mdb001 G CIRC B one 2 3",    # non-integer
         "mdb003 D NORM B",            # NORM carries nothing
+        "mdb001 F CIRC B \u0663 1_0 +5",  # int() takes an Arabic-Indic 3, 1_0 and +5
+        "../../escaped F CIRC B 64 63 14",  # the id names files: no path
+        "a\\b G CALC",
+        ". D NORM",
+        ".. D NORM",
     ])
     def test_malformed_variants(self, line):
         with pytest.raises(MalformedLineError):
             parse_mias_index(line)
+
+    def test_negative_center_keeps_its_message(self):
+        with pytest.raises(MalformedLineError, match="negative center coordinates"):
+            parse_mias_index("mdb001 F CIRC B -3 10 5")
 
     @given(mias_texts)
     @settings(max_examples=300, deadline=None)

@@ -36,6 +36,32 @@ def oracle_otsu_bin(values):
     return best_k
 
 
+def oracle_otsu_threshold(texture_map):
+    """The per-bin loop that ``otsu_threshold`` ran before its prefix-sum
+    form: the reference for its float bits, ties included."""
+    a = np.asarray(texture_map, dtype=np.float64)
+    lo, hi = float(a.min()), float(a.max())
+    norm = (a - lo) / (hi - lo)
+    bins = np.minimum((norm * 256.0).astype(np.int64), 255)
+    hist = np.bincount(bins.ravel(), minlength=256)
+    total = int(hist.sum())
+    weighted = hist * np.arange(256, dtype=np.int64)
+    sum_total = int(weighted.sum())
+    best_k, best_var = 0, -1.0
+    w0, s0 = 0, 0
+    for k in range(255):
+        w0 += int(hist[k])
+        s0 += int(weighted[k])
+        w1 = total - w0
+        if w0 == 0 or w1 == 0:
+            continue
+        num = float(s0 * total - sum_total * w0)
+        var = num * num / (float(w0) * float(w1))
+        if var > best_var:
+            best_var, best_k = var, k
+    return lo + (best_k + 1) * (hi - lo) / 256.0
+
+
 def oracle_flood_fill_holes(mask):
     """Complement flood fill (4-connectivity) from the border; anything the
     fill cannot reach is a hole and gets set."""
@@ -87,6 +113,21 @@ class TestOtsu:
             lo, hi = m.min(), m.max()
             k = oracle_otsu_bin(m)
             assert t == pytest.approx(lo + (k + 1) * (hi - lo) / 256.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_float_bits_match_loop_oracle(self, scale, rng):
+        maps = [
+            np.array([[0.0, 1.0]]),  # all 255 splits tie
+            np.repeat([0.0, 1.0, 2.0, 3.0], [1, 4, 4, 1])[None, :],  # runs of equal splits
+            # a lone minimum and maximum: both end runs of bins are empty
+            np.concatenate([[0.0, 1.0], rng.uniform(0.4, 0.6, 62)]).reshape(8, 8),
+        ]
+        maps += [rng.integers(0, 5, (9, 9)).astype(np.float64) for _ in range(20)]
+        maps += [rng.random((12, 12)) * rng.uniform(1, 50) for _ in range(20)]
+        for m in maps:
+            m = m * scale
+            if m.min() < m.max():
+                assert otsu_threshold(m).hex() == oracle_otsu_threshold(m).hex()
 
 
 class TestBinarize:
@@ -207,6 +248,15 @@ class TestTraceContour:
         assert set(c) == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)} - {(2, 2)}
         # clockwise: the second vertex moves right along the top row
         assert c[1] == (2, 1)
+
+    def test_start_is_first_pixel_in_raster_order(self):
+        # the leftmost pixels (x = 1) lie below the top row
+        m = np.zeros((5, 6), bool)
+        m[1, 3:5] = True
+        m[2:4, 1:5] = True
+        (c,) = trace_contour(m)
+        assert c[0] == (3, 1)
+        assert c[1] == (4, 1)
 
     def test_empty_mask(self):
         assert trace_contour(np.zeros((4, 4), bool)) == []

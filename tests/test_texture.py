@@ -134,6 +134,16 @@ class TestGlcmWindow:
         assert g.pair_count == 0
         assert not g.p.any()
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("dx, dy", [(4, 0), (-4, 0), (0, 3), (0, -3),
+                                        (5, 1), (-6, -1), (1, 4), (-1, -5)])
+    def test_offset_spanning_the_region_has_no_pairs(self, dx, dy, symmetric):
+        # the region is 4 wide and 3 high, inside a larger image
+        q = QuantizedImage((np.arange(42, dtype=np.uint8) % 4).reshape(6, 7), 4)
+        g = glcm_window(q, (1, 2, 4, 3), Offset(dx, dy), symmetric)
+        assert g.pair_count == 0
+        assert not g.counts.any()
+
     def test_empty_region_error(self):
         q = QuantizedImage(np.zeros((3, 3), dtype=np.uint8), 2)
         with pytest.raises(EmptyRegionError):
