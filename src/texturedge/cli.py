@@ -263,8 +263,8 @@ def _cmd_experiment(args) -> int:
     config = _build_config(args)
     root = _dataset_dir(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = run_experiment(root, args.ids, config, out_dir=out)
+    out.mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
     (out / "report.csv").write_text(experiment_csv(rows))
     (out / "report.jsonl").write_text(experiment_jsonl(rows))
     for row in rows:

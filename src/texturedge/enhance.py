@@ -62,7 +62,8 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     is clamped to [0, 1]; ``q`` is the instantaneous coefficient of
     variation built from the one-sided gradients and the Laplacian.
     Intensities are processed as ``v/255 + 1e-6`` and re-quantized by
-    round-half-up, so a constant image (zero flux) comes back unchanged.
+    round-half-up, which gives back every ``v`` from its float32 start value,
+    so zero iterations or a constant image (zero flux) return the input.
 
     Step ``n`` evaluates, per pixel and left to right,
 
@@ -142,8 +143,6 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
                 and x + w <= a.shape[1] and y + h <= a.shape[0]):
             raise ValueError(f"homogeneous_region {params.homogeneous_region} is not "
                              f"inside the {a.shape[1]}x{a.shape[0]} image")
-    if params.iterations == 0:
-        return a.copy()
 
     u = (a.astype(np.float64) / 255.0 + _EPS).astype(np.float32, order="C")
     field = _diffuse(u, params).astype(np.float64)
@@ -282,21 +281,13 @@ def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
             np.add(u[:t], acc, out=dst[r0:r1])
 
 
-def _tile_edges(extent: int, tiles: int) -> list[int]:
-    # remainder goes to the last (edge) tile
-    base = extent // tiles
-    edges = [i * base for i in range(tiles)]
-    edges.append(extent)
-    return edges
-
-
 def _tile_mapping(tile: np.ndarray, clip_limit: float, bins: int) -> np.ndarray:
-    """Per-value lookup table (256 entries) for one tile."""
+    """Per-value lookup table for one tile: 256 entries in [0, 255], as uint8."""
     bin_of = (np.arange(256, dtype=np.int64) * bins) // 256
     hist = np.bincount(bin_of[tile.ravel()], minlength=bins)
     if np.count_nonzero(hist) <= 1:
         # single-spike histogram: map every value to itself
-        return np.arange(256, dtype=np.float64)
+        return np.arange(256, dtype=np.uint8)
     area = tile.size
     # no bin holds more than the tile area, so a larger clip clips nothing
     clip = max(1, int(min(clip_limit * area / bins, area)))
@@ -306,11 +297,13 @@ def _tile_mapping(tile: np.ndarray, clip_limit: float, bins: int) -> np.ndarray:
     cdf = np.cumsum(clipped)
     scale = 255.0 / float(cdf[-1])
     per_bin = np.floor(cdf * scale + 0.5)
-    return per_bin[bin_of].astype(np.float64)
+    return per_bin[bin_of].astype(np.uint8)
 
 
-def _axis_interp(coords: np.ndarray, centers: np.ndarray):
-    """Neighbor tile indices and blend weight along one axis."""
+def _axis_interp(edges: np.ndarray):
+    """Neighbor tile indices and blend weight along an axis split at ``edges``."""
+    coords = np.arange(edges[-1], dtype=np.float64)
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
     idx = np.searchsorted(centers, coords, side="right") - 1
     i0 = np.clip(idx, 0, len(centers) - 1)
     i1 = np.clip(idx + 1, 0, len(centers) - 1)
@@ -325,6 +318,10 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
 
     Each tile gets a clipped-equalized value mapping; pixels blend the four
     surrounding tile mappings bilinearly. A constant image maps to itself.
+
+    The tables are 8-bit, one ``(tiles_y, tiles_x, 256)`` uint8 array that
+    the image indexes directly; a uint8 entry widens to float64 exactly, so
+    the float64 blend is the same as over float64 tables.
     """
     a = as_gray_image(img)
     h, w = a.shape
@@ -338,24 +335,13 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
         raise TilesTooManyError(
             f"{params.tiles_x}x{params.tiles_y} tiles do not fit a {w}x{h} image")
 
-    xs = _tile_edges(w, params.tiles_x)
-    ys = _tile_edges(h, params.tiles_y)
-    maps = np.empty((params.tiles_y, params.tiles_x, 256), dtype=np.float64)
-    for ty in range(params.tiles_y):
-        for tx in range(params.tiles_x):
-            tile = a[ys[ty]:ys[ty + 1], xs[tx]:xs[tx + 1]]
-            maps[ty, tx] = _tile_mapping(tile, params.clip_limit, params.bins)
-
-    cx = np.array([(xs[i] + xs[i + 1] - 1) / 2.0 for i in range(params.tiles_x)])
-    cy = np.array([(ys[i] + ys[i + 1] - 1) / 2.0 for i in range(params.tiles_y)])
-    x0, x1, wx = _axis_interp(np.arange(w, dtype=np.float64), cx)
-    y0, y1, wy = _axis_interp(np.arange(h, dtype=np.float64), cy)
-
-    x0g, x1g = x0[None, :], x1[None, :]
-    y0g, y1g = y0[:, None], y1[:, None]
-    wxg, wyg = wx[None, :], wy[:, None]
-    v = a.astype(np.intp)
-    top = (1.0 - wxg) * maps[y0g, x0g, v] + wxg * maps[y0g, x1g, v]
-    bottom = (1.0 - wxg) * maps[y1g, x0g, v] + wxg * maps[y1g, x1g, v]
-    out = (1.0 - wyg) * top + wyg * bottom
+    xs = np.append(np.arange(params.tiles_x) * (w // params.tiles_x), w)  # remainder: last tile
+    ys = np.append(np.arange(params.tiles_y) * (h // params.tiles_y), h)
+    maps = np.array([[_tile_mapping(a[y0:y1, x0:x1], params.clip_limit, params.bins)
+                      for x0, x1 in zip(xs[:-1], xs[1:])] for y0, y1 in zip(ys[:-1], ys[1:])])
+    x0, x1, wx = _axis_interp(xs)
+    y0, y1, wy = (v[:, None] for v in _axis_interp(ys))
+    top = (1.0 - wx) * maps[y0, x0, a] + wx * maps[y0, x1, a]
+    bottom = (1.0 - wx) * maps[y1, x0, a] + wx * maps[y1, x1, a]
+    out = (1.0 - wy) * top + wy * bottom
     return np.clip(np.floor(out + 0.5), 0.0, 255.0).astype(np.uint8)

@@ -26,10 +26,13 @@ def otsu_threshold(texture_map) -> float:
     The variance numerator of every split comes from integer prefix sums of
     the histogram, exact in int64 while ``255 * N**2 < 2**63`` for an
     ``N``-pixel map, that is ``N < 1.9e8``. Returned in the map's original
-    units; raises ``DegenerateMapError`` on a constant map.
+    units; raises ``DegenerateMapError`` on a constant map and on one whose
+    range ``max - min`` is not a finite float.
     """
     a = np.asarray(texture_map, dtype=np.float64)
     lo, hi = float(a.min()), float(a.max())
+    if not np.isfinite(hi - lo):  # Python floats: no overflow warning
+        raise DegenerateMapError(f"map range [{lo!r}, {hi!r}] has no finite width")
     if hi <= lo:
         raise DegenerateMapError("map is constant; no threshold exists")
     norm = (a - lo) / (hi - lo)

@@ -300,14 +300,15 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    CONTRAST sums the per-anchor plane ``(a - b)^2``, doubled when
-    symmetric (a reversed pair adds the same square), over each window from
-    one summed-area table, then divides once by the pair count. The others
-    keep a ``(width, levels^2)`` histogram of the current row's windows:
-    each step down subtracts the pair codes of the anchor row leaving the
-    windows and adds those of the row entering them, then evaluates the
-    strip with the map's one ``_StripEvaluator``. The integer tallies are
-    exact, so the order of updates cannot change them.
+    CONTRAST sums the per-anchor plane ``(a - b)^2`` over each window from
+    one summed-area table, then divides once by the anchor count. It ignores
+    ``symmetric``: a reversed pair adds the same square, so symmetry doubles
+    both the integer sum S and the pair count N, and 2S/2N is the float S/N.
+    The others keep a ``(width, levels^2)`` histogram of the current row's
+    windows: each step down subtracts the pair codes of the anchor row
+    leaving the windows and adds those of the row entering them, then
+    evaluates the strip with the map's one ``_StripEvaluator``. The integer
+    tallies are exact, so the order of updates cannot change them.
     """
     kind = as_descriptor(kind)
     h, w = q.values.shape
@@ -317,11 +318,10 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     levels = q.levels
     if kind is Descriptor.CONTRAST:
         table = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-        squares = np.square(a - b) * (2 if symmetric else 1)
-        np.cumsum(np.cumsum(squares, axis=0), axis=1, out=table[1:, 1:])
+        np.cumsum(np.cumsum(np.square(a - b), axis=0), axis=1, out=table[1:, 1:])
         sums = (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
                 - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
-        return sums.astype(np.float64) / pair_count
+        return sums.astype(np.float64) / (n_rows * n_cols)
     ll = levels * levels
     # segments[p, y, c] views the n_cols anchor codes of row y in column c's
     # window; column c's histogram starts at flat index c * ll

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def synth_dataset(tmp_path_factory):
               rng.integers(60, 120, size=(SYNTH_SIZE, SYNTH_SIZE), dtype=np.uint8))
     lines.append("sy004 D NORM")
     (root / "Info.txt").write_text("\n".join(lines) + "\n")
+    return root
+
+
+@pytest.fixture()
+def refusal_dataset(synth_dataset, tmp_path):
+    """The synthetic dataset plus an annotated id, sy005, whose image is
+    missing. With sy004 (NORM) and an unknown id, the three ids that an
+    experiment refuses; each sorts after sy001..sy003."""
+    root = tmp_path / "refusals"
+    shutil.copytree(synth_dataset, root)
+    with open(root / "Info.txt", "a") as index:
+        index.write(synth_index_line("sy005", "F", 64, 64, 14) + "\n")
     return root
 
 

@@ -19,7 +19,7 @@ from texturedge import (
     run_pipeline,
     write_pgm,
 )
-from texturedge import cli
+from texturedge import cli, pipeline
 from texturedge.cli import _build_config, build_parser, main
 from texturedge.errors import InternalInvariantError
 from texturedge.pipeline import DATASET_ENV_VAR, crop_roi
@@ -386,9 +386,21 @@ class TestExperimentCommand:
         (dataset / "Info.txt").write_text("../../escaped F CIRC B 64 63 14\n")
         assert run_cli("experiment", "--dataset", str(dataset), "--ids", "../../escaped",
                        "--out", str(tmp_path / "a" / "b" / "out")) == 2
-        # experiment makes --out before it reads the index; nothing else is written
+        # the index is refused before any image runs or --out is made
         written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
         assert written == ["Info.txt", "escaped.pgm"]
+
+    @pytest.mark.parametrize("bad", ["zz999", "sy004", "sy005"])
+    def test_refused_id_runs_nothing_and_writes_nothing(self, bad, refusal_dataset, tmp_path,
+                                                        monkeypatch, capsys):
+        # no record, a NORM record and a missing image, after two good ids
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        out = tmp_path / "a" / "out"
+        assert run_cli("experiment", "--dataset", str(refusal_dataset),
+                       "--ids", "sy001", "sy002", bad, "--out", str(out)) == 2
+        assert bad in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "a").exists()
 
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -442,6 +454,16 @@ class TestSegmentCommand:
                     "--out", str(tmp_path / "seg"))
         assert excinfo.value.code == 1
         assert "center must be two finite numbers X,Y" in capsys.readouterr().err
+        assert not (tmp_path / "seg").exists()
+
+    def test_range_wider_than_a_float_is_data_error(self, tmp_path, capsys):
+        m = np.zeros((20, 20))
+        m[0, 0] = -1e308
+        m[5:10, 5:10] = 1e308
+        (tmp_path / "wide.f64").write_bytes(encode_texture_map(m))
+        assert run_cli("segment", "-i", str(tmp_path / "wide.f64"), "--center", "7,7",
+                       "--out", str(tmp_path / "seg")) == 2
+        assert "map range [-1e+308, 1e+308] has no finite width" in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
     @pytest.mark.parametrize("width,height", [(0, 3), (3, 0)])

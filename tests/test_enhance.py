@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -124,6 +125,75 @@ def count_off_oracle(img, params):
         _srad_reference_field(img, params, np.float64))
     assert np.abs(diff).max() <= 1
     return np.count_nonzero(diff)
+
+
+def _clahe_float64_reference(img, params):
+    """CLAHE with float64 tables, list-built tile edges and centres, and an
+    ``intp`` copy of the image to gather them: the straightforward form
+    that ``clahe`` must match byte for byte."""
+    a = np.asarray(img).astype(np.uint8)
+    h, w = a.shape
+
+    def edges(extent, tiles):
+        base = extent // tiles
+        return [i * base for i in range(tiles)] + [extent]
+
+    def mapping(tile):
+        bin_of = (np.arange(256, dtype=np.int64) * params.bins) // 256
+        hist = np.bincount(bin_of[tile.ravel()], minlength=params.bins)
+        if np.count_nonzero(hist) <= 1:
+            return np.arange(256, dtype=np.float64)
+        clip = max(1, int(min(params.clip_limit * tile.size / params.bins, tile.size)))
+        clipped = np.minimum(hist, clip)
+        clipped = clipped + int(hist.sum() - clipped.sum()) // params.bins
+        cdf = np.cumsum(clipped)
+        return np.floor(cdf * (255.0 / float(cdf[-1])) + 0.5)[bin_of].astype(np.float64)
+
+    def interp(coords, centers):
+        idx = np.searchsorted(centers, coords, side="right") - 1
+        i0 = np.clip(idx, 0, len(centers) - 1)
+        i1 = np.clip(idx + 1, 0, len(centers) - 1)
+        span = centers[i1] - centers[i0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wt = np.where(span > 0, (coords - centers[i0]) / np.where(span > 0, span, 1.0), 0.0)
+        return i0, i1, np.clip(wt, 0.0, 1.0)
+
+    xs, ys = edges(w, params.tiles_x), edges(h, params.tiles_y)
+    maps = np.empty((params.tiles_y, params.tiles_x, 256), dtype=np.float64)
+    for ty in range(params.tiles_y):
+        for tx in range(params.tiles_x):
+            maps[ty, tx] = mapping(a[ys[ty]:ys[ty + 1], xs[tx]:xs[tx + 1]])
+    cx = np.array([(xs[i] + xs[i + 1] - 1) / 2.0 for i in range(params.tiles_x)])
+    cy = np.array([(ys[i] + ys[i + 1] - 1) / 2.0 for i in range(params.tiles_y)])
+    x0, x1, wx = interp(np.arange(w, dtype=np.float64), cx)
+    y0, y1, wy = interp(np.arange(h, dtype=np.float64), cy)
+    x0g, x1g, wxg = x0[None, :], x1[None, :], wx[None, :]
+    y0g, y1g, wyg = y0[:, None], y1[:, None], wy[:, None]
+    v = a.astype(np.intp)
+    top = (1.0 - wxg) * maps[y0g, x0g, v] + wxg * maps[y0g, x1g, v]
+    bottom = (1.0 - wxg) * maps[y1g, x0g, v] + wxg * maps[y1g, x1g, v]
+    out = (1.0 - wyg) * top + wyg * bottom
+    return np.clip(np.floor(out + 0.5), 0.0, 255.0).astype(np.uint8)
+
+
+# 1x1, 1xN, Nx1, sides equal to a tile count and sides no tile count divides
+CLAHE_SHAPES = [(1, 1), (1, 37), (37, 1), (3, 3), (8, 8), (29, 67)]
+CLAHE_PATTERNS = ["constant", "random", "checkerboard"]
+
+
+def clahe_pattern(pattern, shape, rng):
+    if pattern == "constant":
+        return np.full(shape, 93, dtype=np.uint8)
+    return pattern_image(pattern, *shape, rng)
+
+
+def clahe_grid(shape):
+    """Tile counts 1, 3, 8 and the side itself where they fit, with every
+    bins and clip limit of the grid."""
+    counts = [sorted({n for n in (1, 3, 8, side) if n <= side}) for side in shape]
+    return [ClaheParams(clip_limit=clip, tiles_x=tx, tiles_y=ty, bins=bins)
+            for ty, tx, bins, clip in itertools.product(
+                counts[0], counts[1], [2, 64, 256], [1e-3, 2.0, 1e300])]
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +390,11 @@ class TestSrad:
         img = np.full((32, 32), 100, dtype=np.uint8)
         assert np.array_equal(srad(img, SradParams(iterations=iterations)), img)
 
-    def test_zero_iterations_identity(self, rng):
-        img = rng.integers(0, 256, size=(20, 20), dtype=np.uint8)
-        assert np.array_equal(srad(img, SradParams(iterations=0)), img)
+    def test_zero_iterations_identity(self):
+        # every gray value: v/255 + 1e-6 in float32 re-quantizes to v
+        img = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        for with_region in (False, True):
+            assert np.array_equal(srad(img, _region_params(img.shape, 0, with_region)), img)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, 0.26, 1.0])
     def test_time_step_validation(self, dt):
@@ -353,10 +425,11 @@ class TestSrad:
 
     def test_bad_homogeneous_region(self):
         # wholly outside, and partly outside (q0 would come from a 4x10 sliver)
-        for size, region in [(8, (20, 20, 4, 4)), (64, (60, 0, 10, 10))]:
+        cases = [(8, (20, 20, 4, 4)), (64, (60, 0, 10, 10))]
+        for (size, region), iterations in itertools.product(cases, [0, 1]):
             img = np.full((size, size), 10, dtype=np.uint8)
             with pytest.raises(ValueError):
-                srad(img, SradParams(iterations=1, homogeneous_region=region))
+                srad(img, SradParams(iterations=iterations, homogeneous_region=region))
 
     def test_deterministic(self, rng):
         img = speckled_patch(rng)
@@ -423,3 +496,22 @@ class TestClahe:
         img = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
         out = clahe(img, ClaheParams(bins=64))
         assert out.shape == img.shape
+
+    @pytest.mark.parametrize("shape", CLAHE_SHAPES)
+    @pytest.mark.parametrize("pattern", CLAHE_PATTERNS)
+    def test_matches_float64_table_reference(self, shape, pattern, rng):
+        img = clahe_pattern(pattern, shape, rng)
+        for params in clahe_grid(shape):
+            assert np.array_equal(clahe(img, params), _clahe_float64_reference(img, params))
+
+    def test_input_layout_matches_float64_table_reference(self, rng):
+        img = rng.integers(0, 256, size=(29, 67), dtype=np.uint8)
+        params = ClaheParams(tiles_x=3, tiles_y=8)
+        want = _clahe_float64_reference(img, params)
+        for arr in (np.asfortranarray(img), img.astype(np.int64)):
+            assert np.array_equal(clahe(arr, params), want)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_film_matches_float64_table_reference(self, index, benchmark_films):
+        img = benchmark_films[index].image
+        assert np.array_equal(clahe(img), _clahe_float64_reference(img, ClaheParams()))

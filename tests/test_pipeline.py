@@ -21,6 +21,7 @@ from texturedge import (
     run_pipeline,
     serialize_config,
 )
+from texturedge import pipeline
 from texturedge.errors import (
     MissingImageError,
     MissingRecordError,
@@ -276,6 +277,18 @@ class TestExperiment:
         (tmp_path / "Info.txt").write_text("sy010 F CIRC B 20 20 5\n")
         with pytest.raises(MissingImageError):
             run_experiment(tmp_path, ["sy010"])
+
+    @pytest.mark.parametrize("bad,error", [("zz999", MissingRecordError),
+                                           ("sy004", NoGroundTruthError),
+                                           ("sy005", MissingImageError)])
+    def test_refused_id_stops_the_run_before_any_image(self, bad, error, refusal_dataset,
+                                                       tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        with pytest.raises(error) as excinfo:
+            run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
+        assert bad in str(excinfo.value)
+        assert calls == [] and not (tmp_path / "out").exists()
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(MissingRecordError):

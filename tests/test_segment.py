@@ -101,6 +101,14 @@ class TestOtsu:
         with pytest.raises(DegenerateMapError):
             otsu_threshold(np.full((4, 4), 2.5))
 
+    def test_range_wider_than_a_float_is_degenerate(self):
+        # max - min overflows: refused before any arithmetic can warn
+        m = np.zeros((20, 20))
+        m[0, 0] = -1e308
+        m[5:10, 5:10] = 1e308
+        with pytest.raises(DegenerateMapError, match=r"map range \[-1e\+308, 1e\+308\]"):
+            otsu_threshold(m)
+
     def test_bimodal_gaussians_in_band(self, rng):
         vals = np.concatenate([rng.normal(0.2, 0.05, 500), rng.normal(0.8, 0.05, 500)])
         m = vals.reshape(20, 50)

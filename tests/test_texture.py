@@ -302,15 +302,26 @@ class TestTextureMaps:
                             (window, symmetric, kind, off)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 24), st.integers(5, 24),
-           st.sampled_from([2, 8]), st.sampled_from([3, 5]))
+           st.sampled_from([2, 8]), st.sampled_from([3, 5]),
+           st.sampled_from([2, 8, 64]), st.sampled_from([3, 7, 13]), st.sampled_from([1, 2, 3]))
     @settings(max_examples=25, deadline=None)
-    def test_differential_property(self, seed, h, w, levels, window):
+    def test_differential_property(self, seed, h, w, levels, window,
+                                   contrast_levels, contrast_window, distance):
         img = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
         q = quantize(img, levels)
         for kind in Descriptor:
             for off in ALL_OFFSETS:
                 assert np.array_equal(texture_map_naive(q, kind, window, off),
                                       texture_map_sliding(q, kind, window, off))
+        # contrast does not read symmetric: a reversed pair adds the same
+        # square, doubling both the sum and the pair count
+        q = quantize(img, contrast_levels)
+        for off in offsets_for_distance(distance).values():
+            plain = texture_map_naive(q, Descriptor.CONTRAST, contrast_window, off)
+            for kernel, symmetric in [(texture_map_naive, True), (texture_map_sliding, False),
+                                      (texture_map_sliding, True)]:
+                assert_same_bits(kernel(q, Descriptor.CONTRAST, contrast_window, off, symmetric),
+                                 plain)
 
     def test_rotation_equivariance(self, rng):
         img = rng.integers(0, 256, size=(24, 24), dtype=np.uint8)
