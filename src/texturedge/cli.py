@@ -244,8 +244,8 @@ def _cmd_eval(args) -> int:
 def _record_for(args):
     if args.record is not None:
         records = parse_mias_index(args.record)
-        if not records:
-            raise ValueError("--record is empty")
+        if len(records) != 1:
+            raise ValueError(f"--record must hold one annotation line, got {len(records)}")
         return records[0]
     index = find_index_file(_dataset_dir(args)).read_text()
     return select_record(parse_mias_index(index), args.ref_id)
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"texturedge: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, TypeError) as exc:  # before TexturedgeError: see errors.py
+    except ValueError as exc:  # before TexturedgeError: see errors.py
         print(f"texturedge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TexturedgeError, OSError) as exc:

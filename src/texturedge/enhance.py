@@ -43,12 +43,11 @@ class SradParams:
 @dataclass(frozen=True)
 class ClaheParams:
     """Tile grid and clip controls. ``clip_limit`` is a multiple of the
-    uniform bin height (tile_pixels / bins)."""
+    uniform bin height (tile_pixels / 256, one bin per gray value)."""
 
     clip_limit: float = 2.0
     tiles_x: int = 8
     tiles_y: int = 8
-    bins: int = 256
 
 
 def srad(img, params: SradParams = SradParams()) -> np.ndarray:
@@ -281,23 +280,21 @@ def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
             np.add(u[:t], acc, out=dst[r0:r1])
 
 
-def _tile_mapping(tile: np.ndarray, clip_limit: float, bins: int) -> np.ndarray:
+def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:
     """Per-value lookup table for one tile: 256 entries in [0, 255], as uint8."""
-    bin_of = (np.arange(256, dtype=np.int64) * bins) // 256
-    hist = np.bincount(bin_of[tile.ravel()], minlength=bins)
+    hist = np.bincount(tile.ravel(), minlength=256)
     if np.count_nonzero(hist) <= 1:
         # single-spike histogram: map every value to itself
         return np.arange(256, dtype=np.uint8)
     area = tile.size
     # no bin holds more than the tile area, so a larger clip clips nothing
-    clip = max(1, int(min(clip_limit * area / bins, area)))
+    clip = max(1, int(min(clip_limit * area / 256, area)))
     clipped = np.minimum(hist, clip)
     excess = int(hist.sum() - clipped.sum())
-    clipped = clipped + excess // bins  # uniform one-pass redistribution; residual dropped
+    clipped = clipped + excess // 256  # uniform one-pass redistribution; residual dropped
     cdf = np.cumsum(clipped)
     scale = 255.0 / float(cdf[-1])
-    per_bin = np.floor(cdf * scale + 0.5)
-    return per_bin[bin_of].astype(np.uint8)
+    return np.floor(cdf * scale + 0.5).astype(np.uint8)
 
 
 def _axis_interp(edges: np.ndarray):
@@ -329,15 +326,13 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
         raise ValueError(f"clip_limit must be > 0, got {params.clip_limit}")
     if params.tiles_x < 1 or params.tiles_y < 1:
         raise ValueError("tile counts must be >= 1")
-    if not (2 <= params.bins <= 256):
-        raise ValueError(f"bins must be in [2, 256], got {params.bins}")
     if params.tiles_x > w or params.tiles_y > h:
         raise TilesTooManyError(
             f"{params.tiles_x}x{params.tiles_y} tiles do not fit a {w}x{h} image")
 
     xs = np.append(np.arange(params.tiles_x) * (w // params.tiles_x), w)  # remainder: last tile
     ys = np.append(np.arange(params.tiles_y) * (h // params.tiles_y), h)
-    maps = np.array([[_tile_mapping(a[y0:y1, x0:x1], params.clip_limit, params.bins)
+    maps = np.array([[_tile_mapping(a[y0:y1, x0:x1], params.clip_limit)
                       for x0, x1 in zip(xs[:-1], xs[1:])] for y0, y1 in zip(ys[:-1], ys[1:])])
     x0, x1, wx = _axis_interp(xs)
     y0, y1, wy = (v[:, None] for v in _axis_interp(ys))

@@ -49,7 +49,6 @@ from .texture import (
 logger = logging.getLogger(__name__)
 
 DATASET_ENV_VAR = "TEXTUREDGE_MIAS_DIR"
-_INDEX_CANDIDATES = ("Info.txt", "info.txt", "index.txt", "mias_index.txt")
 
 THRESHOLD_METHODS = ("otsu", "fixed", "percentile")
 
@@ -359,13 +358,10 @@ CSV_COLUMNS = ("ref_id", "tissue", "tp", "fp", "fn", "tn") + _METRIC_FIELDS
 
 
 def find_index_file(dataset_dir) -> Path:
-    root = Path(dataset_dir)
-    for name in _INDEX_CANDIDATES:
-        candidate = root / name
-        if candidate.is_file():
-            return candidate
-    raise MissingRecordError(
-        f"no annotation index ({'/'.join(_INDEX_CANDIDATES)}) under {root}")
+    index = Path(dataset_dir) / "Info.txt"
+    if not index.is_file():
+        raise MissingRecordError(f"no annotation index at {index}")
+    return index
 
 
 def run_experiment(dataset_dir, ids: Sequence[str],
@@ -374,7 +370,7 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     """Run and score the pipeline for each id in a dataset directory, with
     ``config`` (its ``eval.full_image`` included) for every image.
 
-    The directory must hold ``<id>.pgm`` images and an annotation index.
+    The directory must hold ``<id>.pgm`` images and the index ``Info.txt``.
     When an id has several annotation lines, the first one carrying circle
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling. Every id's

@@ -65,12 +65,6 @@ class Descriptor(Enum):
     IDM = "idm"
 
 
-def as_descriptor(kind) -> Descriptor:
-    if isinstance(kind, Descriptor):
-        return kind
-    return Descriptor(str(kind).lower())
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedImage:
     """Gray image reduced to ``levels`` intensity bins (values < levels)."""
@@ -231,8 +225,8 @@ class _StripEvaluator:
 
 
 def descriptor(g: Glcm, kind) -> float:
-    """Scalar descriptor of one GLCM (contrast, entropy, asm, or idm)."""
-    evaluate = _StripEvaluator(as_descriptor(kind), g.levels, g.pair_count)
+    """Scalar descriptor of one GLCM; ``kind`` is a ``Descriptor`` or its value."""
+    evaluate = _StripEvaluator(Descriptor(kind), g.levels, g.pair_count)
     return float(evaluate(g.counts.reshape(1, -1), np.empty(1))[0])
 
 
@@ -279,7 +273,7 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     source dimensions. Output value at (x, y) is the descriptor of the GLCM
     of the window centered there.
     """
-    kind = as_descriptor(kind)
+    kind = Descriptor(kind)
     h, w = q.values.shape
     a, b, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
     out = np.zeros((h, w), dtype=np.float64)
@@ -310,7 +304,7 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     evaluates the strip with the map's one ``_StripEvaluator``. The integer
     tallies are exact, so the order of updates cannot change them.
     """
-    kind = as_descriptor(kind)
+    kind = Descriptor(kind)
     h, w = q.values.shape
     a, b, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
     if pair_count == 0:

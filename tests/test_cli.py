@@ -127,6 +127,14 @@ class TestConfigFlags:
              "--levels", "16"]))
         assert (config.glcm.levels, config.glcm.window_side) == (16, 5)
 
+    def test_otsu_flag_overrides_config_threshold(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"segment": {"threshold_method": {"method": "percentile", "value": 80}}}')
+        config = _build_config(build_parser().parse_args(
+            ["segment", *SUBCOMMAND_FLAG_SETS["segment"][0], "--config", str(path),
+             "--threshold", "otsu"]))
+        assert config.segment.threshold_method == ThresholdSpec("otsu")
+
     def test_flag_outside_its_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("enhance", "-i", "in.pgm", "-o", "out.pgm", "--levels", "4")
@@ -164,6 +172,7 @@ class TestConfigFlags:
     @pytest.mark.parametrize("value,message", [
         ("percentile:101", "percentile must be in [0, 100], got 101.0"),
         ("fixed:abc", "could not convert string to float: 'abc'"),
+        ("median", "threshold must be 'otsu', 'fixed:T', or 'percentile:P', got 'median'"),
     ])
     def test_bad_threshold_flag_names_its_fault(self, value, message, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -179,12 +188,14 @@ class TestConfigFlags:
         (["--distance", "0"], None, "distance must be >= 1, got 0"),
         (["--srad-iterations", "-1"], None, "iterations must be >= 0, got -1"),
         (["--clahe-clip", "0"], None, "clip_limit must be > 0, got 0.0"),
-        ([], {"clahe": {"bins": 1}}, "bins must be in [2, 256], got 1"),
+        # a config saved by --print-defaults while CLAHE still had a bins field
+        ([], {"clahe": {"bins": 1}}, "unknown fields in config.clahe: ['bins']"),
         (["--levels", "1"], None, "levels must be in [2, 256], got 1"),
         (["--levels", "300"], None, "levels must be in [2, 256], got 300"),
         ([], {"glcm": {"levels": 1}}, "levels must be in [2, 256], got 1"),
         (["--srad-time-step", "0.3"], None, "time_step must be in (0, 0.25], got 0.3"),
         ([], {"srad": {"time_step": 0.3}}, "time_step must be in (0, 0.25], got 0.3"),
+        (["--margin", "0.5"], None, "margin_factor must be >= 1, got 0.5"),
     ])
     def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, capsys):
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
@@ -352,6 +363,17 @@ class TestPipelineCommand:
                        "--record", "../../escaped F CIRC B 64 63 14", "--out", "a/b/out") == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["img.pgm"]
 
+    @pytest.mark.parametrize("record,count", [
+        ("x1 F CIRC B 32 32 8\nx2 F CIRC B 1 1 2", 2),
+        ("", 0),
+    ])
+    def test_record_must_be_one_line(self, record, count, tmp_path, capsys):
+        write_pgm(tmp_path / "img.pgm", synth_mass_image(11, 64, 64, 14))
+        assert run_cli("pipeline", "--image", str(tmp_path / "img.pgm"), "--record", record,
+                       "--out", str(tmp_path / "out")) == 1
+        assert f"--record must hold one annotation line, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_id_resolved_from_dataset(self, synth_dataset, tmp_path):
         assert run_cli("pipeline", "--image", str(synth_dataset / "sy002.pgm"),
                        "--id", "sy002", "--dataset", str(synth_dataset),
@@ -430,6 +452,15 @@ class TestSegmentCommand:
         monkeypatch.setattr(cli, "segment_map", broken_segment_map)
         assert run_cli("segment", "-i", str(self._ramp(tmp_path)), "--center", "4,4",
                        "--out", str(tmp_path / "seg")) == 3
+
+    def test_type_error_is_a_library_bug_and_propagates(self, tmp_path, monkeypatch):
+        def broken_segment_map(*args, **kwargs):
+            raise TypeError("unsupported operand type(s)")
+
+        monkeypatch.setattr(cli, "segment_map", broken_segment_map)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_cli("segment", "-i", str(self._ramp(tmp_path)), "--center", "4,4",
+                    "--out", str(tmp_path / "seg"))
 
     @pytest.mark.parametrize("argv,center", [
         (["--center", "-5,3"], (-5.0, 3.0)),
@@ -526,6 +557,15 @@ class TestEvalScopeAndRoc:
                        "--roc-csv", str(roc_csv),
                        "-o", str(tmp_path / "rep.json")) == 0
         assert roc_csv.read_text().startswith("fpr,tpr\n")
+
+    def test_eval_without_output_writes_the_report_to_stdout(self, tmp_path, rng, capsys):
+        write_pgm(tmp_path / "pred.pgm", mask_to_gray(rng.random((12, 12)) > 0.5))
+        write_pgm(tmp_path / "truth.pgm", mask_to_gray(rng.random((12, 12)) > 0.5))
+        masks = ["--pred", str(tmp_path / "pred.pgm"), "--truth", str(tmp_path / "truth.pgm")]
+        assert run_cli("eval", *masks, "-o", str(tmp_path / "rep.json")) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("eval", *masks) == 0
+        assert capsys.readouterr().out == (tmp_path / "rep.json").read_text()
 
     def test_roc_csv_without_scores_is_usage_error(self, tmp_path, rng):
         write_pgm(tmp_path / "m.pgm", mask_to_gray(rng.random((6, 6)) > 0.5))

@@ -139,15 +139,14 @@ def _clahe_float64_reference(img, params):
         return [i * base for i in range(tiles)] + [extent]
 
     def mapping(tile):
-        bin_of = (np.arange(256, dtype=np.int64) * params.bins) // 256
-        hist = np.bincount(bin_of[tile.ravel()], minlength=params.bins)
+        hist = np.bincount(tile.ravel(), minlength=256)
         if np.count_nonzero(hist) <= 1:
             return np.arange(256, dtype=np.float64)
-        clip = max(1, int(min(params.clip_limit * tile.size / params.bins, tile.size)))
+        clip = max(1, int(min(params.clip_limit * tile.size / 256, tile.size)))
         clipped = np.minimum(hist, clip)
-        clipped = clipped + int(hist.sum() - clipped.sum()) // params.bins
+        clipped = clipped + int(hist.sum() - clipped.sum()) // 256
         cdf = np.cumsum(clipped)
-        return np.floor(cdf * (255.0 / float(cdf[-1])) + 0.5)[bin_of].astype(np.float64)
+        return np.floor(cdf * (255.0 / float(cdf[-1])) + 0.5).astype(np.float64)
 
     def interp(coords, centers):
         idx = np.searchsorted(centers, coords, side="right") - 1
@@ -189,11 +188,10 @@ def clahe_pattern(pattern, shape, rng):
 
 def clahe_grid(shape):
     """Tile counts 1, 3, 8 and the side itself where they fit, with every
-    bins and clip limit of the grid."""
+    clip limit of the grid."""
     counts = [sorted({n for n in (1, 3, 8, side) if n <= side}) for side in shape]
-    return [ClaheParams(clip_limit=clip, tiles_x=tx, tiles_y=ty, bins=bins)
-            for ty, tx, bins, clip in itertools.product(
-                counts[0], counts[1], [2, 64, 256], [1e-3, 2.0, 1e300])]
+    return [ClaheParams(clip_limit=clip, tiles_x=tx, tiles_y=ty)
+            for ty, tx, clip in itertools.product(counts[0], counts[1], [1e-3, 2.0, 1e300])]
 
 
 @pytest.fixture(scope="module")
@@ -474,8 +472,6 @@ class TestClahe:
     @pytest.mark.parametrize("params", [
         ClaheParams(clip_limit=0.0),
         ClaheParams(tiles_x=0),
-        ClaheParams(bins=1),
-        ClaheParams(bins=512),
     ])
     def test_param_validation(self, params):
         with pytest.raises(ValueError):
@@ -486,16 +482,11 @@ class TestClahe:
         assert np.array_equal(clahe(img), clahe(img))
 
     def test_huge_clip_limit_clips_nothing(self, rng):
-        # clip_limit * area / bins overflows to inf; a clip at the tile area
+        # clip_limit * area / 256 overflows to inf; a clip at the tile area
         # already leaves every bin whole
         img = rng.integers(0, 256, size=(40, 40), dtype=np.uint8)
         assert np.array_equal(clahe(img, ClaheParams(clip_limit=1e308)),
                               clahe(img, ClaheParams(clip_limit=256.0)))
-
-    def test_fewer_bins(self, rng):
-        img = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
-        out = clahe(img, ClaheParams(bins=64))
-        assert out.shape == img.shape
 
     @pytest.mark.parametrize("shape", CLAHE_SHAPES)
     @pytest.mark.parametrize("pattern", CLAHE_PATTERNS)

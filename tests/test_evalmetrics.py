@@ -86,6 +86,7 @@ class TestMetrics:
         (0.9978, 0.9933, 0.9956),
         (0.9983, 0.9781, 0.9881),
         (0.9997, 0.9375, 0.9676),
+        (0.0, 0.5, 0.0),
     ])
     def test_reported_precision_recall_pairs(self, p, r, expected):
         assert f_measure_from_precision_recall(p, r) == pytest.approx(expected, abs=5e-4)

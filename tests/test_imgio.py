@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,15 @@ class TestEncodePgm:
         with pytest.raises(ValueError):
             encode_pgm(np.zeros((0, 3), dtype=np.uint8))
 
+    @pytest.mark.parametrize("img,message", [
+        (np.zeros((2, 2), dtype=np.float64), "expected integer pixel values, got dtype float64"),
+        (np.array([[0, 256]], dtype=np.int64), "pixel values outside [0, 255]"),
+        (np.array([[-1, 0]], dtype=np.int16), "pixel values outside [0, 255]"),
+    ])
+    def test_rejects_non_8_bit_values(self, img, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_pgm(img)
+
 
 class TestParseMiasIndex:
     def test_circ_line(self):
@@ -158,6 +169,9 @@ class TestParseMiasIndex:
     def test_severity_without_geometry(self):
         recs = parse_mias_index("mdb212 G CALC B")
         assert recs[0].severity == "B" and not recs[0].has_geometry
+
+    def test_abnormality_without_severity(self):
+        assert parse_mias_index("mdb001 F CIRC") == [MiasRecord("mdb001", "F", "CIRC")]
 
     def test_whole_parse_fails_with_line_number(self):
         text = "mdb001 G CIRC B 535 425 197\nmdb002 X CIRC B 1 2 3\n"
@@ -229,6 +243,14 @@ class TestRoi:
         img = np.arange(30 * 40, dtype=np.int64).reshape(30, 40).astype(np.uint8)
         crop = extract_roi(img, RoiSpec(7, 22, 5, 1e308))
         assert np.array_equal(crop.image, img) and (crop.x0, crop.y0) == (0, 0)
+
+    @pytest.mark.parametrize("spec,message", [
+        (RoiSpec(5, 5, 0), "radius must be positive, got 0"),
+        (RoiSpec(5, 5, 3, 0.5), "margin_factor must be >= 1, got 0.5"),
+    ])
+    def test_bad_radius_or_margin(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_roi(np.zeros((10, 10), dtype=np.uint8), spec)
 
     def test_center_out_of_bounds(self):
         with pytest.raises(CenterOutOfBoundsError):

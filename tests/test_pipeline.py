@@ -28,7 +28,13 @@ from texturedge.errors import (
     NoGroundTruthError,
     NoNegativesError,
 )
-from texturedge.pipeline import EvalConfig, experiment_csv, experiment_jsonl, tissue_aggregates
+from texturedge.pipeline import (
+    EvalConfig,
+    experiment_csv,
+    experiment_jsonl,
+    tissue_aggregates,
+    to_plain,
+)
 from texturedge.texture import directional_sum, offsets_for_distance, texture_map_naive
 
 ARTIFACT_NAMES = {
@@ -98,6 +104,26 @@ class TestConfig:
         assert config.glcm.symmetric is True
         assert config.segment.threshold_method == ThresholdSpec("percentile", 90.0)
         assert parse_config(serialize_config(config)) == config
+
+    def test_settable_values(self):
+        # every value a config file can set, so that a new knob is an edit here
+        def leaves(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(leaves(to_plain(PipelineConfig()))) == [
+            "clahe.clip_limit", "clahe.tiles_x", "clahe.tiles_y",
+            "eval.full_image",
+            "glcm.distance", "glcm.levels", "glcm.symmetric", "glcm.window_side",
+            "roi.margin_factor",
+            "segment.close_radius", "segment.fill_holes",
+            "segment.threshold_method.method", "segment.threshold_method.value",
+            "srad.homogeneous_region", "srad.iterations", "srad.q0_decay_rho",
+            "srad.time_step",
+        ]
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
@@ -292,6 +318,10 @@ class TestExperiment:
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(MissingRecordError):
+            run_experiment(tmp_path, ["sy001"])
+        # the index is Info.txt: a file under another name is not read
+        (tmp_path / "index.txt").write_text("sy001 F CIRC B 20 20 5\n")
+        with pytest.raises(MissingRecordError, match="Info.txt"):
             run_experiment(tmp_path, ["sy001"])
 
     def test_csv_layout(self, synth_dataset):

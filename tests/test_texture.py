@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestQuantize:
         with pytest.raises(LevelsOutOfRangeError):
             quantize(np.zeros((2, 2), dtype=np.uint8), levels)
 
+    @pytest.mark.parametrize("values,levels,message", [
+        (np.zeros((0, 3), dtype=np.uint8), 8, "must be non-empty 2-D"),
+        (np.zeros(3, dtype=np.uint8), 8, "must be non-empty 2-D"),
+        (np.zeros((2, 2), dtype=np.uint8), 1, "levels must be in [2, 256], got 1"),
+        (np.zeros((2, 2), dtype=np.uint8), 257, "levels must be in [2, 256], got 257"),
+        (np.full((2, 2), 8, dtype=np.uint8), 8, "must lie in [0, levels)"),
+        (np.array([[0, -1]], dtype=np.int64), 8, "must lie in [0, levels)"),
+    ])
+    def test_direct_construction_is_checked(self, values, levels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuantizedImage(values, levels)
+
     @given(st.integers(0, 255), st.integers(2, 256))
     @settings(max_examples=120, deadline=None)
     def test_binning_rule(self, v, levels):
@@ -143,6 +156,7 @@ class TestGlcmWindow:
         g = glcm_window(q, (1, 2, 4, 3), Offset(dx, dy), symmetric)
         assert g.pair_count == 0
         assert not g.counts.any()
+        assert all(descriptor(g, kind) == 0.0 for kind in Descriptor)
 
     def test_empty_region_error(self):
         q = QuantizedImage(np.zeros((3, 3), dtype=np.uint8), 2)
@@ -339,6 +353,19 @@ class TestTextureMaps:
             with pytest.raises(ValueError):
                 texture_map_naive(q, "contrast", bad, Offset(1, 0))
 
+    @pytest.mark.parametrize("kernel", [texture_map_naive, texture_map_sliding])
+    def test_zero_offset_rejected(self, kernel):
+        q = quantize(np.zeros((8, 8), dtype=np.uint8), 8)
+        with pytest.raises(ValueError, match=re.escape("offset must not be (0, 0)")):
+            kernel(q, "contrast", 3, Offset(0, 0))
+
+    @pytest.mark.parametrize("kernel", [texture_map_naive, texture_map_sliding])
+    def test_descriptor_is_named_by_its_value(self, kernel, rng):
+        q = quantize(rng.integers(0, 256, size=(8, 8), dtype=np.uint8), 8)
+        assert np.array_equal(kernel(q, "idm", 3), kernel(q, Descriptor.IDM, 3))
+        with pytest.raises(ValueError, match="'CONTRAST' is not a valid Descriptor"):
+            kernel(q, "CONTRAST", 3)
+
     def test_tiny_image_rejected(self):
         q = quantize(np.zeros((1, 10), dtype=np.uint8), 8)
         with pytest.raises(WindowTooLargeError):
@@ -457,6 +484,15 @@ class TestMapSerialization:
         data = encode_texture_map(np.ones((4, 4)))
         with pytest.raises(TruncatedDataError):
             decode_texture_map(data[:-8])
+
+    @pytest.mark.parametrize("size", [4, 11])
+    def test_short_header_is_truncated(self, size):
+        with pytest.raises(TruncatedDataError, match="header incomplete"):
+            decode_texture_map(encode_texture_map(np.ones((4, 4)))[:size])
+
+    def test_one_dimensional_map_is_refused(self):
+        with pytest.raises(ValueError, match="must be non-empty 2-D"):
+            encode_texture_map(np.ones(5))
 
     @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (0, 0)])
     def test_zero_dimension_is_truncated(self, width, height):
