@@ -108,7 +108,6 @@ _GLCM = (
     ("--levels", "glcm.levels", {"type": int}),
     ("--window", "glcm.window_side", {"type": int}),
     ("--distance", "glcm.distance", {"type": int}),
-    ("--symmetric", "glcm.symmetric", {"action": "store_const", "const": True}),
 )
 _SEGMENTING = (
     ("--threshold", "segment.threshold_method", {"type": _parse_threshold}),
@@ -156,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--descriptor", default="contrast",
                    choices=[d.value for d in Descriptor])
+    p.add_argument("--symmetric", action="store_true", help="also tally each pair reversed")
     _add_config_flags(p, _GLCM)
 
     p = sub.add_parser("segment", help="mask + contours from a texture map")
@@ -206,7 +206,7 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_texture(args) -> int:
     config = _build_config(args)
-    maps, total = texture_maps(read_pgm(args.input), config.glcm, args.descriptor)
+    maps, total = texture_maps(read_pgm(args.input), config.glcm, args.descriptor, args.symmetric)
     write_maps(Path(args.out), args.descriptor, maps, total)
     return EXIT_OK
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"texturedge: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:  # before TexturedgeError: see errors.py
+    except ValueError as exc:
         print(f"texturedge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TexturedgeError, OSError) as exc:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidTimeStepError, TilesTooManyError
+from .errors import TilesTooManyError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
@@ -25,13 +25,12 @@ TILE_ROWS = 64
 
 @dataclass(frozen=True)
 class SradParams:
-    """Diffusion controls.
-
-    ``time_step`` must stay in (0, 0.25] for the explicit scheme to be
-    stable. ``homogeneous_region`` is an optional ``(x, y, width, height)``
-    rectangle used to estimate the initial speckle scale; without it the
-    scale starts at 1. The scale decays as ``exp(-q0_decay_rho * t)`` with
-    ``t`` the accumulated diffusion time.
+    """Diffusion controls, checked when built: ``iterations >= 0``,
+    ``time_step`` in (0, 0.25] (the explicit scheme's stable range) and a
+    finite ``q0_decay_rho``. ``homogeneous_region`` is an optional
+    ``(x, y, width, height)`` rectangle used to estimate the initial speckle
+    scale; without it the scale starts at 1. The scale decays as
+    ``exp(-q0_decay_rho * t)`` with ``t`` the accumulated diffusion time.
     """
 
     iterations: int = 100
@@ -39,15 +38,30 @@ class SradParams:
     q0_decay_rho: float = 0.05
     homogeneous_region: Optional[tuple[int, int, int, int]] = None
 
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not 0.0 < self.time_step <= 0.25:
+            raise ValueError(f"time_step must be in (0, 0.25], got {self.time_step}")
+        if not np.isfinite(self.q0_decay_rho):
+            raise ValueError(f"q0_decay_rho must be finite, got {self.q0_decay_rho}")
+
 
 @dataclass(frozen=True)
 class ClaheParams:
-    """Tile grid and clip controls. ``clip_limit`` is a multiple of the
-    uniform bin height (tile_pixels / 256, one bin per gray value)."""
+    """Tile grid and clip controls, checked when built: ``clip_limit > 0``
+    and both tile counts >= 1. ``clip_limit`` is a multiple of the uniform
+    bin height (tile_pixels / 256, one bin per gray value)."""
 
     clip_limit: float = 2.0
     tiles_x: int = 8
     tiles_y: int = 8
+
+    def __post_init__(self):
+        if not self.clip_limit > 0:
+            raise ValueError(f"clip_limit must be > 0, got {self.clip_limit}")
+        if self.tiles_x < 1 or self.tiles_y < 1:
+            raise ValueError("tile counts must be >= 1")
 
 
 def srad(img, params: SradParams = SradParams()) -> np.ndarray:
@@ -131,11 +145,6 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     its step the identity, so that step is skipped.
     """
     a = as_gray_image(img)
-    if params.iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {params.iterations}")
-    if not (0.0 < params.time_step <= 0.25):
-        raise InvalidTimeStepError(
-            f"time_step must be in (0, 0.25], got {params.time_step}")
     if params.homogeneous_region is not None:
         x, y, w, h = params.homogeneous_region
         if not (x >= 0 and y >= 0 and w >= 1 and h >= 1
@@ -322,10 +331,6 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
     """
     a = as_gray_image(img)
     h, w = a.shape
-    if params.clip_limit <= 0:
-        raise ValueError(f"clip_limit must be > 0, got {params.clip_limit}")
-    if params.tiles_x < 1 or params.tiles_y < 1:
-        raise ValueError("tile counts must be >= 1")
     if params.tiles_x > w or params.tiles_y > h:
         raise TilesTooManyError(
             f"{params.tiles_x}x{params.tiles_y} tiles do not fit a {w}x{h} image")

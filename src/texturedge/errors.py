@@ -3,8 +3,8 @@
 Every library-specific failure derives from :class:`TexturedgeError` so
 callers can catch one base class. The CLI maps these onto exit codes
 (data errors vs. internal invariant violations). A parameter outside its
-range, which the caller chose, is also a ``ValueError``, as the library's
-other parameter checks are, so the CLI reports it as a usage error.
+range, which the caller chose, is a plain ``ValueError``, not one of
+these, and the CLI reports it as a usage error.
 """
 
 
@@ -40,19 +40,11 @@ class CenterOutOfBoundsError(TexturedgeError):
 
 # --- enhancement ------------------------------------------------------------
 
-class InvalidTimeStepError(TexturedgeError, ValueError):
-    """Diffusion time step outside the stable range (0, 0.25]."""
-
-
 class TilesTooManyError(TexturedgeError):
     """More equalization tiles requested than pixels along an axis."""
 
 
 # --- texture ----------------------------------------------------------------
-
-class LevelsOutOfRangeError(TexturedgeError, ValueError):
-    """Quantization level count outside [2, 256]."""
-
 
 class EmptyRegionError(TexturedgeError):
     """Co-occurrence region contains no pixels."""

@@ -248,11 +248,11 @@ class RoiSpec:
     center_x: int
     center_y: int
     radius: int
-    margin_factor: float = 1.5
+    margin_factor: float
 
     @classmethod
     def from_mias(cls, record: MiasRecord, image_height: int,
-                  margin_factor: float = 1.5) -> "RoiSpec":
+                  margin_factor: float) -> "RoiSpec":
         """Build a spec from an annotation record, flipping the y origin."""
         if not record.has_geometry:
             raise ValueError(f"record {record.ref_id} has no circle geometry")
@@ -283,7 +283,7 @@ def extract_roi(img, roi: RoiSpec) -> RoiCrop:
     a = as_gray_image(img)
     if roi.radius <= 0:
         raise ValueError(f"radius must be positive, got {roi.radius}")
-    if roi.margin_factor < 1.0:
+    if not roi.margin_factor >= 1.0:  # false for NaN too
         raise ValueError(f"margin_factor must be >= 1, got {roi.margin_factor}")
     h, w = a.shape
     if not (0 <= roi.center_x < w and 0 <= roi.center_y < h):

@@ -77,7 +77,6 @@ class GlcmConfig:
     levels: int = 8
     window_side: int = 7
     distance: int = 1
-    symmetric: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def from_plain(tp, value, where: str):
     bool is never a number and a float never fits an int field; a JSON int
     widens to float, and a float field takes no NaN, ±Infinity or int past
     the float range. Omitted dataclass fields keep their defaults; unknown
-    ones raise. Errors name the dotted field, e.g. ``config.glcm.symmetric``.
+    ones raise. Errors name the dotted field, e.g. ``config.glcm.levels``.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -196,13 +195,14 @@ def crop_roi(enhanced: np.ndarray, record: MiasRecord,
     return crop, (spec.center_x - crop.x0, spec.center_y - crop.y0)
 
 
-def texture_maps(roi_image, glcm: GlcmConfig,
-                 kind=Descriptor.CONTRAST) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """One descriptor map per direction in ``ANGLES`` and their sum."""
+def texture_maps(roi_image, glcm: GlcmConfig, kind=Descriptor.CONTRAST,
+                 symmetric: bool = False) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """One descriptor map per direction in ``ANGLES`` and their sum.
+    ``symmetric`` also tallies each pair reversed, which leaves a contrast
+    map as it is, so the pipeline's contrast maps do not take it."""
     q = quantize(roi_image, glcm.levels)
     offsets = offsets_for_distance(glcm.distance)
-    maps = {angle: texture_map_sliding(q, kind, glcm.window_side, offsets[angle],
-                                       glcm.symmetric)
+    maps = {angle: texture_map_sliding(q, kind, glcm.window_side, offsets[angle], symmetric)
             for angle in ANGLES}
     return maps, directional_sum([maps[a] for a in ANGLES])
 
@@ -236,15 +236,19 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     return located[0] if located else matches[0]
 
 
-def _check_run_input(image, record: MiasRecord) -> None:
-    """Raise what ``run_pipeline`` would refuse before any stage runs: an
-    image path that names no file (``MissingImageError``) or a record
-    without circle geometry (``NoGroundTruthError``)."""
+def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> np.ndarray:
+    """The image, read once, after what ``run_pipeline`` refuses before SRAD:
+    no image file (``MissingImageError``), no circle (``NoGroundTruthError``),
+    a PGM that does not decode, a circle or margin that ``crop_roi`` refuses
+    (enhancement keeps the shape, so the enhanced crop passes too)."""
     if isinstance(image, (str, Path)) and not Path(image).is_file():
         raise MissingImageError(f"no image file at {Path(image)}")
     if not record.has_geometry:
         raise NoGroundTruthError(
             f"record {record.ref_id} has no center/radius annotation")
+    img = read_pgm(image) if isinstance(image, (str, Path)) else image
+    crop_roi(img, record, roi)
+    return img
 
 
 def run_pipeline(image, record: MiasRecord,
@@ -269,8 +273,7 @@ def run_pipeline(image, record: MiasRecord,
     chance even when the mask is good: 0.253/0.530/0.434 against Dice
     0.64/0.80/0.77 on the three synthetic test cases.
     """
-    _check_run_input(image, record)
-    img = read_pgm(image) if isinstance(image, (str, Path)) else image
+    img = _check_run_input(image, record, config.roi)
     enhanced = enhance_image(img, config)
     crop, (cx, cy) = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
@@ -374,15 +377,15 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     When an id has several annotation lines, the first one carrying circle
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling. Every id's
-    record, circle and image file are checked before the first image runs,
-    so a refused id leaves nothing written.
+    record, image file, PGM decoding and circle are checked before the first
+    image runs, so a refused id leaves nothing written.
     """
     root = Path(dataset_dir)
     records = parse_mias_index(find_index_file(root).read_text())
     runs = []
     for ref in sorted(set(ids)):
         record = select_record(records, ref)
-        _check_run_input(root / f"{ref}.pgm", record)
+        _check_run_input(root / f"{ref}.pgm", record, config.roi)
         runs.append(record)
     rows = []
     for record in runs:

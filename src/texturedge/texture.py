@@ -32,7 +32,6 @@ from .errors import (
     BadMagicError,
     DimensionMismatchError,
     EmptyRegionError,
-    LevelsOutOfRangeError,
     TruncatedDataError,
     WindowTooLargeError,
 )
@@ -76,8 +75,7 @@ class QuantizedImage:
         v = self.values
         if v.ndim != 2 or v.size == 0:
             raise ValueError("quantized image must be non-empty 2-D")
-        if not (2 <= self.levels <= 256):
-            raise LevelsOutOfRangeError(f"levels must be in [2, 256], got {self.levels}")
+        _check_levels(self.levels)
         if int(v.max()) >= self.levels or int(v.min()) < 0:
             raise ValueError("quantized values must lie in [0, levels)")
 
@@ -90,11 +88,15 @@ class QuantizedImage:
         return self.values.shape[0]
 
 
+def _check_levels(levels: int) -> None:
+    if not 2 <= levels <= 256:
+        raise ValueError(f"levels must be in [2, 256], got {levels}")
+
+
 def quantize(img, levels: int) -> QuantizedImage:
     """Bin 8-bit intensities: value v maps to floor(v * levels / 256)."""
     a = as_gray_image(img)
-    if not (2 <= levels <= 256):
-        raise LevelsOutOfRangeError(f"levels must be in [2, 256], got {levels}")
+    _check_levels(levels)  # before the product, which overflows int64 first
     q = (a.astype(np.int64) * levels) // 256
     return QuantizedImage(q.astype(np.uint8), levels)
 
@@ -132,8 +134,6 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
     """
     x, y, w, h = region
     dx, dy = int(offset[0]), int(offset[1])
-    if (dx, dy) == (0, 0):
-        raise ValueError("offset must not be (0, 0)")
     if w <= 0 or h <= 0:
         raise EmptyRegionError(f"region {region} is empty")
     if x < 0 or y < 0 or x + w > q.width or y + h > q.height:
@@ -149,6 +149,8 @@ def _pairs(values: np.ndarray, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray
     """Anchor and partner planes (int64) of every pair
     ``(v[y, x], v[y+dy, x+dx])`` whose two ends both lie inside ``values``;
     both are empty when ``|dx| >= width`` or ``|dy| >= height``."""
+    if (dx, dy) == (0, 0):
+        raise ValueError("offset must not be (0, 0)")
     h, w = values.shape
     rows, cols = max(0, h - abs(dy)), max(0, w - abs(dx))
     y0, x0 = max(0, -dy), max(0, -dx)
@@ -249,8 +251,6 @@ def _map_prep(q: QuantizedImage, window_side: int, offset: Offset, symmetric: bo
     offset does not fit in a window.
     """
     dx, dy = int(offset[0]), int(offset[1])
-    if (dx, dy) == (0, 0):
-        raise ValueError("offset must not be (0, 0)")
     if window_side < 3 or window_side % 2 == 0:
         raise ValueError(f"window_side must be odd and >= 3, got {window_side}")
     h, w = q.values.shape

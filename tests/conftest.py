@@ -1,4 +1,7 @@
+import importlib.util
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,26 @@ def synth_index_line(ref: str, tissue: str, cx: int, cy: int, r: int,
     return f"{ref} {tissue} CIRC B {cx} {size - 1 - cy} {r}"
 
 
+def load_benchmark_films(seed: int):
+    """``single_mass_films(seed)`` of the benchmark's ``perfbench/films.py``:
+    seeded 1024x1024 films, one per tissue class."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "films.py"
+    spec = importlib.util.spec_from_file_location("perfbench_films", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up while its classes are made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.single_mass_films(seed)
+
+
+@pytest.fixture(scope="session")
+def benchmark_films():
+    return load_benchmark_films(5)
+
+
 @pytest.fixture(scope="session")
 def synth_dataset(tmp_path_factory):
     """A three-image annotated dataset (one per tissue class) on disk."""
@@ -51,13 +74,19 @@ def synth_dataset(tmp_path_factory):
 
 @pytest.fixture()
 def refusal_dataset(synth_dataset, tmp_path):
-    """The synthetic dataset plus an annotated id, sy005, whose image is
-    missing. With sy004 (NORM) and an unknown id, the three ids that an
-    experiment refuses; each sorts after sy001..sy003."""
+    """The synthetic dataset plus three annotated ids that an experiment
+    refuses: sy005, whose image is missing, sy008, whose PGM is cut short,
+    and sy009, whose circle centre lies outside its 128x128 image. With
+    sy004 (NORM) and an unknown id, each sorts after sy001..sy003."""
     root = tmp_path / "refusals"
     shutil.copytree(synth_dataset, root)
+    pgm = (root / "sy001.pgm").read_bytes()
+    (root / "sy008.pgm").write_bytes(pgm[:len(pgm) // 2])
+    (root / "sy009.pgm").write_bytes(pgm)
     with open(root / "Info.txt", "a") as index:
         index.write(synth_index_line("sy005", "F", 64, 64, 14) + "\n")
+        index.write(synth_index_line("sy008", "G", 64, 64, 14) + "\n")
+        index.write("sy009 F CIRC B 500 20 10\n")
     return root
 
 

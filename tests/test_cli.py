@@ -79,7 +79,6 @@ CONFIG_FLAG_CASES = {
         (["--levels", "16"], "glcm", "levels", 16),
         (["--window", "9"], "glcm", "window_side", 9),
         (["--distance", "2"], "glcm", "distance", 2),
-        (["--symmetric"], "glcm", "symmetric", True),
     ],
     "segmenting": [
         (["--threshold", "percentile:80"], "segment", "threshold_method",
@@ -196,6 +195,8 @@ class TestConfigFlags:
         (["--srad-time-step", "0.3"], None, "time_step must be in (0, 0.25], got 0.3"),
         ([], {"srad": {"time_step": 0.3}}, "time_step must be in (0, 0.25], got 0.3"),
         (["--margin", "0.5"], None, "margin_factor must be >= 1, got 0.5"),
+        # glcm.symmetric cannot change a contrast map, the only map pipeline makes
+        ([], {"glcm": {"symmetric": True}}, "unknown fields in config.glcm: ['symmetric']"),
     ])
     def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, capsys):
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
@@ -208,6 +209,29 @@ class TestConfigFlags:
                        "--record", synth_index_line(ref, tissue, cx, cy, r),
                        "--out", str(tmp_path / "out"), *flags) == 1
         assert f"texturedge: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--srad-iterations", "-1"], ["--srad-time-step", "0.3"], ["--clahe-clip", "0"],
+        ["--margin", "0.5"],
+    ])
+    def test_refused_before_the_first_srad_pass(self, flags, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
+        image = tmp_path / f"{ref}.pgm"
+        write_pgm(image, synth_mass_image(seed, cx, cy, r))
+        assert run_cli("pipeline", "--image", str(image),
+                       "--record", synth_index_line(ref, tissue, cx, cy, r),
+                       "--out", str(tmp_path / "out"), *flags) == 1
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "experiment"])
+    def test_symmetric_is_a_texture_flag_only(self, command, capsys):
+        # it cannot change a contrast map, the only map these commands make
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, *SUBCOMMAND_FLAG_SETS[command][0], "--symmetric")
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --symmetric" in capsys.readouterr().err
 
     def test_tiles_too_many_for_the_image_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
@@ -234,10 +258,15 @@ class TestEnhanceCommand:
 
     def test_mistyped_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text('{"glcm": {"symmetric": "no"}}')
+        config.write_text('{"glcm": {"window_side": "no"}}')
         assert run_cli("enhance", "-i", str(tmp_path / "none.pgm"),
                        "-o", str(tmp_path / "out.pgm"), "--config", str(config)) == 1
-        assert "config.glcm.symmetric" in capsys.readouterr().err
+        assert "config.glcm.window_side" in capsys.readouterr().err
+
+    def test_out_of_range_flag_is_refused_before_the_input_is_read(self, tmp_path, capsys):
+        assert run_cli("enhance", "-i", str(tmp_path / "none.pgm"),
+                       "-o", str(tmp_path / "out.pgm"), "--srad-time-step", "0.3") == 1
+        assert "time_step must be in (0, 0.25], got 0.3" in capsys.readouterr().err
 
 
 class TestTextureSegmentEvalChain:
@@ -422,6 +451,22 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--dataset", str(refusal_dataset),
                        "--ids", "sy001", "sy002", bad, "--out", str(out)) == 2
         assert bad in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("sy008", "raster has 8184 of 16384 bytes"),
+        ("sy009", "center (500, 107) outside 128x128 image"),
+    ])
+    def test_bad_image_or_circle_runs_nothing_and_writes_nothing(
+            self, bad, message, refusal_dataset, tmp_path, monkeypatch, capsys):
+        # a PGM that does not decode and a circle outside its image, after
+        # two good ids: both are found before the first film runs
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        out = tmp_path / "a" / "out"
+        assert run_cli("experiment", "--dataset", str(refusal_dataset),
+                       "--ids", "sy001", "sy002", bad, "--out", str(out)) == 2
+        assert f"texturedge: {message}" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "a").exists()
 
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):

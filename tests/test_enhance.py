@@ -1,6 +1,6 @@
-import importlib.util
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from texturedge import ClaheParams, SradParams, clahe, enhance, srad
-from texturedge.errors import InvalidTimeStepError, TilesTooManyError
+from texturedge.errors import TilesTooManyError
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -192,21 +192,6 @@ def clahe_grid(shape):
     counts = [sorted({n for n in (1, 3, 8, side) if n <= side}) for side in shape]
     return [ClaheParams(clip_limit=clip, tiles_x=tx, tiles_y=ty)
             for ty, tx, clip in itertools.product(counts[0], counts[1], [1e-3, 2.0, 1e300])]
-
-
-@pytest.fixture(scope="module")
-def benchmark_films():
-    """The benchmark's seeded 1024x1024 films, one per tissue class."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "films.py"
-    spec = importlib.util.spec_from_file_location("perfbench_films", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look the module up while its classes are made
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.single_mass_films(5)
 
 
 class TestSrad:
@@ -394,14 +379,23 @@ class TestSrad:
         for with_region in (False, True):
             assert np.array_equal(srad(img, _region_params(img.shape, 0, with_region)), img)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1, 0.26, 1.0])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, 0.26, 1.0, 0.3, float("nan")])
     def test_time_step_validation(self, dt):
-        with pytest.raises(InvalidTimeStepError):
-            srad(np.zeros((4, 4), dtype=np.uint8), SradParams(time_step=dt))
+        # checked when the parameters are built, before any image is read
+        message = f"time_step must be in (0, 0.25], got {dt}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SradParams(time_step=dt)
 
     def test_negative_iterations(self):
-        with pytest.raises(ValueError):
-            srad(np.zeros((4, 4), dtype=np.uint8), SradParams(iterations=-1))
+        with pytest.raises(ValueError, match=re.escape("iterations must be >= 0, got -1")):
+            SradParams(iterations=-1)
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), float("-inf")])
+    def test_q0_decay_rho_must_be_finite(self, rho):
+        # a NaN rate would make every step's q0 NaN, so srad would skip
+        # every step and return its input unchanged
+        with pytest.raises(ValueError, match=re.escape(f"q0_decay_rho must be finite, got {rho}")):
+            SradParams(iterations=10, q0_decay_rho=rho)
 
     def test_speckle_variance_drops(self, rng):
         img = speckled_patch(rng)
@@ -470,12 +464,19 @@ class TestClahe:
         assert out.shape == img.shape
 
     @pytest.mark.parametrize("params", [
-        ClaheParams(clip_limit=0.0),
-        ClaheParams(tiles_x=0),
+        {"clip_limit": 0.0},
+        {"tiles_x": 0},
+        {"clip_limit": -1.0},
+        {"clip_limit": float("nan")},
+        {"tiles_y": -2},
     ])
     def test_param_validation(self, params):
-        with pytest.raises(ValueError):
-            clahe(np.zeros((16, 16), dtype=np.uint8), params)
+        # checked when the parameters are built, before any image is read
+        clip = params.get("clip_limit")
+        message = ("tile counts must be >= 1" if clip is None
+                   else f"clip_limit must be > 0, got {clip}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClaheParams(**params)
 
     def test_deterministic(self, rng):
         img = rng.integers(0, 256, size=(33, 47), dtype=np.uint8)

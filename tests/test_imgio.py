@@ -235,7 +235,7 @@ class TestRoi:
     def test_mias_origin_conversion(self):
         assert mias_to_image_y(133, 1024) == 890  # 1024 - 1 - 133
         rec = MiasRecord("mdb005", "F", "CIRC", "B", 477, 133, 30)
-        spec = RoiSpec.from_mias(rec, 1024)
+        spec = RoiSpec.from_mias(rec, 1024, 1.5)
         assert (spec.center_x, spec.center_y) == (477, 890)
 
     def test_huge_margin_crops_whole_image(self):
@@ -245,8 +245,10 @@ class TestRoi:
         assert np.array_equal(crop.image, img) and (crop.x0, crop.y0) == (0, 0)
 
     @pytest.mark.parametrize("spec,message", [
-        (RoiSpec(5, 5, 0), "radius must be positive, got 0"),
+        (RoiSpec(5, 5, 0, 1.5), "radius must be positive, got 0"),
         (RoiSpec(5, 5, 3, 0.5), "margin_factor must be >= 1, got 0.5"),
+        # NaN fails the rule rather than reaching int()
+        (RoiSpec(5, 5, 3, float("nan")), "margin_factor must be >= 1, got nan"),
     ])
     def test_bad_radius_or_margin(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -258,7 +260,7 @@ class TestRoi:
 
     def test_norm_record_has_no_spec(self):
         with pytest.raises(ValueError):
-            RoiSpec.from_mias(MiasRecord("mdb003", "D", "NORM"), 1024)
+            RoiSpec.from_mias(MiasRecord("mdb003", "D", "NORM"), 1024, 1.5)
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(1, 40),
            st.floats(1.0, 3.0, allow_nan=False))

@@ -23,10 +23,12 @@ from texturedge import (
 )
 from texturedge import pipeline
 from texturedge.errors import (
+    CenterOutOfBoundsError,
     MissingImageError,
     MissingRecordError,
     NoGroundTruthError,
     NoNegativesError,
+    TruncatedDataError,
 )
 from texturedge.pipeline import (
     EvalConfig,
@@ -95,13 +97,13 @@ class TestConfig:
     def test_custom_round_trip(self):
         config = parse_config(json.dumps({
             "srad": {"iterations": 7, "homogeneous_region": [1, 2, 3, 4]},
-            "glcm": {"levels": 16, "symmetric": True},
+            "glcm": {"levels": 16},
             "segment": {"threshold_method": {"method": "percentile", "value": 90.0}},
             "roi": {"margin_factor": 2.0},
         }))
         assert config.srad.iterations == 7
         assert config.srad.homogeneous_region == (1, 2, 3, 4)
-        assert config.glcm.symmetric is True
+        assert config.glcm.levels == 16
         assert config.segment.threshold_method == ThresholdSpec("percentile", 90.0)
         assert parse_config(serialize_config(config)) == config
 
@@ -117,7 +119,7 @@ class TestConfig:
         assert sorted(leaves(to_plain(PipelineConfig()))) == [
             "clahe.clip_limit", "clahe.tiles_x", "clahe.tiles_y",
             "eval.full_image",
-            "glcm.distance", "glcm.levels", "glcm.symmetric", "glcm.window_side",
+            "glcm.distance", "glcm.levels", "glcm.window_side",
             "roi.margin_factor",
             "segment.close_radius", "segment.fill_holes",
             "segment.threshold_method.method", "segment.threshold_method.value",
@@ -138,7 +140,7 @@ class TestConfig:
             parse_config('{"segment": {"threshold_method": "otsu"}}')
 
     @pytest.mark.parametrize("doc,field", [
-        ({"glcm": {"symmetric": "no"}}, "config.glcm.symmetric"),
+        ({"glcm": {"window_side": "no"}}, "config.glcm.window_side"),
         ({"srad": {"iterations": True}}, "config.srad.iterations"),
         ({"eval": {"full_image": 0}}, "config.eval.full_image"),
         ({"glcm": {"levels": 8.0}}, "config.glcm.levels"),
@@ -314,6 +316,20 @@ class TestExperiment:
         with pytest.raises(error) as excinfo:
             run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
         assert bad in str(excinfo.value)
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad,error,message", [
+        ("sy008", TruncatedDataError, "raster has 8184 of 16384 bytes"),
+        ("sy009", CenterOutOfBoundsError, "center (500, 107) outside 128x128 image"),
+    ])
+    def test_bad_image_or_circle_stops_the_run_before_any_image(
+            self, bad, error, message, refusal_dataset, tmp_path, monkeypatch):
+        # a PGM that does not decode and a circle outside its image are
+        # found before the first film, not after sy001's tree is written
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        with pytest.raises(error, match=re.escape(message)):
+            run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
         assert calls == [] and not (tmp_path / "out").exists()
 
     def test_missing_index(self, tmp_path):
