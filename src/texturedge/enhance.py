@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TilesTooManyError
+from .errors import TexturedgeError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
@@ -332,7 +332,7 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
     a = as_gray_image(img)
     h, w = a.shape
     if params.tiles_x > w or params.tiles_y > h:
-        raise TilesTooManyError(
+        raise TexturedgeError(
             f"{params.tiles_x}x{params.tiles_y} tiles do not fit a {w}x{h} image")
 
     xs = np.append(np.arange(params.tiles_x) * (w // params.tiles_x), w)  # remainder: last tile

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoNegativesError, NoPositivesError
+from .errors import TexturedgeError
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def confusion(pred, truth) -> ConfusionCounts:
     p = np.asarray(pred, dtype=bool)
     t = np.asarray(truth, dtype=bool)
     if p.shape != t.shape:
-        raise DimensionMismatchError(f"mask shapes differ: {p.shape} vs {t.shape}")
+        raise TexturedgeError(f"mask shapes differ: {p.shape} vs {t.shape}")
     tp = int(np.count_nonzero(p & t))
     fp = int(np.count_nonzero(p & ~t))
     fn = int(np.count_nonzero(~p & t))
@@ -121,14 +121,14 @@ def roc_az(scores, truth) -> RocCurve:
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truth, dtype=bool)
     if s.shape != t.shape:
-        raise DimensionMismatchError(f"score/truth shapes differ: {s.shape} vs {t.shape}")
+        raise TexturedgeError(f"score/truth shapes differ: {s.shape} vs {t.shape}")
     s, t = s.ravel(), t.ravel()
     n_pos = int(np.count_nonzero(t))
     n_neg = t.size - n_pos
     if n_pos == 0:
-        raise NoPositivesError("reference has no positive pixels in the evaluated region")
+        raise TexturedgeError("reference has no positive pixels in the evaluated region")
     if n_neg == 0:
-        raise NoNegativesError("reference has no negative pixels in the evaluated region")
+        raise TexturedgeError("reference has no negative pixels in the evaluated region")
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]

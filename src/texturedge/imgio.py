@@ -15,13 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    CenterOutOfBoundsError,
-    MalformedLineError,
-    MaxvalUnsupportedError,
-    TruncatedDataError,
-)
+from .errors import MalformedLineError, TexturedgeError
 
 TISSUE_CLASSES = ("F", "G", "D")
 ABNORMALITY_CLASSES = ("CALC", "CIRC", "SPIC", "MISC", "ARCH", "ASYM", "NORM")
@@ -71,7 +65,7 @@ def _header_fields(data: bytes, count: int) -> tuple[list[bytes], int]:
         while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
             i += 1
         if i == start:
-            raise TruncatedDataError("header ended early")
+            raise TexturedgeError("header ended early")
         fields.append(data[start:i])
     if i < n and data[i] in _WHITESPACE:
         i += 1
@@ -90,48 +84,44 @@ def _header_int(field: bytes, what: str) -> int:
     try:
         return _decimal(field.decode("latin-1"))
     except ValueError:
-        raise TruncatedDataError(f"non-numeric {what} field {field!r}") from None
+        raise TexturedgeError(f"non-numeric {what} field {field!r}") from None
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
     """Decode a binary (P5) or ASCII (P2) PGM byte stream.
 
-    Header comments are allowed; maxval must not exceed 255, and no sample
-    may exceed maxval. Raises ``BadMagicError``, ``TruncatedDataError``, or
-    ``MaxvalUnsupportedError``.
+    Header comments are allowed. maxval must be 255, the scale every stage
+    assumes, and P2 samples lie in [0, 255]. Raises ``TexturedgeError``.
     """
     if len(data) < 2 or data[:2] not in (b"P2", b"P5"):
-        raise BadMagicError(f"not a P2/P5 PGM stream (starts with {data[:2]!r})")
+        raise TexturedgeError(f"not a P2/P5 PGM stream (starts with {data[:2]!r})")
     magic = data[:2]
     fields, pos = _header_fields(data, 4)
     if fields[0] != magic:
-        raise BadMagicError(f"malformed magic token {fields[0]!r}")
+        raise TexturedgeError(f"malformed magic token {fields[0]!r}")
     width = _header_int(fields[1], "width")
     height = _header_int(fields[2], "height")
     maxval = _header_int(fields[3], "maxval")
-    if maxval > 255:
-        raise MaxvalUnsupportedError(f"maxval {maxval} > 255 not supported")
-    if width < 1 or height < 1 or maxval < 1:
-        raise TruncatedDataError(
-            f"invalid header: width={width} height={height} maxval={maxval}")
+    if maxval != 255:
+        raise TexturedgeError(f"maxval {maxval} not supported (must be 255)")
+    if width < 1 or height < 1:
+        raise TexturedgeError(f"invalid header: width={width} height={height} maxval={maxval}")
     n = width * height
     if magic == b"P5":
         raster = data[pos:pos + n]
         if len(raster) < n:
-            raise TruncatedDataError(f"raster has {len(raster)} of {n} bytes")
+            raise TexturedgeError(f"raster has {len(raster)} of {n} bytes")
         arr = np.frombuffer(raster, dtype=np.uint8)
-        in_range = int(arr.max()) <= maxval
     else:
         # P2: whitespace-separated ASCII samples (comments tolerated), range
         # checked as Python ints, so one too wide for int64 is only out of range
         try:
             samples, _ = _header_fields(data[pos:], n)
-        except TruncatedDataError:
-            raise TruncatedDataError(f"fewer than {n} ASCII samples") from None
+        except TexturedgeError:
+            raise TexturedgeError(f"fewer than {n} ASCII samples") from None
         arr = [_header_int(tok, "sample") for tok in samples]
-        in_range = min(arr) >= 0 and max(arr) <= maxval
-    if not in_range:
-        raise TruncatedDataError("sample value outside [0, maxval]")
+        if min(arr) < 0 or max(arr) > 255:
+            raise TexturedgeError("sample value outside [0, maxval]")
     return np.array(arr, dtype=np.uint8).reshape(height, width)
 
 
@@ -287,8 +277,7 @@ def extract_roi(img, roi: RoiSpec) -> RoiCrop:
         raise ValueError(f"margin_factor must be >= 1, got {roi.margin_factor}")
     h, w = a.shape
     if not (0 <= roi.center_x < w and 0 <= roi.center_y < h):
-        raise CenterOutOfBoundsError(
-            f"center ({roi.center_x}, {roi.center_y}) outside {w}x{h} image")
+        raise TexturedgeError(f"center ({roi.center_x}, {roi.center_y}) outside {w}x{h} image")
     # a half side past the image's larger side crops the same whole-image clamp
     half = int(np.floor(min(roi.radius * roi.margin_factor, max(h, w)) + 0.5))
     x0 = max(0, roi.center_x - half)

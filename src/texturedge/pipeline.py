@@ -24,7 +24,7 @@ import numpy as np
 
 from . import segment as seg
 from .enhance import ClaheParams, SradParams, clahe, srad
-from .errors import MissingImageError, MissingRecordError, NoGroundTruthError
+from .errors import TexturedgeError
 from .evalmetrics import (
     EvalReport,
     RocCurve,
@@ -38,6 +38,8 @@ from .imgio import MiasRecord, RoiCrop, RoiSpec, extract_roi, parse_mias_index, 
 from .texture import (
     ANGLES,
     Descriptor,
+    check_levels,
+    check_window_side,
     directional_sum,
     encode_texture_map,
     offsets_for_distance,
@@ -78,12 +80,20 @@ class GlcmConfig:
     window_side: int = 7
     distance: int = 1
 
+    def __post_init__(self):
+        check_levels(self.levels)
+        check_window_side(self.window_side)
+        offsets_for_distance(self.distance)
+
 
 @dataclass(frozen=True)
 class SegmentConfig:
     threshold_method: ThresholdSpec = field(default_factory=ThresholdSpec)
     close_radius: int = 3
     fill_holes: bool = True
+
+    def __post_init__(self):
+        seg.check_close_radius(self.close_radius)
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     are ignored, and a ``WARNING`` names the id and how many."""
     matches = [r for r in records if r.ref_id == ref_id]
     if not matches:
-        raise MissingRecordError(f"no annotation record for id {ref_id!r}")
+        raise TexturedgeError(f"no annotation record for id {ref_id!r}")
     located = [r for r in matches if r.has_geometry]
     if len(located) > 1:
         logger.warning("id %s: %d more geometry record(s) ignored; only the first is scored",
@@ -238,16 +248,20 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
 
 def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> np.ndarray:
     """The image, read once, after what ``run_pipeline`` refuses before SRAD:
-    no image file (``MissingImageError``), no circle (``NoGroundTruthError``),
-    a PGM that does not decode, a circle or margin that ``crop_roi`` refuses
-    (enhancement keeps the shape, so the enhanced crop passes too)."""
-    if isinstance(image, (str, Path)) and not Path(image).is_file():
-        raise MissingImageError(f"no image file at {Path(image)}")
+    no image file, no circle, a PGM that does not decode, a circle or margin
+    that ``crop_roi`` refuses (enhancement keeps the shape, so the enhanced
+    crop passes too). A PGM or circle refusal names the id and the file."""
+    from_file = isinstance(image, (str, Path))
+    if from_file and not Path(image).is_file():
+        raise TexturedgeError(f"no image file at {Path(image)}")
     if not record.has_geometry:
-        raise NoGroundTruthError(
-            f"record {record.ref_id} has no center/radius annotation")
-    img = read_pgm(image) if isinstance(image, (str, Path)) else image
-    crop_roi(img, record, roi)
+        raise TexturedgeError(f"record {record.ref_id} has no center/radius annotation")
+    try:
+        img = read_pgm(image) if from_file else image
+        crop_roi(img, record, roi)
+    except TexturedgeError as exc:
+        source = f" ({Path(image)})" if from_file else ""
+        raise TexturedgeError(f"id {record.ref_id}{source}: {exc}") from None
     return img
 
 
@@ -260,7 +274,7 @@ def run_pipeline(image, record: MiasRecord,
 
     ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
     circle geometry (it defines the ROI and the proxy ground truth);
-    otherwise ``NoGroundTruthError`` is raised.
+    otherwise ``TexturedgeError`` is raised.
 
     Confusion metrics are taken over the ROI crop by default;
     ``config.eval.full_image`` scores the mask against the circle on the
@@ -363,7 +377,7 @@ CSV_COLUMNS = ("ref_id", "tissue", "tp", "fp", "fn", "tn") + _METRIC_FIELDS
 def find_index_file(dataset_dir) -> Path:
     index = Path(dataset_dir) / "Info.txt"
     if not index.is_file():
-        raise MissingRecordError(f"no annotation index at {index}")
+        raise TexturedgeError(f"no annotation index at {index}")
     return index
 
 

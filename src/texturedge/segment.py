@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateMapError, InternalInvariantError
+from .errors import InternalInvariantError, TexturedgeError
 from .imgio import as_gray_image
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -26,15 +26,15 @@ def otsu_threshold(texture_map) -> float:
     The variance numerator of every split comes from integer prefix sums of
     the histogram, exact in int64 while ``255 * N**2 < 2**63`` for an
     ``N``-pixel map, that is ``N < 1.9e8``. Returned in the map's original
-    units; raises ``DegenerateMapError`` on a constant map and on one whose
+    units; raises ``TexturedgeError`` on a constant map and on one whose
     range ``max - min`` is not a finite float.
     """
     a = np.asarray(texture_map, dtype=np.float64)
     lo, hi = float(a.min()), float(a.max())
     if not np.isfinite(hi - lo):  # Python floats: no overflow warning
-        raise DegenerateMapError(f"map range [{lo!r}, {hi!r}] has no finite width")
+        raise TexturedgeError(f"map range [{lo!r}, {hi!r}] has no finite width")
     if hi <= lo:
-        raise DegenerateMapError("map is constant; no threshold exists")
+        raise TexturedgeError("map is constant; no threshold exists")
     norm = (a - lo) / (hi - lo)
     bins = np.minimum((norm * 256.0).astype(np.int64), 255)
     hist = np.bincount(bins.ravel(), minlength=256)
@@ -62,14 +62,18 @@ def disk_footprint(radius: int) -> np.ndarray:
     return (xx * xx + yy * yy) <= r * r
 
 
+def check_close_radius(close_radius: int) -> None:
+    if close_radius < 0:
+        raise ValueError(f"close_radius must be >= 0, got {close_radius}")
+
+
 def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
                 fill_holes: bool = True) -> np.ndarray:
     """Close small gaps, optionally fill holes, and keep only the connected
     component (8-connectivity) whose centroid is nearest ``roi_center``
     (an ``(x, y)`` point). An empty mask stays empty.
     """
-    if close_radius < 0:
-        raise ValueError(f"close_radius must be >= 0, got {close_radius}")
+    check_close_radius(close_radius)
     cx, cy = float(roi_center[0]), float(roi_center[1])
     if not (np.isfinite(cx) and np.isfinite(cy)):
         raise ValueError(f"roi_center must be finite, got {roi_center}")

@@ -28,13 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DimensionMismatchError,
-    EmptyRegionError,
-    TruncatedDataError,
-    WindowTooLargeError,
-)
+from .errors import TexturedgeError
 from .imgio import as_gray_image
 
 
@@ -75,7 +69,7 @@ class QuantizedImage:
         v = self.values
         if v.ndim != 2 or v.size == 0:
             raise ValueError("quantized image must be non-empty 2-D")
-        _check_levels(self.levels)
+        check_levels(self.levels)
         if int(v.max()) >= self.levels or int(v.min()) < 0:
             raise ValueError("quantized values must lie in [0, levels)")
 
@@ -88,15 +82,20 @@ class QuantizedImage:
         return self.values.shape[0]
 
 
-def _check_levels(levels: int) -> None:
+def check_levels(levels: int) -> None:
     if not 2 <= levels <= 256:
         raise ValueError(f"levels must be in [2, 256], got {levels}")
+
+
+def check_window_side(window_side: int) -> None:
+    if window_side < 3 or window_side % 2 == 0:
+        raise ValueError(f"window_side must be odd and >= 3, got {window_side}")
 
 
 def quantize(img, levels: int) -> QuantizedImage:
     """Bin 8-bit intensities: value v maps to floor(v * levels / 256)."""
     a = as_gray_image(img)
-    _check_levels(levels)  # before the product, which overflows int64 first
+    check_levels(levels)  # before the product, which overflows int64 first
     q = (a.astype(np.int64) * levels) // 256
     return QuantizedImage(q.astype(np.uint8), levels)
 
@@ -135,7 +134,7 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
     x, y, w, h = region
     dx, dy = int(offset[0]), int(offset[1])
     if w <= 0 or h <= 0:
-        raise EmptyRegionError(f"region {region} is empty")
+        raise ValueError(f"region {region} is empty")
     if x < 0 or y < 0 or x + w > q.width or y + h > q.height:
         raise ValueError(f"region {region} not inside {q.width}x{q.height} image")
 
@@ -251,12 +250,10 @@ def _map_prep(q: QuantizedImage, window_side: int, offset: Offset, symmetric: bo
     offset does not fit in a window.
     """
     dx, dy = int(offset[0]), int(offset[1])
-    if window_side < 3 or window_side % 2 == 0:
-        raise ValueError(f"window_side must be odd and >= 3, got {window_side}")
+    check_window_side(window_side)
     h, w = q.values.shape
     if min(h, w) < 2:
-        raise WindowTooLargeError(
-            f"windowed maps need both image dimensions >= 2, got {w}x{h}")
+        raise TexturedgeError(f"windowed maps need both image dimensions >= 2, got {w}x{h}")
 
     a, b = _pairs(np.pad(q.values, window_side // 2, mode="reflect"), dx, dy)
     n_rows, n_cols = window_side - abs(dy), window_side - abs(dx)
@@ -343,7 +340,7 @@ def directional_sum(maps: Sequence[np.ndarray]) -> np.ndarray:
     shape = arrays[0].shape
     for m in arrays[1:]:
         if m.shape != shape:
-            raise DimensionMismatchError(f"map shapes differ: {shape} vs {m.shape}")
+            raise TexturedgeError(f"map shapes differ: {shape} vs {m.shape}")
     return arrays[0] + arrays[1] + arrays[2] + arrays[3]
 
 
@@ -365,18 +362,18 @@ def encode_texture_map(m: np.ndarray) -> bytes:
 
 def decode_texture_map(data: bytes) -> np.ndarray:
     if data[:4] != _MAP_MAGIC:
-        raise BadMagicError(f"not a texture map stream (starts with {data[:4]!r})")
+        raise TexturedgeError(f"not a texture map stream (starts with {data[:4]!r})")
     if len(data) < 12:
-        raise TruncatedDataError("texture map header incomplete")
+        raise TexturedgeError("texture map header incomplete")
     w, h = struct.unpack("<II", data[4:12])
     if w == 0 or h == 0:
-        raise TruncatedDataError(f"texture map is {w}x{h}; it holds no samples")
+        raise TexturedgeError(f"texture map is {w}x{h}; it holds no samples")
     need = 12 + 8 * w * h
     if len(data) != need:
-        raise TruncatedDataError(f"texture map raster has {len(data) - 12} of {8 * w * h} bytes")
+        raise TexturedgeError(f"texture map raster has {len(data) - 12} of {8 * w * h} bytes")
     m = np.frombuffer(data[12:], dtype="<f8").reshape(h, w).astype(np.float64)
     if not np.isfinite(m).all():
-        raise TruncatedDataError("texture map holds a non-finite sample")
+        raise TexturedgeError("texture map holds a non-finite sample")
     return m
 
 

@@ -212,7 +212,8 @@ class TestConfigFlags:
 
     @pytest.mark.parametrize("flags", [
         ["--srad-iterations", "-1"], ["--srad-time-step", "0.3"], ["--clahe-clip", "0"],
-        ["--margin", "0.5"],
+        ["--margin", "0.5"], ["--levels", "1"], ["--window", "4"], ["--distance", "0"],
+        ["--close-radius", "-1"],
     ])
     def test_refused_before_the_first_srad_pass(self, flags, tmp_path, monkeypatch):
         calls = []
@@ -466,7 +467,8 @@ class TestExperimentCommand:
         out = tmp_path / "a" / "out"
         assert run_cli("experiment", "--dataset", str(refusal_dataset),
                        "--ids", "sy001", "sy002", bad, "--out", str(out)) == 2
-        assert f"texturedge: {message}" in capsys.readouterr().err
+        where = f"id {bad} ({refusal_dataset / f'{bad}.pgm'})"
+        assert f"texturedge: {where}: {message}" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "a").exists()
 
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from texturedge import ClaheParams, SradParams, clahe, enhance, srad
-from texturedge.errors import TilesTooManyError
+from texturedge.errors import TexturedgeError
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -455,7 +455,7 @@ class TestClahe:
         assert out.min() >= 0 and out.max() <= 255 and out.shape == img.shape
 
     def test_tiles_too_many(self):
-        with pytest.raises(TilesTooManyError):
+        with pytest.raises(TexturedgeError, match="8x8 tiles do not fit a 4x4 image"):
             clahe(np.zeros((4, 4), dtype=np.uint8), ClaheParams(tiles_x=8, tiles_y=8))
 
     def test_uneven_tile_remainder(self, rng):

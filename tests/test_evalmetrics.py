@@ -11,7 +11,7 @@ from texturedge import (
     metrics,
     roc_az,
 )
-from texturedge.errors import DimensionMismatchError, NoNegativesError, NoPositivesError
+from texturedge.errors import TexturedgeError
 from texturedge.evalmetrics import roc_points_csv
 
 
@@ -69,7 +69,7 @@ class TestConfusion:
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(TexturedgeError, match=r"mask shapes differ: \(2, 2\) vs \(2, 3\)"):
             confusion(np.zeros((2, 2), bool), np.zeros((2, 3), bool))
 
     def test_swap_exchanges_fp_fn(self, rng):
@@ -173,15 +173,15 @@ class TestRocAz:
         assert roc_az(np.arctan(scores), truth).az == base
 
     def test_no_positives(self):
-        with pytest.raises(NoPositivesError):
+        with pytest.raises(TexturedgeError, match="reference has no positive pixels"):
             roc_az(np.ones((2, 2)), np.zeros((2, 2), bool))
 
     def test_no_negatives(self):
-        with pytest.raises(NoNegativesError):
+        with pytest.raises(TexturedgeError, match="reference has no negative pixels"):
             roc_az(np.ones((2, 2)), np.ones((2, 2), bool))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(TexturedgeError, match=r"score/truth shapes differ: \(2, 2\) vs"):
             roc_az(np.ones((2, 2)), np.ones((2, 3), bool))
 
     def test_points_csv(self):

@@ -22,14 +22,7 @@ from texturedge import (
     serialize_config,
 )
 from texturedge import pipeline
-from texturedge.errors import (
-    CenterOutOfBoundsError,
-    MissingImageError,
-    MissingRecordError,
-    NoGroundTruthError,
-    NoNegativesError,
-    TruncatedDataError,
-)
+from texturedge.errors import TexturedgeError
 from texturedge.pipeline import (
     EvalConfig,
     experiment_csv,
@@ -219,18 +212,19 @@ class TestRunPipeline:
 
     def test_norm_record_rejected(self):
         rec = parse_mias_index("sy009 D NORM")[0]
-        with pytest.raises(NoGroundTruthError):
+        with pytest.raises(TexturedgeError, match="record sy009 has no center/radius annotation"):
             run_pipeline(np.zeros((64, 64), dtype=np.uint8), rec)
 
     def test_missing_image_path(self, tmp_path):
-        with pytest.raises(MissingImageError):
+        missing = tmp_path / "nope.pgm"
+        with pytest.raises(TexturedgeError, match=re.escape(f"no image file at {missing}")):
             run_pipeline(tmp_path / "nope.pgm", first_case_record())
 
     def test_crop_inside_circle_has_no_negatives(self):
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
         # radius 200: the crop clamps to the whole 128x128 image, which the circle covers
         record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, 200))[0]
-        with pytest.raises(NoNegativesError):
+        with pytest.raises(TexturedgeError, match="reference has no negative pixels"):
             run_pipeline(synth_mass_image(seed, cx, cy, r), record)
 
     def test_full_image_eval_scope(self, result):
@@ -293,51 +287,56 @@ class TestExperiment:
         assert experiment_jsonl([]) == ""
 
     def test_unknown_id(self, synth_dataset):
-        with pytest.raises(MissingRecordError) as excinfo:
+        with pytest.raises(TexturedgeError, match="no annotation record for id 'zz999'"):
             run_experiment(synth_dataset, ["zz999"])
-        assert "zz999" in str(excinfo.value)
 
     def test_norm_only_record(self, synth_dataset):
-        with pytest.raises(NoGroundTruthError):
+        with pytest.raises(TexturedgeError, match="record sy004 has no center/radius annotation"):
             run_experiment(synth_dataset, ["sy004"])
 
     def test_missing_image(self, tmp_path):
         (tmp_path / "Info.txt").write_text("sy010 F CIRC B 20 20 5\n")
-        with pytest.raises(MissingImageError):
+        with pytest.raises(TexturedgeError, match="no image file at .*sy010.pgm"):
             run_experiment(tmp_path, ["sy010"])
 
-    @pytest.mark.parametrize("bad,error", [("zz999", MissingRecordError),
-                                           ("sy004", NoGroundTruthError),
-                                           ("sy005", MissingImageError)])
-    def test_refused_id_stops_the_run_before_any_image(self, bad, error, refusal_dataset,
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param("zz999", "no annotation record for id 'zz999'",
+                     id="zz999-MissingRecordError"),
+        pytest.param("sy004", "record sy004 has no center/radius annotation",
+                     id="sy004-NoGroundTruthError"),
+        pytest.param("sy005", "no image file at .*sy005.pgm", id="sy005-MissingImageError"),
+    ])
+    def test_refused_id_stops_the_run_before_any_image(self, bad, message, refusal_dataset,
                                                        tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(TexturedgeError, match=message):
             run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
-        assert bad in str(excinfo.value)
         assert calls == [] and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("bad,error,message", [
-        ("sy008", TruncatedDataError, "raster has 8184 of 16384 bytes"),
-        ("sy009", CenterOutOfBoundsError, "center (500, 107) outside 128x128 image"),
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param("sy008", "raster has 8184 of 16384 bytes", id="sy008-TruncatedDataError"),
+        pytest.param("sy009", "center (500, 107) outside 128x128 image",
+                     id="sy009-CenterOutOfBoundsError"),
     ])
     def test_bad_image_or_circle_stops_the_run_before_any_image(
-            self, bad, error, message, refusal_dataset, tmp_path, monkeypatch):
+            self, bad, message, refusal_dataset, tmp_path, monkeypatch):
         # a PGM that does not decode and a circle outside its image are
-        # found before the first film, not after sy001's tree is written
+        # found before the first film, not after sy001's tree is written;
+        # the refusal names the id and its file
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
-        with pytest.raises(error, match=re.escape(message)):
+        where = f"id {bad} ({refusal_dataset / f'{bad}.pgm'}): "
+        with pytest.raises(TexturedgeError, match=re.escape(where + message)):
             run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
         assert calls == [] and not (tmp_path / "out").exists()
 
     def test_missing_index(self, tmp_path):
-        with pytest.raises(MissingRecordError):
+        with pytest.raises(TexturedgeError, match="no annotation index at"):
             run_experiment(tmp_path, ["sy001"])
         # the index is Info.txt: a file under another name is not read
         (tmp_path / "index.txt").write_text("sy001 F CIRC B 20 20 5\n")
-        with pytest.raises(MissingRecordError, match="Info.txt"):
+        with pytest.raises(TexturedgeError, match="Info.txt"):
             run_experiment(tmp_path, ["sy001"])
 
     def test_csv_layout(self, synth_dataset):

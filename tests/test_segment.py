@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from texturedge import binarize, otsu_threshold, refine_mask, trace_contour
-from texturedge.errors import DegenerateMapError
+from texturedge.errors import TexturedgeError
 from texturedge.segment import (
     boundary_pixels,
     contours_to_text,
@@ -98,7 +98,7 @@ class TestOtsu:
         assert binarize(m, t).sum() == 50
 
     def test_constant_map_degenerate(self):
-        with pytest.raises(DegenerateMapError):
+        with pytest.raises(TexturedgeError, match="map is constant; no threshold exists"):
             otsu_threshold(np.full((4, 4), 2.5))
 
     def test_range_wider_than_a_float_is_degenerate(self):
@@ -106,7 +106,7 @@ class TestOtsu:
         m = np.zeros((20, 20))
         m[0, 0] = -1e308
         m[5:10, 5:10] = 1e308
-        with pytest.raises(DegenerateMapError, match=r"map range \[-1e\+308, 1e\+308\]"):
+        with pytest.raises(TexturedgeError, match=r"map range \[-1e\+308, 1e\+308\]"):
             otsu_threshold(m)
 
     def test_bimodal_gaussians_in_band(self, rng):

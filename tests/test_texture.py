@@ -20,13 +20,7 @@ from texturedge import (
     texture_map_naive,
     texture_map_sliding,
 )
-from texturedge.errors import (
-    DimensionMismatchError,
-    EmptyRegionError,
-    TruncatedDataError,
-    WindowTooLargeError,
-)
-from texturedge.errors import BadMagicError
+from texturedge.errors import TexturedgeError
 from texturedge.texture import (
     decode_texture_map,
     encode_texture_map,
@@ -161,7 +155,7 @@ class TestGlcmWindow:
 
     def test_empty_region_error(self):
         q = QuantizedImage(np.zeros((3, 3), dtype=np.uint8), 2)
-        with pytest.raises(EmptyRegionError):
+        with pytest.raises(ValueError, match=re.escape("region (0, 0, 0, 3) is empty")):
             glcm_window(q, (0, 0, 0, 3), Offset(1, 0))
 
     def test_zero_offset_rejected(self):
@@ -369,7 +363,7 @@ class TestTextureMaps:
 
     def test_tiny_image_rejected(self):
         q = quantize(np.zeros((1, 10), dtype=np.uint8), 8)
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(TexturedgeError, match="need both image dimensions >= 2, got 10x1"):
             texture_map_naive(q, "contrast", 3, Offset(1, 0))
 
     def test_window_larger_than_image_ok(self, rng):
@@ -456,7 +450,7 @@ class TestDirectionalSum:
 
     def test_dimension_mismatch(self):
         maps = [np.zeros((3, 3))] * 3 + [np.zeros((4, 3))]
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(TexturedgeError, match=r"map shapes differ: \(3, 3\) vs \(4, 3\)"):
             directional_sum(maps)
 
     def test_requires_exactly_four(self):
@@ -478,17 +472,17 @@ class TestMapSerialization:
         assert np.array_equal(decode_texture_map(encode_texture_map(m)), m)
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError):
+        with pytest.raises(TexturedgeError, match="not a texture map stream"):
             decode_texture_map(b"NOPE" + bytes(16))
 
     def test_truncated(self):
         data = encode_texture_map(np.ones((4, 4)))
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(TexturedgeError, match="has 120 of 128 bytes"):
             decode_texture_map(data[:-8])
 
     @pytest.mark.parametrize("size", [4, 11])
     def test_short_header_is_truncated(self, size):
-        with pytest.raises(TruncatedDataError, match="header incomplete"):
+        with pytest.raises(TexturedgeError, match="header incomplete"):
             decode_texture_map(encode_texture_map(np.ones((4, 4)))[:size])
 
     def test_one_dimensional_map_is_refused(self):
@@ -499,20 +493,20 @@ class TestMapSerialization:
     def test_zero_dimension_is_truncated(self, width, height):
         data = encode_texture_map(np.ones((4, 4)))
         header = data[:4] + width.to_bytes(4, "little") + height.to_bytes(4, "little")
-        with pytest.raises(TruncatedDataError, match="holds no samples"):
+        with pytest.raises(TexturedgeError, match="holds no samples"):
             decode_texture_map(header + data[12:])
 
     @pytest.mark.parametrize("extra", [8, 40])
     def test_trailing_bytes_are_rejected(self, extra):
         data = encode_texture_map(np.ones((4, 4)))
-        with pytest.raises(TruncatedDataError, match="has 1[0-9]+ of 128 bytes"):
+        with pytest.raises(TexturedgeError, match="has 1[0-9]+ of 128 bytes"):
             decode_texture_map(data + bytes(extra))
 
     @pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_is_rejected(self, sample):
         m = np.ones((4, 4))
         m[2, 1] = sample
-        with pytest.raises(TruncatedDataError, match="non-finite sample"):
+        with pytest.raises(TexturedgeError, match="non-finite sample"):
             decode_texture_map(encode_texture_map(m))
 
     def test_to_gray_scaling(self):
