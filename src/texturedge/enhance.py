@@ -18,8 +18,8 @@ from .errors import TexturedgeError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
-# rows per SRAD tile; its six float32 scratch planes hold the shared d_s (one
-# halo row north) and c (one halo row south), 1.6 MB at 1024 columns
+# rows per SRAD tile; a worker's six float32 scratch planes of TILE_ROWS + 2
+# rows (halo rows for d_s and kc) take 1.6 MB at 1024 columns
 TILE_ROWS = 64
 
 
@@ -73,30 +73,38 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
         c = 1 / (1 + (q^2 - q0^2) / (q0^2 (1 + q0^2)))
 
     is clamped to [0, 1]; ``q`` is the instantaneous coefficient of
-    variation built from the one-sided gradients and the Laplacian.
+    variation, ``q^2 = (grad^2 / 2 - lap^2 / 16) / (1 + lap / 4)^2``, built
+    from the one-sided gradients and the Laplacian (Yu & Acton 2002).
     Intensities are processed as ``v/255 + 1e-6`` and re-quantized by
     round-half-up, which gives back every ``v`` from its float32 start value,
     so zero iterations or a constant image (zero flux) return the input.
 
-    Step ``n`` evaluates, per pixel and left to right,
+    Step ``n`` evaluates, per pixel and left to right, over the four
+    differences ``d = u(neighbour) - u``,
 
-        grad_sq = (d_n^2 + d_s^2 + d_w^2 + d_e^2) / u^2
-        lap     = (d_n + d_s + d_w + d_e) / u
-        q_sq    = (0.5 grad_sq - 0.0625 lap lap) / (1 + 0.25 lap)^2
-        u'      = u + (0.25 dt) (c_s d_s + c d_n + c_e d_e + c d_w)
+        G  = ((d_n^2 + d_s^2) + d_w^2) + d_e^2
+        L  = ((d_s + d_n) + d_w) + d_e
+        S  = 4 u + L                      (the four neighbours' sum)
+        q2 = (8 G - L^2) / S^2
+        kc = min(ks / (q2 + q0_4), k)
+        u' = u + (((kc_s d_s + kc d_n) + kc_e d_e) + kc d_w)
 
-    with ``q0`` decayed from its start value, ``c`` NaN-sanitized before
-    the clamp, and ``c_s``/``c_e`` the coefficients one pixel south/east
-    (Yu & Acton 2002). The mirrored border makes a difference 0 at the
-    image edge and repeats the last row/column of ``c``.
+    with ``k = dt/4``, ``ks = k q0^2 (1 + q0^2)``, ``q0_4 = q0^4`` and
+    ``kc_s``/``kc_e`` the ``kc`` one pixel south/east. In real arithmetic
+    this is the step above exactly: ``grad^2 = G / u^2`` and
+    ``lap = L / u`` make ``q^2 = (8 G - L^2) / S^2``, and
+    ``c = q0^2 (1 + q0^2) / (q^2 + q0^4)``, so ``kc`` is ``k`` times the
+    clamped ``c``. The mirrored border makes a difference 0 at the image
+    edge and repeats the last row/column of ``kc``. A tile makes 26 ufunc
+    passes per step, two of them divides.
 
     The field is float32; a float64 field makes every pass cost about twice
     as much, in divides and in memory traffic. ``q0`` and its decay are
-    computed in float64, and each step rounds ``q0_sq``,
-    ``q0_scale = q0_sq (1 + q0_sq)`` and ``0.25 dt`` to float32 once.
-    Re-quantization is in float64. The output can therefore differ from a
-    float64 evaluation of the same formulas by one gray level, on a few
-    pixels per megapixel.
+    computed in float64, and each step rounds ``q0^2``, ``q0^4`` and
+    ``q0^2 (1 + q0^2)`` to float32 once; ``ks`` is the last times the float32
+    ``k``. Re-quantization is in float64. The output can therefore differ
+    from a float64 evaluation of the same formulas by one gray level, on a
+    few pixels per megapixel.
 
     The field lives in two image-sized float32 buffers: each step reads one
     and writes the other. The rows are split into contiguous bands, one per
@@ -104,45 +112,50 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     ``TILE_ROWS``-row tiles, and the bands run on a thread pool (NumPy's
     ufuncs release the GIL). A worker walks its band tile by tile and keeps
     every temporary in its own scratch planes, so no step allocates an
-    image-sized array or a padded copy. A tile also computes ``c`` for the
-    one row south of it, which ``c_s`` reads; every band is joined before
-    the buffers swap, so that one barrier per step is the only
-    synchronisation. Each pixel goes through the same IEEE operations in
-    the same order for any tiling and worker count, so the float field is
-    bit-identical to evaluating the formulas above in float32, with the
-    same float32 scalars, one whole array at a time.
+    image-sized array or a padded copy. Every view a tile reads or writes is
+    sliced once per call, for either buffer as the source, so a step is
+    ufunc calls only: each one is a GIL hand-off between the workers. A tile
+    also computes ``kc`` for the one row south of it, which ``kc_s`` reads;
+    every band is joined before the buffers swap, so that one barrier per
+    step is the only synchronisation. Each pixel goes through the same IEEE
+    operations in the same order for any tiling and worker count, so the
+    float field is bit-identical to evaluating the formulas above in
+    float32, with the same float32 scalars, one whole array at a time.
 
     A tile computes each term that neighbours share once. IEEE subtraction
     is sign-symmetric, so ``d_n(r) = -d_s(r-1)`` and ``d_w(j) = -d_e(j-1)``,
     and ``a + (-b)`` is ``a - b`` bit for bit: the sums above read ``d_s``,
-    ``d_e``, their squares and the flux products ``P(r) = c(r+1) d_s(r)``
-    and ``E(j) = c(j+1) d_e(j)``, each made once per pixel, and every ±1
+    ``d_e``, their squares and the flux products ``P(r) = kc(r+1) d_s(r)``
+    and ``E(j) = kc(j+1) d_e(j)``, each made once per pixel, and every ±1
     column shift runs along the tile's flattened rows, where the term that
     crosses a row end is an exact 0. A shared term can differ from its
     textbook twin only in the sign of an exact zero, which never reaches
-    the field: ``lap`` enters ``q_sq`` only as ``lap^2`` and ``4 + lap``,
-    and ``u + k acc`` with ``u > 0`` absorbs a signed zero. ``q_sq`` is
-    evaluated as ``(8 grad_sq - lap^2) / (4 + lap)^2``: numerator and
-    denominator are exactly 16 times the ones above, since scaling by a
-    power of two commutes with rounding while nothing overflows or goes
-    subnormal, so the quotient is the same float. Nothing does, in float32's
-    normal range [1.2e-38, 3.4e38]: each step is a convex combination of a
-    pixel and its neighbours (``k`` times the four ``c`` is at most
-    ``dt <= 0.25``), so ``u`` stays in [1e-6, 1 + 1e-6]. Every value there
-    is a multiple of 2^-43, so a nonzero difference is at least about 1e-13
-    and its square about 1e-26; ``u^2 >= 1e-12``; and ``grad_sq <= 4 / u^2``
-    gives ``8 grad_sq <= ~3e13`` and ``lap^2 <= ~2e13``. ``c`` is clamped
-    by ``fmin(c, 1)`` alone, which sends +inf to 1; it would send NaN to 1,
-    not 0, but no ``c`` is NaN or below 0. With ``u > 0``,
-    ``lap^2 <= 4 grad_sq`` (Cauchy-Schwarz, with a factor-2 margin over
-    float32 rounding) and ``4 + lap`` is the neighbours' sum over ``u``, at
-    least 4e-6 against a rounding error in ``lap`` below 1e-6, so
-    ``q_sq >= 0``. For ``0 < q0_sq < inf``, ``q0_scale >= q0_sq`` (both are
-    rounded from float64 values in that order, and rounding is monotone)
-    makes ``1 + (q_sq - q0_sq) / q0_scale >= +0``, so ``c`` is > 0 or +inf;
-    a ``q0_scale`` that overflows the cast makes that quotient a zero and
-    every ``c`` 1. A float32 ``q0_sq`` of 0 or +inf makes every ``c`` 0 and
-    its step the identity, so that step is skipped.
+    the field: ``L`` enters ``q2`` only as ``L^2`` and ``4 u + L``, and
+    ``u + acc`` with ``u > 0`` absorbs a signed zero.
+
+    The domain: each step is a convex combination of a pixel and its
+    neighbours (its four ``kc`` sum to at most ``4 k = dt <= 0.25``), so ``u``
+    stays in [1e-6, 1 + 1e-6], where every float32 is a multiple of 2^-43.
+    A nonzero difference is then at least about 1e-13 and its square about
+    1e-26, inside float32's normal range [1.2e-38, 3.4e38]; ``8 G <= ~32``.
+    ``S`` is the neighbours' sum, at least 4e-6, against a rounding error in
+    ``L`` below 1e-6, so ``S^2 >= 9e-12``. ``L^2 <= 4 G`` (Cauchy-Schwarz,
+    with a factor-2 margin over float32 rounding) gives ``8 G - L^2 >= 0``,
+    so ``0 <= q2 < 4e12``, and a pixel with a nonzero difference has
+    ``q2 >= 3e-27``. ``q2 + q0_4 > 0`` there, and ``ks`` or ``q0_4`` below
+    the normal range moves its ``kc`` by less than 1e-17. A flat pixel
+    (every difference 0) has ``q2 = 0`` and ``ks / q0_4``, +inf once
+    ``q0_4`` underflows to 0; its ``kc`` only ever multiplies zeros, and
+    ``fmin`` makes every ``kc`` finite: it sends +inf, and NaN, to ``k``.
+    The only NaN is ``inf / inf``, where ``ks`` and ``q0_4`` both overflow:
+    then ``q0^2 > 1.8e19``, every exact ``c`` is at least 1, and ``k`` is
+    right. ``q0^4 <= q0^2 (1 + q0^2)`` with monotone rounding means ``ks``
+    is +inf whenever ``q0_4`` is, so ``kc`` is ``k`` and never
+    ``ks / inf = 0`` (an ``ks`` rounded from float64 ``k q0^2 (1 + q0^2)``
+    stays finite up to ``q0^4 ~ 2.7e40`` at dt 0.05). A step is skipped when
+    its float32 ``q0^2`` is +inf, and when its ``ks`` is 0, which includes
+    ``q0^2`` rounding to 0 and makes every non-flat ``kc`` 0: that step is
+    the identity.
     """
     a = as_gray_image(img)
     if params.homogeneous_region is not None:
@@ -188,105 +201,112 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
              for i in range(workers)]
     scratch = [np.empty((6, min(TILE_ROWS, height) + 2, width), dtype=np.float32)
                for _ in bands]
-    src, dst = u, np.empty_like(u)
+    buffers = (u, np.empty_like(u))
+    # steps[i][b]: band b's tiles with buffers[i] as the source
+    steps = [[[_srad_tile(buffers[i], buffers[1 - i], r0, r1, planes) for r0, r1 in band]
+              for band, planes in zip(bands, scratch)] for i in (0, 1)]
+    src = 0
     dt = params.time_step
     # float32 scalars: a float64 one would promote every tile pass to float64
     k = np.float32(0.25 * dt)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for n in range(params.iterations):
             # an extreme q0_decay_rho overflows these scalars to +inf, in
-            # float64 or in the cast, which the skip below and the division
-            # by q0_scale in _srad_band handle
+            # float64 or in the cast; the skip below and fmin handle it (see srad)
             with np.errstate(over="ignore"):
                 q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
                 q0_sq = q0 * q0
-                q0_scale = np.float32(q0_sq * (1.0 + q0_sq))
+                q0_4 = np.float32(q0_sq * q0_sq)
+                ks = k * np.float32(q0_sq * (1.0 + q0_sq))
                 q0_sq = np.float32(q0_sq)
-            if not 0.0 < q0_sq < np.inf:
-                continue  # every c is 0: the step leaves the field as it is
-            step = partial(_srad_band, src, dst, q0_sq, q0_scale, k)
+            if not (ks > 0.0 and q0_sq < np.inf):
+                continue  # the step leaves the field as it is
             # every band is joined before the buffers swap: the next step
             # reads rows that other workers wrote in this one
-            list(pool.map(step, bands, scratch))
-            src, dst = dst, src
-    return src
+            list(pool.map(partial(_srad_band, ks=ks, q0_4=q0_4, k=k), steps[src]))
+            src = 1 - src
+    return buffers[src]
 
 
-def _srad_band(src, dst, q0_sq, q0_scale, k, band, scratch) -> None:
-    """One SRAD step for the tiles ``(r0, r1)`` of ``band``: reads ``src``,
-    writes rows ``r0:r1`` of ``dst``, and keeps every temporary in the six
-    planes of ``scratch``. Each pixel goes through the IEEE operations of
-    the expressions in ``srad``'s docstring, in their order."""
-    height = src.shape[0]
+def _srad_band(tile_steps, ks, q0_4, k) -> None:
+    """One SRAD step for the tiles of one band, with this step's scalars."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r0, r1 in band:
-            end = min(r1 + 1, height)  # one halo row: c_s needs c one row south
-            rows, t = end - r0, r1 - r0
-            # ds/ds2 row i is image row r0 - 1 + i; the rest start at row r0
-            ds, ds2 = (plane[:rows + 1] for plane in scratch[:2])
-            de, de2, g, lap = (plane[:rows] for plane in scratch[2:])
-            u = src[r0:end]
+        for step in tile_steps:
+            step(ks, q0_4, k)
 
-            # d_s = u(r+1) - u(r) over the tile and one row north of it, and
-            # d_e = u(j+1) - u(j) along the flattened rows; the mirrored
-            # border makes both 0 at the image edge, and so the one d_e that
-            # crosses a row end is overwritten with 0
-            top = 1 if r0 == 0 else 0
-            bottom = 1 if end == height else 0
-            ds[:top] = 0.0
-            np.subtract(src[r0 + top:end + 1 - bottom], src[r0 - 1 + top:end - bottom],
-                        out=ds[top:rows + 1 - bottom])
-            ds[rows + 1 - bottom:] = 0.0
-            np.subtract(u.ravel()[1:], u.ravel()[:-1], out=de.ravel()[:-1])
-            de[:, -1] = 0.0
-            np.multiply(ds, ds, out=ds2)
-            np.multiply(de, de, out=de2)
 
-            # d_n(r) = -d_s(r-1) and d_w(j) = -d_e(j-1), so
-            # grad_sq = (((d_s^2(r-1) + d_s^2(r)) + d_e^2(j-1)) + d_e^2(j)) / u^2
-            np.add(ds2[:-1], ds2[1:], out=g)
-            np.add(g.ravel()[1:], de2.ravel()[:-1], out=g.ravel()[1:])
-            np.add(g, de2, out=g)
-            np.multiply(u, u, out=de2)
-            np.divide(g, de2, out=g)
-            # lap = (((d_s(r) - d_s(r-1)) - d_e(j-1)) + d_e(j)) / u
-            np.subtract(ds[1:], ds[:-1], out=lap)
-            np.subtract(lap.ravel()[1:], de.ravel()[:-1], out=lap.ravel()[1:])
-            np.add(lap, de, out=lap)
-            np.divide(lap, u, out=lap)
-            # q_sq = (8 grad_sq - lap^2) / (4 + lap)^2, both parts 16 times the
-            # textbook ones and so the same quotient: u in [1e-6, 1 + 1e-6]
-            # keeps every term normal (see srad)
-            np.multiply(g, 8.0, out=g)
-            np.multiply(lap, lap, out=de2)
-            np.subtract(g, de2, out=g)
-            np.add(lap, 4.0, out=de2)
-            np.multiply(de2, de2, out=de2)
-            np.divide(g, de2, out=g)
-            # c = 1 / (1 + (q_sq - q0_sq) / (q0_sq (1 + q0_sq))) is > 0 or
-            # +inf (see srad), so fmin(c, 1) is the whole clamp
-            np.subtract(g, q0_sq, out=g)
-            np.divide(g, q0_scale, out=g)
-            np.add(g, 1.0, out=g)
-            c = np.divide(1.0, g, out=g)
-            np.fmin(c, 1.0, out=c)
+def _srad_tile(src, dst, r0, r1, planes):
+    """The SRAD step for rows ``r0:r1``: a function of the step's float32
+    ``(ks, q0_4, k)`` that reads ``src``, writes those rows of ``dst`` and
+    keeps every temporary in the six ``planes``. Every view is sliced here,
+    once; the step makes the 26 ufunc passes of the expressions in
+    ``srad``'s docstring, in their order, plus the zero fills of ``d_s``
+    above and below the image and of ``d_e`` at the row ends."""
+    height, width = src.shape
+    end = min(r1 + 1, height)  # one halo row: P(r) needs kc one row south
+    rows, t = end - r0, r1 - r0
+    top, bottom = int(r0 == 0), int(end == height)
+    # ds and sq row i is image row r0 - 1 + i; the other planes start at row r0
+    ds, sq = (plane[:rows + 1] for plane in planes[:2])
+    de, e, g, lap = (plane[:rows] for plane in planes[2:])
+    u = src[r0:end]
+    # the mirrored border makes d_s 0 above and below the image
+    zeros = [z for z in (ds[:top], ds[rows + 1 - bottom:]) if z.size]
+    ds_out = ds[top:rows + 1 - bottom]
+    u_s, u_n = src[r0 + top:end + 1 - bottom], src[r0 - 1 + top:end - bottom]
+    # x_0/x_1: x's flattened rows less their last/first element (a ±1 shift)
+    u_e, u_w, de_end = u.ravel()[1:], u.ravel()[:-1], de[:, -1]
+    sq_n, sq_s, ds_n, ds_s = sq[:-1], sq[1:], ds[:-1], ds[1:]
+    g_1, lap_1, de_0, e_0 = g.ravel()[1:], lap.ravel()[1:], de.ravel()[:-1], e.ravel()[:-1]
+    kc_1, de_t0, et_0 = g.ravel()[1:t * width], de[:t].ravel()[:-1], e[:t].ravel()[:-1]
+    p_s, p_n, acc, acc_1, et = sq[1:t + 1], sq[:t], lap[:t], lap[:t].ravel()[1:], e[:t]
+    u_t, out = src[r0:r1], dst[r0:r1]
 
-            # P(r) = c(r+1) d_s(r) is pixel r's c_s d_s and -(pixel r+1's
-            # c d_n); E(j) = c(j+1) d_e(j) is pixel j's c_e d_e and -(pixel
-            # j+1's c d_w). P is 0 below the image and E across a row end,
-            # where d_s and d_e are, because c is finite.
-            p, e, acc = ds2[:t + 1], de2[:t], lap[:t]
-            np.multiply(c, ds[:rows], out=p[:rows])
-            p[rows:] = 0.0
-            np.multiply(c.ravel()[1:e.size], de[:t].ravel()[:-1], out=e.ravel()[:-1])
-            e[-1, -1] = 0.0
-            # u + k (((P(r) - P(r-1)) + E(j)) - E(j-1)): the textbook sum
-            # c_s d_s + c d_n + c_e d_e + c d_w, term by term
-            np.subtract(p[1:], p[:-1], out=acc)
-            np.add(acc, e, out=acc)
-            np.subtract(acc.ravel()[1:], e.ravel()[:-1], out=acc.ravel()[1:])
-            np.multiply(acc, k, out=acc)
-            np.add(u[:t], acc, out=dst[r0:r1])
+    def step(ks, q0_4, k):
+        for z in zeros:
+            z.fill(0.0)
+        np.subtract(u_s, u_n, out=ds_out)  # d_s = u(r+1) - u(r)
+        # d_e = u(j+1) - u(j) along the flattened rows; the mirrored border
+        # makes it 0 at a row end
+        np.subtract(u_e, u_w, out=de_0)
+        de_end.fill(0.0)
+        np.multiply(ds, ds, out=sq)
+        np.multiply(de, de, out=e)
+        # d_n(r) = -d_s(r-1) and d_w(j) = -d_e(j-1), so
+        # G = ((d_s^2(r-1) + d_s^2(r)) + d_e^2(j-1)) + d_e^2(j)
+        np.add(sq_n, sq_s, out=g)
+        np.add(g_1, e_0, out=g_1)
+        np.add(g, e, out=g)
+        # L = ((d_s(r) - d_s(r-1)) - d_e(j-1)) + d_e(j)
+        np.subtract(ds_s, ds_n, out=lap)
+        np.subtract(lap_1, de_0, out=lap_1)
+        np.add(lap, de, out=lap)
+        # q2 = (8 G - L^2) / (4 u + L)^2
+        np.multiply(lap, lap, out=sq_n)
+        np.multiply(g, 8.0, out=g)
+        np.subtract(g, sq_n, out=g)
+        np.multiply(u, 4.0, out=sq_n)
+        np.add(sq_n, lap, out=sq_n)
+        np.multiply(sq_n, sq_n, out=sq_n)
+        np.divide(g, sq_n, out=g)
+        # kc = min(ks / (q2 + q0_4), k), finite (see srad)
+        np.add(g, q0_4, out=g)
+        np.divide(ks, g, out=g)
+        np.fmin(g, k, out=g)
+        # P(r) = kc(r+1) d_s(r) is pixel r's kc_s d_s and -(pixel r+1's kc d_n);
+        # E(j) = kc(j+1) d_e(j) is pixel j's kc_e d_e and -(pixel j+1's kc d_w).
+        # Both are 0 where d_s and d_e are, as kc is finite; the tile's last E
+        # keeps its d_e^2 = 0, and P below the image is ds^2's zero row.
+        np.multiply(g, ds_n, out=sq_n)
+        np.multiply(kc_1, de_t0, out=et_0)
+        # u + (((P(r) - P(r-1)) + E(j)) - E(j-1)): the textbook sum
+        # kc_s d_s + kc d_n + kc_e d_e + kc d_w, term by term
+        np.subtract(p_s, p_n, out=acc)
+        np.add(acc, et, out=acc)
+        np.subtract(acc_1, et_0, out=acc_1)
+        np.add(u_t, acc, out=out)
+
+    return step
 
 
 def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:

@@ -36,9 +36,10 @@ def speckled_patch(rng, mean=128.0, sigma=0.25, size=64):
 
 
 def _srad_reference_field(img, params, dtype=np.float32):
-    """The straightforward SRAD loop: whole-image temporaries and
-    symmetric-padded copies of ``u`` and ``c`` each iteration. Returns the
-    float field before re-quantization.
+    """The straightforward SRAD loop over the expressions in ``srad``'s
+    docstring: whole-image temporaries and symmetric-padded copies of ``u``
+    and ``kc`` each iteration. Returns the float field before
+    re-quantization.
 
     In float32, the field's dtype, the step scalars are rounded from float64
     as ``_diffuse`` rounds them, and the field must match ``_diffuse`` bit
@@ -56,23 +57,23 @@ def _srad_reference_field(img, params, dtype=np.float32):
     for n in range(params.iterations):
         q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
         q0_sq = q0 * q0
-        q0_scale = dtype(q0_sq * (1.0 + q0_sq))
-        q0_sq = dtype(q0_sq)
+        q0_4 = dtype(q0_sq * q0_sq)
+        ks = k * dtype(q0_sq * (1.0 + q0_sq))
+        if not 0.0 < dtype(q0_sq) < np.inf:
+            continue  # the rule for a q0^2 that rounds to 0 or +inf
         p = np.pad(u, 1, mode="symmetric")
         d_n = p[:-2, 1:-1] - u
         d_s = p[2:, 1:-1] - u
         d_w = p[1:-1, :-2] - u
         d_e = p[1:-1, 2:] - u
-        grad_sq = (d_n * d_n + d_s * d_s + d_w * d_w + d_e * d_e) / (u * u)
-        lap = (d_n + d_s + d_w + d_e) / u
+        g = d_n * d_n + d_s * d_s + d_w * d_w + d_e * d_e
+        lap = d_s + d_n + d_w + d_e
+        s = 4 * u + lap
+        q_sq = (8 * g - lap * lap) / (s * s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q_sq = (0.5 * grad_sq - 0.0625 * lap * lap) / np.square(1.0 + 0.25 * lap)
-            c = 1.0 / (1.0 + (q_sq - q0_sq) / q0_scale)
-        c = np.clip(np.nan_to_num(c, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
-        cp = np.pad(c, 1, mode="symmetric")
-        c_s = cp[2:, 1:-1]
-        c_e = cp[1:-1, 2:]
-        u = u + k * (c_s * d_s + c * d_n + c_e * d_e + c * d_w)
+            kc = np.fmin(ks / (q_sq + q0_4), k)
+        kp = np.pad(kc, 1, mode="symmetric")
+        u = u + (kp[2:, 1:-1] * d_s + kc * d_n + kp[1:-1, 2:] * d_e + kc * d_w)
     return u
 
 
@@ -118,13 +119,51 @@ def pattern_image(pattern, height, width, rng):
     return img
 
 
-def count_off_oracle(img, params):
-    """Pixels where ``srad`` differs from the re-quantized float64 oracle;
-    asserts that none differs by more than one gray level."""
-    diff = srad(img, params).astype(np.int64) - _quantize(
-        _srad_reference_field(img, params, np.float64))
+def oracle_grid(rng):
+    """Every shape and pattern above, without and with a region."""
+    for pattern in PATTERNS:
+        for height in HEIGHTS:
+            for width, iterations in WIDTHS_ITERATIONS:
+                for with_region in [False, True]:
+                    img = pattern_image(pattern, height, width, rng)
+                    yield img, _region_params(img.shape, iterations, with_region)
+
+
+def count_off_oracle(img, params, oracle=None):
+    """Pixels where ``srad`` differs from the re-quantized float64 oracle
+    (computed unless given); asserts that none differs by more than one
+    gray level."""
+    if oracle is None:
+        oracle = _srad_reference_field(img, params, np.float64)
+    diff = srad(img, params).astype(np.int64) - _quantize(oracle)
     assert np.abs(diff).max() <= 1
     return np.count_nonzero(diff)
+
+
+def oracle_relative_error(img, params, oracle=None):
+    """The largest relative error of the float32 field before
+    re-quantization against the float64 oracle (computed unless given)."""
+    if oracle is None:
+        oracle = _srad_reference_field(img, params, np.float64)
+    field = enhance._diffuse(_field(img), params).astype(np.float64)
+    return np.max(np.abs(field - oracle) / oracle)
+
+
+def c_one_step(u, dt):
+    """One SRAD step from the field ``u`` with every c = 1, so that every
+    kc is k: u + (((k d_s + k d_n) + k d_e) + k d_w)."""
+    k = np.float32(0.25 * dt)
+    p = np.pad(u, 1, mode="symmetric")
+    d_n, d_s = p[:-2, 1:-1] - u, p[2:, 1:-1] - u
+    d_w, d_e = p[1:-1, :-2] - u, p[1:-1, 2:] - u
+    return u + (k * d_s + k * d_n + k * d_e + k * d_w)
+
+
+@pytest.fixture(scope="module")
+def film_oracles(benchmark_films):
+    """The float64 oracle field of each benchmark film, computed once."""
+    return [_srad_reference_field(film.image, SradParams(), np.float64)
+            for film in benchmark_films]
 
 
 def _clahe_float64_reference(img, params):
@@ -202,11 +241,11 @@ class TestSrad:
         img = pattern_image("random", height, width, rng)
         assert_field_matches_reference(img, iterations, with_region)
 
-    # On a 0/255 checkerboard 1 + lap/4 falls to about 1e-6 on the 255 cells,
-    # so q_sq is about 1e12 and c about 0; on its 0 cells, as on any flat
-    # pixel, c is above 1. A lone 255 whose region is all 0 floors q0 at 1e-8,
-    # so c = +inf on the flat background. c < 0, -inf and NaN cannot occur
-    # while u > 0: q_sq >= grad_sq / 4 >= 0 and 1 + lap/4 > 0.
+    # On a 0/255 checkerboard S = 4u + L falls to about 4e-6 on the 255
+    # cells, so q2 is about 1e12 and kc about 0. A lone 255 whose region is
+    # all 0 floors q0 at 1e-8, so ks / q0_4 is about 1e14 on the flat
+    # background and fmin clamps it to k. kc < 0 and NaN cannot occur while
+    # u > 0: q2 >= 0 and S > 0.
     @pytest.mark.parametrize("pattern", PATTERNS[1:])
     @pytest.mark.parametrize("height", HEIGHTS)
     @pytest.mark.parametrize("width,iterations", WIDTHS_ITERATIONS)
@@ -218,23 +257,36 @@ class TestSrad:
 
     def test_output_within_one_level_of_float64_oracle_on_grid(self, rng):
         # the float32 field's named bit change, over every shape and pattern
-        # above: measured 3 of 111,684 pixels, each off by one level
+        # above: measured 1 of 111,684 pixels, off by one level
         off = total = 0
-        for pattern in PATTERNS:
-            for height in HEIGHTS:
-                for width, iterations in WIDTHS_ITERATIONS:
-                    for with_region in [False, True]:
-                        img = pattern_image(pattern, height, width, rng)
-                        off += count_off_oracle(
-                            img, _region_params(img.shape, iterations, with_region))
-                        total += img.size
+        for img, params in oracle_grid(rng):
+            off += count_off_oracle(img, params)
+            total += img.size
         assert off <= 1e-4 * total
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["F", "G", "D"])
-    def test_film_output_within_one_level_of_float64_oracle(self, index, benchmark_films):
-        # measured 5, 6 and 4 of 1,048,576 pixels, each off by one level
+    def test_film_output_within_one_level_of_float64_oracle(self, index, benchmark_films,
+                                                            film_oracles):
+        # measured 4, 7 and 4 of 1,048,576 pixels, each off by one level
         img = benchmark_films[index].image
-        assert count_off_oracle(img, SradParams()) <= 1e-4 * img.size
+        assert count_off_oracle(img, SradParams(), film_oracles[index]) <= 1e-4 * img.size
+
+    def test_field_within_float64_oracle_error_on_grid(self, rng):
+        # the float field itself, before re-quantization hides its error.
+        # The bound is the largest relative error measured for the step's
+        # five-divide form, c = 1 / (1 + (q^2 - q0^2) / (q0^2 (1 + q0^2)))
+        # evaluated as written: 7.10e-6; the two-divide form measures 4.26e-6
+        worst = max(oracle_relative_error(img, params) for img, params in oracle_grid(rng))
+        assert worst <= 7.2e-6
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["F", "G", "D"])
+    def test_film_field_within_float64_oracle_error(self, index, benchmark_films,
+                                                    film_oracles):
+        # the bound is the five-divide form's largest relative error over
+        # the three films (6.86e-7, 7.51e-7, 7.30e-7); the two-divide form
+        # measures the same three maxima
+        img = benchmark_films[index].image
+        assert oracle_relative_error(img, SradParams(), film_oracles[index]) <= 7.6e-7
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -255,22 +307,26 @@ class TestSrad:
         assert_same_bits(enhance._diffuse(_field(img), params),
                          _srad_reference_field(img, params))
 
-    # from step 1 on, rho 1e4 sends q0^2 to 0 and rho -1e4 to +inf, where
-    # every c is NaN before the clamp (fmin alone would make it 1): the
-    # reference's c is 0 and those steps leave the field as it is
+    # from step 1 on, rho 1e4 sends q0^2 to 0, where ks is 0, and rho -1e4
+    # to +inf, where ks and q0_4 are +inf too (fmin alone would make every
+    # kc k, that is c = 1): both are skipped, so those steps leave the field
+    # as step 0 left it
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("rho", [1e4, -1e4])
     def test_degenerate_q0_matches_reference_bits(self, rho, rng):
         img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
         params = SradParams(iterations=4, q0_decay_rho=rho, homogeneous_region=(1, 1, 5, 5))
-        assert_same_bits(enhance._diffuse(_field(img), params),
-                         _srad_reference_field(img, params))
+        got = enhance._diffuse(_field(img), params)
+        assert_same_bits(got, _srad_reference_field(img, params))
+        assert_same_bits(got, enhance._diffuse(_field(img), replace(params, iterations=1)))
 
     def test_extreme_q0_decay_warns_nothing(self, rng):
         # rho -1e4 overflows q0^2 from step 1 on and exp itself from step 2;
-        # rho -4600 keeps q0^2 finite at step 1 but overflows q0^2 (1 + q0^2)
+        # rho -4600 keeps q0^2 finite in float64 at step 1 but overflows
+        # q0^4 there; rho -576 overflows the float32 q0^4 and ks, whose
+        # quotient is NaN, and rho -454 the float32 q0^4 alone
         img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
-        for rho in (-10000.0, -4600.0):
+        for rho in (-10000.0, -4600.0, -576.0, -454.0):
             params = SradParams(iterations=5, q0_decay_rho=rho)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -284,7 +340,8 @@ class TestSrad:
     def test_q0_sq_rounding_to_zero_in_float32_skips_the_step(self, rng):
         # rho 1200 takes q0 to exp(-60) at step 1 and exp(-120) at step 2:
         # q0^2 is finite and nonzero in float64 but rounds to 0 in float32,
-        # so both steps leave the field after step 0 as it is
+        # as do q0_4 and ks, so both steps leave the field after step 0 as
+        # it is
         q0_sq = np.exp(-60.0) ** 2
         assert q0_sq > 0 and np.float32(q0_sq) == 0
         img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
@@ -295,29 +352,45 @@ class TestSrad:
         assert_same_bits(got, _srad_reference_field(img, params))
         assert_same_bits(got, enhance._diffuse(_field(img), replace(params, iterations=1)))
 
-    def test_q0_scale_overflowing_float32_gives_c_one(self, rng):
-        # rho -576 takes q0 to exp(28.8) at step 1: q0^2 ~ 1e25 is finite in
-        # float32 but q0^2 (1 + q0^2) ~ 1e50 overflows the cast, so
-        # (q_sq - q0_sq) / q0_scale is a zero and c = 1 on every pixel, the
-        # flat ones included
-        q0_sq = np.exp(28.8) ** 2
-        assert np.isfinite(np.float32(q0_sq)) and np.isfinite(q0_sq * (1.0 + q0_sq))
-        with np.errstate(over="ignore"):
-            assert np.float32(q0_sq * (1.0 + q0_sq)) == np.inf
+    def assert_step_one_has_c_one(self, rho, rng):
+        """Two steps at ``q0_decay_rho = rho`` match the reference, and
+        step 1 is the step with c = 1 on every pixel, the flat ones
+        included."""
         img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
         img[:8] = 90
-        params = SradParams(iterations=2, q0_decay_rho=-576.0)
+        params = SradParams(iterations=2, q0_decay_rho=rho)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = enhance._diffuse(_field(img), params)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's cast
+            warnings.simplefilter("ignore", RuntimeWarning)  # the reference's casts
             assert_same_bits(got, _srad_reference_field(img, params))
-        # step 1 with c = 1: u + k (((d_s + d_n) + d_e) + d_w)
         u = enhance._diffuse(_field(img), replace(params, iterations=1))
-        p = np.pad(u, 1, mode="symmetric")
-        flux = (((p[2:, 1:-1] - u) + (p[:-2, 1:-1] - u)) + (p[1:-1, 2:] - u)) + (p[1:-1, :-2] - u)
-        assert_same_bits(got, u + np.float32(0.25 * params.time_step) * flux)
+        assert not np.array_equal(got, u)
+        assert_same_bits(got, c_one_step(u, params.time_step))
+
+    def test_q0_scale_overflowing_float32_gives_c_one(self, rng):
+        # rho -576 takes q0 to exp(28.8) at step 1: q0^2 ~ 1e25 is finite in
+        # float32 but q0^2 (1 + q0^2) ~ 1e50 and q0^4 overflow the cast, so
+        # ks and q0_4 are +inf, ks / (q2 + q0_4) is NaN and fmin makes every
+        # kc k
+        q0_sq = np.exp(28.8) ** 2
+        assert np.isfinite(np.float32(q0_sq)) and np.isfinite(q0_sq * (1.0 + q0_sq))
+        with np.errstate(over="ignore"):
+            assert np.float32(q0_sq * (1.0 + q0_sq)) == np.float32(q0_sq * q0_sq) == np.inf
+        self.assert_step_one_has_c_one(-576.0, rng)
+
+    def test_q0_4_overflowing_float32_alone_gives_c_one(self, rng):
+        # rho -454 takes q0 to exp(22.7) at step 1: q0^4 ~ 2.7e39 overflows
+        # the cast, but k q0^2 (1 + q0^2) ~ 3.4e37 does not. An ks rounded
+        # from that float64 product would make every kc ks / inf = 0 and the
+        # step the identity; k times the float32 q0^2 (1 + q0^2) overflows
+        # with q0_4, so every kc is k
+        q0_sq = np.exp(22.7) ** 2
+        with np.errstate(over="ignore"):
+            assert np.float32(q0_sq * q0_sq) == np.inf
+        assert np.isfinite(np.float32(0.25 * SradParams().time_step * q0_sq * (1.0 + q0_sq)))
+        self.assert_step_one_has_c_one(-454.0, rng)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
