@@ -27,9 +27,9 @@ TILE_ROWS = 64
 class SradParams:
     """Diffusion controls, checked when built: ``iterations >= 0``,
     ``time_step`` in (0, 0.25] (the explicit scheme's stable range) and a
-    finite ``q0_decay_rho``. ``homogeneous_region`` is an optional
+    finite ``q0_decay_rho >= 0``. ``homogeneous_region`` is an optional
     ``(x, y, width, height)`` rectangle used to estimate the initial speckle
-    scale; without it the scale starts at 1. The scale decays as
+    scale; without it the scale starts at 1. The scale only decays, as
     ``exp(-q0_decay_rho * t)`` with ``t`` the accumulated diffusion time.
     """
 
@@ -43,8 +43,8 @@ class SradParams:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not 0.0 < self.time_step <= 0.25:
             raise ValueError(f"time_step must be in (0, 0.25], got {self.time_step}")
-        if not np.isfinite(self.q0_decay_rho):
-            raise ValueError(f"q0_decay_rho must be finite, got {self.q0_decay_rho}")
+        if not 0.0 <= self.q0_decay_rho < np.inf:
+            raise ValueError(f"q0_decay_rho must be finite and >= 0, got {self.q0_decay_rho}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,13 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     is clamped to [0, 1]; ``q`` is the instantaneous coefficient of
     variation, ``q^2 = (grad^2 / 2 - lap^2 / 16) / (1 + lap / 4)^2``, built
     from the one-sided gradients and the Laplacian (Yu & Acton 2002).
-    Intensities are processed as ``v/255 + 1e-6`` and re-quantized by
-    round-half-up, which gives back every ``v`` from its float32 start value,
-    so zero iterations or a constant image (zero flux) return the input.
+    Without a ``homogeneous_region`` ``q0`` starts at 1, and ``c = 1``
+    wherever ``q <= q0``: the default run is the linear 5-point heat
+    equation over time 5 (in float64, ``c < 1`` on 0.26 % of a benchmark
+    film's pixels at the first step and on none at the last). Intensities
+    are processed as ``v/255 + 1e-6`` and re-quantized by round-half-up,
+    which gives back every ``v`` from its float32 start value, so zero
+    iterations or a constant image (zero flux) return the input.
 
     Step ``n`` evaluates, per pixel and left to right, over the four
     differences ``d = u(neighbour) - u``,
@@ -100,11 +104,11 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
 
     The field is float32; a float64 field makes every pass cost about twice
     as much, in divides and in memory traffic. ``q0`` and its decay are
-    computed in float64, and each step rounds ``q0^2``, ``q0^4`` and
-    ``q0^2 (1 + q0^2)`` to float32 once; ``ks`` is the last times the float32
-    ``k``. Re-quantization is in float64. The output can therefore differ
-    from a float64 evaluation of the same formulas by one gray level, on a
-    few pixels per megapixel.
+    computed in float64, and each step rounds ``q0^4`` and ``q0^2 (1 + q0^2)``
+    to float32 once; ``ks`` is the latter times the float32 ``k``.
+    Re-quantization is in float64. The output can therefore differ from a
+    float64 evaluation of the same formulas by one gray level, on a few
+    pixels per megapixel.
 
     The field lives in two image-sized float32 buffers: each step reads one
     and writes the other. The rows are split into contiguous bands, one per
@@ -143,29 +147,14 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     with a factor-2 margin over float32 rounding) gives ``8 G - L^2 >= 0``,
     so ``0 <= q2 < 4e12``, and a pixel with a nonzero difference has
     ``q2 >= 3e-27``. ``q2 + q0_4 > 0`` there, and ``ks`` or ``q0_4`` below
-    the normal range moves its ``kc`` by less than 1e-17. A flat pixel
-    (every difference 0) has ``q2 = 0`` and ``ks / q0_4``, +inf once
-    ``q0_4`` underflows to 0; its ``kc`` only ever multiplies zeros, and
-    ``fmin`` makes every ``kc`` finite: it sends +inf, and NaN, to ``k``.
-    The only NaN is ``inf / inf``, where ``ks`` and ``q0_4`` both overflow:
-    then ``q0^2 > 1.8e19``, every exact ``c`` is at least 1, and ``k`` is
-    right. ``q0^4 <= q0^2 (1 + q0^2)`` with monotone rounding means ``ks``
-    is +inf whenever ``q0_4`` is, so ``kc`` is ``k`` and never
-    ``ks / inf = 0`` (an ``ks`` rounded from float64 ``k q0^2 (1 + q0^2)``
-    stays finite up to ``q0^4 ~ 2.7e40`` at dt 0.05). A step is skipped when
-    its float32 ``q0^2`` is +inf, and when its ``ks`` is 0, which includes
-    ``q0^2`` rounding to 0 and makes every non-flat ``kc`` 0: that step is
-    the identity.
+    the normal range moves its ``kc`` by less than 1e-17. The scale only
+    decays from its start, 1 without a homogeneous region and below
+    ``sqrt(N)`` (1024 on a 1024x1024 film) from an N-pixel one, so no scalar
+    overflows. A step with ``ks = 0`` is the identity and is skipped, so the
+    one zero divisor is a flat pixel's (``q2 = 0``) once ``q0_4`` underflows:
+    ``ks / 0 = +inf`` goes to ``k`` by ``fmin`` and only multiplies zeros.
     """
-    a = as_gray_image(img)
-    if params.homogeneous_region is not None:
-        x, y, w, h = params.homogeneous_region
-        if not (x >= 0 and y >= 0 and w >= 1 and h >= 1
-                and x + w <= a.shape[1] and y + h <= a.shape[0]):
-            raise ValueError(f"homogeneous_region {params.homogeneous_region} is not "
-                             f"inside the {a.shape[1]}x{a.shape[0]} image")
-
-    u = (a.astype(np.float64) / 255.0 + _EPS).astype(np.float32, order="C")
+    u = (as_gray_image(img).astype(np.float64) / 255.0 + _EPS).astype(np.float32, order="C")
     field = _diffuse(u, params).astype(np.float64)
     return np.clip(np.floor(field * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
 
@@ -182,19 +171,20 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     """The float field after ``params.iterations`` SRAD steps from ``u``.
 
     ``u`` must be C-ordered float32; it serves as one of the two field
-    buffers and is overwritten. ``q0`` starts from the whole image's
-    homogeneous region and decays in float64; each step rounds its scalars
-    to float32 once.
+    buffers and is overwritten. ``q0`` starts from the homogeneous region
+    (inside ``u``) and decays in float64; each step rounds its scalars once.
     """
+    height, width = u.shape
     if params.homogeneous_region is not None:
         x, y, w, h = params.homogeneous_region
+        if not (x >= 0 and y >= 0 and w >= 1 and h >= 1 and x + w <= width and y + h <= height):
+            raise ValueError(f"homogeneous_region {params.homogeneous_region} is not "
+                             f"inside the {width}x{height} image")
         region = u[y:y + h, x:x + w].astype(np.float64)
-        q0_init = float(region.std() / region.mean())
-        q0_init = max(q0_init, 1e-8)
+        q0_init = max(float(region.std() / region.mean()), 1e-8)
     else:
         q0_init = 1.0
 
-    height, width = u.shape
     tiles = [(r, min(r + TILE_ROWS, height)) for r in range(0, height, TILE_ROWS)]
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
@@ -211,15 +201,11 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     k = np.float32(0.25 * dt)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for n in range(params.iterations):
-            # an extreme q0_decay_rho overflows these scalars to +inf, in
-            # float64 or in the cast; the skip below and fmin handle it (see srad)
-            with np.errstate(over="ignore"):
-                q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
-                q0_sq = q0 * q0
-                q0_4 = np.float32(q0_sq * q0_sq)
-                ks = k * np.float32(q0_sq * (1.0 + q0_sq))
-                q0_sq = np.float32(q0_sq)
-            if not (ks > 0.0 and q0_sq < np.inf):
+            q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
+            q0_sq = q0 * q0
+            q0_4 = np.float32(q0_sq * q0_sq)
+            ks = k * np.float32(q0_sq * (1.0 + q0_sq))
+            if not ks > 0.0:
                 continue  # the step leaves the field as it is
             # every band is joined before the buffers swap: the next step
             # reads rows that other workers wrote in this one
@@ -230,7 +216,7 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
 
 def _srad_band(tile_steps, ks, q0_4, k) -> None:
     """One SRAD step for the tiles of one band, with this step's scalars."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):  # a flat pixel's ks / 0 (see srad)
         for step in tile_steps:
             step(ks, q0_4, k)
 
@@ -334,8 +320,7 @@ def _axis_interp(edges: np.ndarray):
     i0 = np.clip(idx, 0, len(centers) - 1)
     i1 = np.clip(idx + 1, 0, len(centers) - 1)
     span = centers[i1] - centers[i0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(span > 0, (coords - centers[i0]) / np.where(span > 0, span, 1.0), 0.0)
+    w = np.where(span > 0, (coords - centers[i0]) / np.where(span > 0, span, 1.0), 0.0)
     return i0, i1, np.clip(w, 0.0, 1.0)
 
 

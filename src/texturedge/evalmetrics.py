@@ -111,6 +111,15 @@ def f_measure_from_precision_recall(precision: float, recall: float) -> float:
     return 2.0 / (1.0 / precision + 1.0 / recall)
 
 
+def reference_counts(truth: np.ndarray) -> tuple[int, int]:
+    """Positive and negative pixels of a boolean reference; ROC needs one of each."""
+    n_pos = int(np.count_nonzero(truth))
+    for count, kind in ((n_pos, "positive"), (truth.size - n_pos, "negative")):
+        if count == 0:
+            raise TexturedgeError(f"reference has no {kind} pixels in the evaluated region")
+    return n_pos, truth.size - n_pos
+
+
 def roc_az(scores, truth) -> RocCurve:
     """ROC curve from per-pixel scores against a boolean reference.
 
@@ -123,12 +132,7 @@ def roc_az(scores, truth) -> RocCurve:
     if s.shape != t.shape:
         raise TexturedgeError(f"score/truth shapes differ: {s.shape} vs {t.shape}")
     s, t = s.ravel(), t.ravel()
-    n_pos = int(np.count_nonzero(t))
-    n_neg = t.size - n_pos
-    if n_pos == 0:
-        raise TexturedgeError("reference has no positive pixels in the evaluated region")
-    if n_neg == 0:
-        raise TexturedgeError("reference has no negative pixels in the evaluated region")
+    n_pos, n_neg = reference_counts(t)
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]

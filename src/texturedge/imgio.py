@@ -267,14 +267,18 @@ class RoiCrop:
         return self.image.shape[0]
 
 
+def check_margin_factor(margin_factor: float) -> None:
+    if not margin_factor >= 1.0:  # false for NaN too
+        raise ValueError(f"margin_factor must be >= 1, got {margin_factor}")
+
+
 def extract_roi(img, roi: RoiSpec) -> RoiCrop:
     """Crop the square of side ``2 * radius * margin_factor`` around the center,
     clamped to the image bounds."""
     a = as_gray_image(img)
     if roi.radius <= 0:
         raise ValueError(f"radius must be positive, got {roi.radius}")
-    if not roi.margin_factor >= 1.0:  # false for NaN too
-        raise ValueError(f"margin_factor must be >= 1, got {roi.margin_factor}")
+    check_margin_factor(roi.margin_factor)
     h, w = a.shape
     if not (0 <= roi.center_x < w and 0 <= roi.center_y < h):
         raise TexturedgeError(f"center ({roi.center_x}, {roi.center_y}) outside {w}x{h} image")

@@ -31,10 +31,12 @@ from .evalmetrics import (
     circle_mask,
     confusion,
     metrics,
+    reference_counts,
     roc_az,
     roc_points_csv,
 )
-from .imgio import MiasRecord, RoiCrop, RoiSpec, extract_roi, parse_mias_index, read_pgm, write_pgm
+from .imgio import (MiasRecord, RoiCrop, RoiSpec, check_margin_factor, extract_roi,
+                    parse_mias_index, read_pgm, write_pgm)
 from .texture import (
     ANGLES,
     Descriptor,
@@ -99,6 +101,9 @@ class SegmentConfig:
 @dataclass(frozen=True)
 class RoiConfig:
     margin_factor: float = 1.5
+
+    def __post_init__(self):
+        check_margin_factor(self.margin_factor)
 
 
 @dataclass(frozen=True)
@@ -246,11 +251,11 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     return located[0] if located else matches[0]
 
 
-def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> np.ndarray:
-    """The image, read once, after what ``run_pipeline`` refuses before SRAD:
-    no image file, no circle, a PGM that does not decode, a circle or margin
-    that ``crop_roi`` refuses (enhancement keeps the shape, so the enhanced
-    crop passes too). A PGM or circle refusal names the id and the file."""
+def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The image, read once, and its crop's circle truth (enhancement keeps
+    the shape), after what ``run_pipeline`` refuses before SRAD: no image
+    file or circle, an undecodable PGM, a circle ``crop_roi`` refuses or one
+    covering the crop. A PGM or circle refusal names the id and the file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
         raise TexturedgeError(f"no image file at {Path(image)}")
@@ -258,11 +263,13 @@ def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> np.ndarray:
         raise TexturedgeError(f"record {record.ref_id} has no center/radius annotation")
     try:
         img = read_pgm(image) if from_file else image
-        crop_roi(img, record, roi)
+        crop, (cx, cy) = crop_roi(img, record, roi)
+        truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
+        reference_counts(truth)
     except TexturedgeError as exc:
         source = f" ({Path(image)})" if from_file else ""
         raise TexturedgeError(f"id {record.ref_id}{source}: {exc}") from None
-    return img
+    return img, truth
 
 
 def run_pipeline(image, record: MiasRecord,
@@ -287,13 +294,12 @@ def run_pipeline(image, record: MiasRecord,
     chance even when the mask is good: 0.253/0.530/0.434 against Dice
     0.64/0.80/0.77 on the three synthetic test cases.
     """
-    img = _check_run_input(image, record, config.roi)
+    img, truth = _check_run_input(image, record, config.roi)
     enhanced = enhance_image(img, config)
     crop, (cx, cy) = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
     threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
 
-    truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
     roc = roc_az(sum_map, truth)
     if config.eval.full_image:
         h, w = img.shape

@@ -197,8 +197,12 @@ class TestConfigFlags:
         (["--margin", "0.5"], None, "margin_factor must be >= 1, got 0.5"),
         # glcm.symmetric cannot change a contrast map, the only map pipeline makes
         ([], {"glcm": {"symmetric": True}}, "unknown fields in config.glcm: ['symmetric']"),
+        ([], {"srad": {"q0_decay_rho": -0.05}}, "q0_decay_rho must be finite and >= 0, got -0.05"),
     ])
-    def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, capsys):
+    def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, monkeypatch,
+                                               capsys):
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
         image = tmp_path / f"{ref}.pgm"
         write_pgm(image, synth_mass_image(seed, cx, cy, r))
@@ -209,6 +213,7 @@ class TestConfigFlags:
                        "--record", synth_index_line(ref, tissue, cx, cy, r),
                        "--out", str(tmp_path / "out"), *flags) == 1
         assert f"texturedge: {message}" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--srad-iterations", "-1"], ["--srad-time-step", "0.3"], ["--clahe-clip", "0"],
@@ -430,6 +435,14 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--dataset", str(synth_dataset),
                        "--ids", "zz001", "--out", str(tmp_path / "x")) == 2
 
+    def test_margin_refused_with_no_ids(self, synth_dataset, tmp_path, capsys):
+        # no id makes no crop: RoiConfig's own rule refuses the margin
+        out = tmp_path / "x"
+        assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids",
+                       "--margin", "0.5", "--out", str(out)) == 1
+        assert "texturedge: margin_factor must be >= 1, got 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_index_id_cannot_leave_the_dataset_or_out(self, tmp_path):
         dataset = tmp_path / "data" / "set"
         dataset.mkdir(parents=True)
@@ -457,11 +470,13 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("bad,message", [
         ("sy008", "raster has 8184 of 16384 bytes"),
         ("sy009", "center (500, 107) outside 128x128 image"),
+        ("sy010", "reference has no negative pixels in the evaluated region"),
     ])
     def test_bad_image_or_circle_runs_nothing_and_writes_nothing(
             self, bad, message, refusal_dataset, tmp_path, monkeypatch, capsys):
-        # a PGM that does not decode and a circle outside its image, after
-        # two good ids: both are found before the first film runs
+        # a PGM that does not decode, a circle outside its image and one
+        # that covers its whole crop, after two good ids: each is found
+        # before the first film runs
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         out = tmp_path / "a" / "out"

@@ -318,12 +318,15 @@ class TestExperiment:
         pytest.param("sy008", "raster has 8184 of 16384 bytes", id="sy008-TruncatedDataError"),
         pytest.param("sy009", "center (500, 107) outside 128x128 image",
                      id="sy009-CenterOutOfBoundsError"),
+        pytest.param("sy010", "reference has no negative pixels in the evaluated region",
+                     id="sy010-CircleCoversCrop"),
     ])
     def test_bad_image_or_circle_stops_the_run_before_any_image(
             self, bad, message, refusal_dataset, tmp_path, monkeypatch):
-        # a PGM that does not decode and a circle outside its image are
-        # found before the first film, not after sy001's tree is written;
-        # the refusal names the id and its file
+        # a PGM that does not decode, a circle outside its image and one
+        # that leaves its crop no negative pixel to score are found before
+        # the first film, not after sy001's tree is written; the refusal
+        # names the id and its file
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         where = f"id {bad} ({refusal_dataset / f'{bad}.pgm'}): "
