@@ -221,6 +221,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.roc_csv and not args.scores:
+        raise ValueError("--roc-csv needs --scores")
     pred = read_pgm(args.pred) >= 128
     truth = read_pgm(args.truth) >= 128
     report = metrics(confusion(pred, truth))
@@ -231,8 +233,6 @@ def _cmd_eval(args) -> int:
         doc["az"] = curve.az
         if args.roc_csv:
             Path(args.roc_csv).write_text(roc_points_csv(curve))
-    elif args.roc_csv:
-        raise ValueError("--roc-csv needs --scores")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text)

@@ -10,7 +10,9 @@ All functions here are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -20,8 +22,6 @@ from .errors import MalformedLineError, TexturedgeError
 TISSUE_CLASSES = ("F", "G", "D")
 ABNORMALITY_CLASSES = ("CALC", "CIRC", "SPIC", "MISC", "ARCH", "ASYM", "NORM")
 SEVERITY_CLASSES = ("B", "M")
-
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
 
 def as_gray_image(arr) -> np.ndarray:
@@ -46,30 +46,13 @@ def as_gray_image(arr) -> np.ndarray:
 # PGM codec
 # ---------------------------------------------------------------------------
 
-def _header_fields(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read *count* whitespace-delimited header fields, honoring ``#`` comments.
-
-    Returns the fields and the offset one byte past the single whitespace
-    character that terminates the last field (where a P5 raster begins).
-    """
-    fields: list[bytes] = []
-    i, n = 0, len(data)
-    while len(fields) < count:
-        while i < n and data[i] in _WHITESPACE:
-            i += 1
-        if i < n and data[i] == 0x23:  # '#'
-            while i < n and data[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
-            i += 1
-        if i == start:
-            raise TexturedgeError("header ended early")
-        fields.append(data[start:i])
-    if i < n and data[i] in _WHITESPACE:
-        i += 1
-    return fields, i
+# One field after any whitespace and ``#`` comments, with the one whitespace
+# byte that ends it, or else the stream's end, where group 1 is unset and
+# ``findall`` gives ``b""``. A comment runs to its newline, so no field starts
+# inside one, and successive matches tile the stream in linear time. A P5
+# raster starts where the fourth field's match ends.
+_FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?=\n|\Z))*"
+                    rb"(?:([^ \t\n\r\x0b\x0c#]+)[ \t\n\r\x0b\x0c]?|\Z)")
 
 
 def _decimal(token: str) -> int:
@@ -96,7 +79,10 @@ def decode_pgm(data: bytes) -> np.ndarray:
     if len(data) < 2 or data[:2] not in (b"P2", b"P5"):
         raise TexturedgeError(f"not a P2/P5 PGM stream (starts with {data[:2]!r})")
     magic = data[:2]
-    fields, pos = _header_fields(data, 4)
+    header = list(islice(_FIELD.finditer(data), 4))
+    fields = [m[1] for m in header]
+    if None in fields:
+        raise TexturedgeError("header ended early")
     if fields[0] != magic:
         raise TexturedgeError(f"malformed magic token {fields[0]!r}")
     width = _header_int(fields[1], "width")
@@ -106,7 +92,7 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise TexturedgeError(f"maxval {maxval} not supported (must be 255)")
     if width < 1 or height < 1:
         raise TexturedgeError(f"invalid header: width={width} height={height} maxval={maxval}")
-    n = width * height
+    n, pos = width * height, header[3].end()
     if magic == b"P5":
         raster = data[pos:pos + n]
         if len(raster) < n:
@@ -115,10 +101,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
     else:
         # P2: whitespace-separated ASCII samples (comments tolerated), range
         # checked as Python ints, so one too wide for int64 is only out of range
-        try:
-            samples, _ = _header_fields(data[pos:], n)
-        except TexturedgeError:
-            raise TexturedgeError(f"fewer than {n} ASCII samples") from None
+        samples = _FIELD.findall(data, pos)[:n]
+        if not samples[-1]:  # the stream ended first
+            raise TexturedgeError(f"fewer than {n} ASCII samples")
         arr = [_header_int(tok, "sample") for tok in samples]
         if min(arr) < 0 or max(arr) > 255:
             raise TexturedgeError("sample value outside [0, maxval]")
@@ -167,6 +152,12 @@ class MiasRecord:
         return self.radius is not None
 
 
+def check_geometry(record: MiasRecord) -> None:
+    """Refuse a record without the circle its ROI and proxy truth need."""
+    if not record.has_geometry:
+        raise TexturedgeError(f"record {record.ref_id} has no center/radius annotation")
+
+
 def parse_mias_index(text: str) -> list[MiasRecord]:
     """Parse the annotation index; returns records in input order.
 
@@ -187,37 +178,30 @@ def parse_mias_index(text: str) -> list[MiasRecord]:
         tokens = line.split()
         if len(tokens) < 3:
             raise MalformedLineError(lineno, f"expected at least 3 fields, got {len(tokens)}")
-        ref, tissue, abnorm = tokens[0], tokens[1], tokens[2]
+        ref, tissue, abnorm, *rest = tokens
         if ref in (".", "..") or "/" in ref or "\\" in ref:
             raise MalformedLineError(lineno, f"id {ref!r} is not a plain file name")
         if tissue not in TISSUE_CLASSES:
             raise MalformedLineError(lineno, f"unknown tissue class {tissue!r}")
         if abnorm not in ABNORMALITY_CLASSES:
             raise MalformedLineError(lineno, f"unknown abnormality {abnorm!r}")
-        if abnorm == "NORM":
-            if len(tokens) != 3:
-                raise MalformedLineError(lineno, "NORM lines carry no further fields")
-            records.append(MiasRecord(ref, tissue, abnorm))
-            continue
-        if len(tokens) == 3:
-            records.append(MiasRecord(ref, tissue, abnorm))
-            continue
-        severity = tokens[3]
-        if severity not in SEVERITY_CLASSES:
+        if abnorm == "NORM" and rest:
+            raise MalformedLineError(lineno, "NORM lines carry no further fields")
+        severity, *geometry = rest or [None]
+        if rest and severity not in SEVERITY_CLASSES:
             raise MalformedLineError(lineno, f"unknown severity {severity!r}")
-        if len(tokens) == 4:
-            records.append(MiasRecord(ref, tissue, abnorm, severity))
-            continue
-        if len(tokens) != 7:
+        if len(geometry) not in (0, 3):
             raise MalformedLineError(lineno, f"expected 3, 4, or 7 fields, got {len(tokens)}")
-        try:
-            x, y, r = (_decimal(t) for t in tokens[4:])
-        except ValueError:
-            raise MalformedLineError(lineno, "geometry fields must be integers") from None
-        if x < 0 or y < 0:
-            raise MalformedLineError(lineno, "negative center coordinates")
-        if r <= 0:
-            raise MalformedLineError(lineno, f"radius must be positive, got {r}")
+        x = y = r = None
+        if geometry:
+            try:
+                x, y, r = (_decimal(t) for t in geometry)
+            except ValueError:
+                raise MalformedLineError(lineno, "geometry fields must be integers") from None
+            if x < 0 or y < 0:
+                raise MalformedLineError(lineno, "negative center coordinates")
+            if r <= 0:
+                raise MalformedLineError(lineno, f"radius must be positive, got {r}")
         records.append(MiasRecord(ref, tissue, abnorm, severity, x, y, r))
     return records
 
@@ -244,8 +228,7 @@ class RoiSpec:
     def from_mias(cls, record: MiasRecord, image_height: int,
                   margin_factor: float) -> "RoiSpec":
         """Build a spec from an annotation record, flipping the y origin."""
-        if not record.has_geometry:
-            raise ValueError(f"record {record.ref_id} has no circle geometry")
+        check_geometry(record)
         return cls(record.center_x, mias_to_image_y(record.center_y, image_height),
                    record.radius, margin_factor)
 

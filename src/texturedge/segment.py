@@ -49,10 +49,14 @@ def otsu_threshold(texture_map) -> float:
     return lo + (int(np.argmax(var)) + 1) * (hi - lo) / 256.0
 
 
-def binarize(texture_map, threshold: float) -> np.ndarray:
-    """Boolean mask: bit set iff map value >= threshold."""
+def check_threshold(threshold: float) -> None:
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+
+
+def binarize(texture_map, threshold: float) -> np.ndarray:
+    """Boolean mask: bit set iff map value >= threshold."""
+    check_threshold(threshold)
     return np.asarray(texture_map, dtype=np.float64) >= threshold
 
 

@@ -172,6 +172,9 @@ class TestConfigFlags:
         ("percentile:101", "percentile must be in [0, 100], got 101.0"),
         ("fixed:abc", "could not convert string to float: 'abc'"),
         ("median", "threshold must be 'otsu', 'fixed:T', or 'percentile:P', got 'median'"),
+        ("fixed:inf", "threshold must be finite, got inf"),
+        ("fixed:-inf", "threshold must be finite, got -inf"),
+        ("fixed:nan", "threshold must be finite, got nan"),
     ])
     def test_bad_threshold_flag_names_its_fault(self, value, message, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -634,3 +637,10 @@ class TestEvalScopeAndRoc:
         assert run_cli("eval", "--pred", str(tmp_path / "m.pgm"),
                        "--truth", str(tmp_path / "m.pgm"),
                        "--roc-csv", str(tmp_path / "roc.csv")) == 1
+
+    def test_roc_csv_without_scores_is_refused_before_the_masks_are_read(self, tmp_path, capsys):
+        assert run_cli("eval", "--pred", str(tmp_path / "missing.pgm"),
+                       "--truth", str(tmp_path / "missing.pgm"),
+                       "--roc-csv", str(tmp_path / "roc.csv")) == 1
+        assert "--roc-csv needs --scores" in capsys.readouterr().err
+        assert not (tmp_path / "roc.csv").exists()

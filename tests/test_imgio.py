@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from texturedge import (
     parse_mias_index,
 )
 from texturedge.errors import MalformedLineError, TexturedgeError
+from texturedge.imgio import _header_int
 
 # a P2/P5 header of small, zero or negative fields, then arbitrary bytes or
 # ASCII integers of any width, ones past int64 included
@@ -26,6 +28,93 @@ pgm_streams = st.builds(
     st.one_of(st.binary(max_size=32),
               st.lists(st.integers() | st.integers(min_value=2 ** 63), max_size=20)
               .map(lambda samples: b" ".join(b"%d" % v for v in samples))))
+
+# every whitespace byte, comments, ``#`` ending a token, and odd fields: signs,
+# underscores, NUL bytes, integers past int64
+_SEPARATORS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"] * 3
+                                       + [b"", b"#", b"#\n", b"# 1 2\n", b"#x\r"]),
+                       min_size=1, max_size=2).map(b"".join)
+_ODD_FIELDS = [b"-1", b"+2", b"1_0", b"2#5", b"\x00", b"2\x00", b"P5", b"0255",
+               b"99999999999999999999999"]
+
+
+@st.composite
+def pgm_like_streams(draw):
+    """A magic, three header fields and up to 8 samples, each after a drawn
+    separator, then a tail of raw bytes, the whole maybe cut short."""
+    parts = [draw(st.sampled_from([b"P2", b"P5"] * 3 + [b"P5x", b"P2#"]))]
+    side = st.sampled_from([b"1", b"2", b"3"] * 6 + _ODD_FIELDS)
+    header = [draw(side), draw(side), draw(st.sampled_from([b"255"] * 18 + _ODD_FIELDS))]
+    samples = draw(st.lists(st.sampled_from(_ODD_FIELDS) | st.integers(0, 300).map(b"%d".__mod__),
+                            max_size=8))
+    for field in header + samples:
+        parts += [draw(_SEPARATORS), field]
+    data = b"".join(parts) + draw(_SEPARATORS) + draw(st.binary(max_size=8))
+    return data[:draw(st.sampled_from([None] * 4) | st.integers(0, len(data)))]
+
+
+_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+
+
+def oracle_fields(data: bytes, count: int) -> tuple[list[bytes], int]:
+    """The byte-at-a-time tokenizer ``decode_pgm`` once used: *count* fields,
+    honoring ``#`` comments, and the offset one byte past the whitespace
+    that ends the last field."""
+    fields: list[bytes] = []
+    i, n = 0, len(data)
+    while len(fields) < count:
+        while i < n and data[i] in _WHITESPACE:
+            i += 1
+        if i < n and data[i] == 0x23:  # '#'
+            while i < n and data[i] != 0x0A:
+                i += 1
+            continue
+        start = i
+        while i < n and data[i] not in _WHITESPACE and data[i] != 0x23:
+            i += 1
+        if i == start:
+            raise TexturedgeError("header ended early")
+        fields.append(data[start:i])
+    if i < n and data[i] in _WHITESPACE:
+        i += 1
+    return fields, i
+
+
+def oracle_decode(data: bytes) -> np.ndarray:
+    """``decode_pgm`` as it read fields through ``oracle_fields``."""
+    if len(data) < 2 or data[:2] not in (b"P2", b"P5"):
+        raise TexturedgeError(f"not a P2/P5 PGM stream (starts with {data[:2]!r})")
+    fields, pos = oracle_fields(data, 4)
+    if fields[0] != data[:2]:
+        raise TexturedgeError(f"malformed magic token {fields[0]!r}")
+    width, height, maxval = (_header_int(f, what)
+                             for f, what in zip(fields[1:], ("width", "height", "maxval")))
+    if maxval != 255:
+        raise TexturedgeError(f"maxval {maxval} not supported (must be 255)")
+    if width < 1 or height < 1:
+        raise TexturedgeError(f"invalid header: width={width} height={height} maxval={maxval}")
+    n = width * height
+    if data[:2] == b"P5":
+        raster = data[pos:pos + n]
+        if len(raster) < n:
+            raise TexturedgeError(f"raster has {len(raster)} of {n} bytes")
+        return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    try:
+        samples, _ = oracle_fields(data[pos:], n)
+    except TexturedgeError:
+        raise TexturedgeError(f"fewer than {n} ASCII samples") from None
+    values = [_header_int(tok, "sample") for tok in samples]
+    if min(values) < 0 or max(values) > 255:
+        raise TexturedgeError("sample value outside [0, maxval]")
+    return np.array(values, dtype=np.uint8).reshape(height, width)
+
+
+def decode_outcome(decode, data: bytes):
+    try:
+        return decode(data)
+    except TexturedgeError as exc:
+        return str(exc)
+
 
 # lines of index-like tokens mixed with arbitrary text
 mias_texts = st.lists(
@@ -113,6 +202,24 @@ class TestDecodePgm:
     def test_negative_fields_keep_their_messages(self, data, message):
         with pytest.raises(TexturedgeError, match=message):
             decode_pgm(data)
+
+    @given(pgm_like_streams())
+    @settings(max_examples=600, deadline=None)
+    def test_decode_matches_the_byte_loop_oracle(self, data):
+        got, want = decode_outcome(decode_pgm, data), decode_outcome(oracle_decode, data)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("data", [b"P5" + b" " * 2 ** 20, b"P5\n" + b"# c\n" * 100_000],
+                             ids=["1MB_whitespace", "100k_comment_lines"])
+    def test_empty_header_is_refused_in_linear_time(self, data):
+        start = time.process_time()
+        with pytest.raises(TexturedgeError, match="header ended early"):
+            decode_pgm(data)
+        assert time.process_time() - start < 1.0
 
     @given(pgm_streams)
     @settings(max_examples=300, deadline=None)
@@ -208,6 +315,19 @@ class TestParseMiasIndex:
         with pytest.raises(MalformedLineError):
             parse_mias_index(line)
 
+    @pytest.mark.parametrize("text,line_number,message", [
+        ("mdb001 G CIRC B 1", 1, "expected 3, 4, or 7 fields, got 5"),
+        ("mdb003 D NORM\nmdb001 G CIRC B 1 2", 2, "expected 3, 4, or 7 fields, got 6"),
+        ("\n\nmdb001 G CIRC B 1 2 3 4", 3, "expected 3, 4, or 7 fields, got 8"),
+        ("mdb001 G CIRC Z 1", 1, "unknown severity 'Z'"),  # severity before arity
+        ("mdb003 D NORM B 1", 1, "NORM lines carry no further fields"),
+    ])
+    def test_field_count_refusals(self, text, line_number, message):
+        with pytest.raises(MalformedLineError) as excinfo:
+            parse_mias_index(text)
+        assert excinfo.value.line_number == line_number
+        assert str(excinfo.value) == f"line {line_number}: {message}"
+
     def test_negative_center_keeps_its_message(self):
         with pytest.raises(MalformedLineError, match="negative center coordinates"):
             parse_mias_index("mdb001 F CIRC B -3 10 5")
@@ -263,7 +383,8 @@ class TestRoi:
             extract_roi(np.zeros((10, 10), dtype=np.uint8), RoiSpec(50, 5, 3, 1.0))
 
     def test_norm_record_has_no_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TexturedgeError,
+                           match="record mdb003 has no center/radius annotation"):
             RoiSpec.from_mias(MiasRecord("mdb003", "D", "NORM"), 1024, 1.5)
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(1, 40),

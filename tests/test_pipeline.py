@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -22,9 +23,11 @@ from texturedge import (
     serialize_config,
 )
 from texturedge import pipeline
+from texturedge.enhance import srad
 from texturedge.errors import TexturedgeError
 from texturedge.pipeline import (
     EvalConfig,
+    SegmentConfig,
     experiment_csv,
     experiment_jsonl,
     tissue_aggregates,
@@ -174,6 +177,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("method,value", [
         ("fixed", None), ("percentile", None), ("percentile", 150.0), ("magic", 1.0),
+        ("fixed", math.inf), ("fixed", -math.inf), ("fixed", math.nan),
     ])
     def test_threshold_validation(self, method, value):
         with pytest.raises(ValueError):
@@ -293,6 +297,15 @@ class TestExperiment:
     def test_norm_only_record(self, synth_dataset):
         with pytest.raises(TexturedgeError, match="record sy004 has no center/radius annotation"):
             run_experiment(synth_dataset, ["sy004"])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fixed_threshold_runs_no_srad(self, value, synth_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args) or srad(*args))
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            run_experiment(synth_dataset, [SYNTH_CASES[0][0]], PipelineConfig(
+                segment=SegmentConfig(ThresholdSpec("fixed", value))))
+        assert calls == []
 
     def test_missing_image(self, tmp_path):
         (tmp_path / "Info.txt").write_text("sy010 F CIRC B 20 20 5\n")
