@@ -123,9 +123,13 @@ def reference_counts(truth: np.ndarray) -> tuple[int, int]:
 def roc_az(scores, truth) -> RocCurve:
     """ROC curve from per-pixel scores against a boolean reference.
 
-    Thresholds sweep the sorted unique score values (plus sentinels at both
-    ends); a pixel is classified positive when its score >= threshold. The
-    area is the trapezoidal integral of the (fpr, tpr) points.
+    Thresholds sweep the distinct score values (plus sentinels at both
+    ends); a pixel is classified positive when its score >= threshold, so
+    tied scores, ``-0.0`` and ``0.0`` or two infinities included, form one
+    threshold and one point. The area is the trapezoidal integral of the
+    (fpr, tpr) points. Each point's counts come from one sort of all scores
+    and one of the positives' scores. Raises ``TexturedgeError`` on a NaN
+    score, which no threshold orders.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truth, dtype=bool)
@@ -134,14 +138,13 @@ def roc_az(scores, truth) -> RocCurve:
     s, t = s.ravel(), t.ravel()
     n_pos, n_neg = reference_counts(t)
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    t_sorted = t[order]
-    # last index of each tied group of scores
-    boundary = np.nonzero(np.diff(s_sorted))[0]
-    group_ends = np.concatenate([boundary, [s.size - 1]])
-    cum_tp = np.cumsum(t_sorted)[group_ends]
-    cum_fp = (group_ends + 1) - cum_tp
+    ascending = np.sort(s)
+    if np.isnan(ascending[-1]):  # NaN sorts last
+        raise TexturedgeError("scores hold a NaN")
+    # first index of each distinct score, highest score first
+    firsts = np.concatenate([[0], np.flatnonzero(ascending[1:] != ascending[:-1]) + 1])[::-1]
+    cum_tp = n_pos - np.searchsorted(np.sort(s[t]), ascending[firsts], side="left")
+    cum_fp = (s.size - firsts) - cum_tp
     tpr = np.concatenate([[0.0], cum_tp / n_pos, [1.0]])
     fpr = np.concatenate([[0.0], cum_fp / n_neg, [1.0]])
     az = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))

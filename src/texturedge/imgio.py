@@ -55,6 +55,12 @@ _FIELD = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?=\n|\Z))*"
                     rb"(?:([^ \t\n\r\x0b\x0c#]+)[ \t\n\r\x0b\x0c]?|\Z)")
 
 
+# A sign that does not start a field or is not followed by a digit. A raster
+# joined by single spaces whose bytes are digits, spaces and signs, none of
+# them such a sign, is a run of fields that each pass ``_decimal``.
+_MISPLACED_SIGN = re.compile(rb"-(?:(?![0-9])|(?<=[^ ]-))")
+
+
 def _decimal(token: str) -> int:
     """``int(token)`` for an optional ``-`` and ASCII digits, nothing else."""
     digits = token[1:] if token.startswith("-") else token
@@ -99,15 +105,19 @@ def decode_pgm(data: bytes) -> np.ndarray:
             raise TexturedgeError(f"raster has {len(raster)} of {n} bytes")
         arr = np.frombuffer(raster, dtype=np.uint8)
     else:
-        # P2: whitespace-separated ASCII samples (comments tolerated), range
-        # checked as Python ints, so one too wide for int64 is only out of range
+        # P2: whitespace-separated ASCII samples (comments tolerated)
         samples = _FIELD.findall(data, pos)[:n]
         if not samples[-1]:  # the stream ended first
             raise TexturedgeError(f"fewer than {n} ASCII samples")
-        arr = [_header_int(tok, "sample") for tok in samples]
-        if min(arr) < 0 or max(arr) > 255:
+        raster = b" ".join(samples)
+        if raster.translate(None, b"0123456789 -") or _MISPLACED_SIGN.search(raster):
+            for tok in samples:  # the first field outside the rule raises
+                _header_int(tok, "sample")
+        # strtoll saturates, so a sample too wide for int64 is only out of range
+        arr = np.fromstring(raster, dtype=np.int64, sep=" ")
+        if arr.min() < 0 or arr.max() > 255:
             raise TexturedgeError("sample value outside [0, maxval]")
-    return np.array(arr, dtype=np.uint8).reshape(height, width)
+    return arr.astype(np.uint8).reshape(height, width)
 
 
 def encode_pgm(img) -> bytes:

@@ -66,6 +66,64 @@ def disk_footprint(radius: int) -> np.ndarray:
     return (xx * xx + yy * yy) <= r * r
 
 
+def disk_rectangles(radius: int) -> list[tuple[int, int]]:
+    """``(half_height, half_width)`` of the centred rectangles whose union is
+    ``disk_footprint(radius)``, read off its rows: row ``dy`` spans
+    ``|x| <= isqrt(r**2 - dy**2)``, a half-width that never grows with
+    ``|dy|``, so each distinct half-width reaches down to its last row."""
+    r = int(radius)
+    half = disk_footprint(r)[r:].sum(axis=1) // 2  # rows dy = 0..r
+    return [(int(np.flatnonzero(half == w)[-1]), int(w)) for w in np.unique(half)]
+
+
+def _summed_area(a: np.ndarray) -> np.ndarray:
+    """Inclusive 2-D prefix counts of a boolean array, with a zero first row
+    and column, so any box count is four reads. int32 may wrap on a huge
+    array, but a box count, a difference of four of them, is then still
+    exact modulo 2**32, and no box here holds that many pixels."""
+    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int32)
+    np.cumsum(a, axis=0, dtype=np.int32, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    return sat
+
+
+def _box_counts(sat: np.ndarray, margin: int, half_h: int, half_w: int) -> np.ndarray:
+    """Set pixels in the ``(2 half_h + 1) x (2 half_w + 1)`` box around each
+    pixel of the array that ``sat`` sums, shrunk by ``margin`` on every side."""
+    h, w = sat.shape[0] - 1 - 2 * margin, sat.shape[1] - 1 - 2 * margin
+    y0, y1 = margin - half_h, margin + half_h + 1
+    x0, x1 = margin - half_w, margin + half_w + 1
+    return (sat[y1:y1 + h, x1:x1 + w] - sat[y0:y0 + h, x1:x1 + w]
+            - sat[y1:y1 + h, x0:x0 + w] + sat[y0:y0 + h, x0:x0 + w])
+
+
+def _close(m: np.ndarray, radius: int) -> np.ndarray:
+    """Binary closing of ``m`` by the radius-``radius`` disk, with everything
+    outside ``m`` unset: a dilation onto ``m`` grown by ``radius``, then an
+    erosion back onto ``m``'s own pixels."""
+    rects = disk_rectangles(radius)
+    sat = _summed_area(np.pad(m, 2 * radius))
+    dilated = np.zeros((m.shape[0] + 2 * radius, m.shape[1] + 2 * radius), dtype=bool)
+    for half_h, half_w in rects:
+        dilated |= _box_counts(sat, radius, half_h, half_w) > 0
+    sat = _summed_area(dilated)
+    closed = np.ones(m.shape, dtype=bool)
+    for half_h, half_w in rects:
+        closed &= _box_counts(sat, radius, half_h, half_w) == (2 * half_h + 1) * (2 * half_w + 1)
+    return closed
+
+
+def _fill_holes(m: np.ndarray) -> np.ndarray:
+    """``m`` with every hole set: a hole is a 4-connected background
+    component that touches no edge of the array."""
+    labels, n = ndimage.label(~m)
+    filled = np.ones(n + 1, dtype=bool)
+    filled[labels[[0, -1], :]] = False
+    filled[labels[:, [0, -1]]] = False
+    filled[0] = True  # the foreground
+    return filled[labels]
+
+
 def check_close_radius(close_radius: int) -> None:
     if close_radius < 0:
         raise ValueError(f"close_radius must be >= 0, got {close_radius}")
@@ -76,6 +134,14 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     """Close small gaps, optionally fill holes, and keep only the connected
     component (8-connectivity) whose centroid is nearest ``roi_center``
     (an ``(x, y)`` point). An empty mask stays empty.
+
+    The closing uses the disk ``disk_footprint(close_radius)`` and treats
+    everything outside the mask as unset. The disk is the union of the few
+    rectangles of ``disk_rectangles``: the dilation sets a pixel when one
+    of their boxes around it holds a set pixel, and the erosion keeps a
+    pixel when all of its boxes are full. Each pass reads its box counts
+    from one summed-area table. A hole is a 4-connected background
+    component that touches no edge of the mask.
     """
     check_close_radius(close_radius)
     cx, cy = float(roi_center[0]), float(roi_center[1])
@@ -85,15 +151,20 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     if not m.any():
         return m.copy()
     if close_radius > 0:
-        padded = np.pad(m, close_radius, mode="constant", constant_values=False)
-        closed = ndimage.binary_closing(padded, structure=disk_footprint(close_radius))
-        m = closed[close_radius:-close_radius, close_radius:-close_radius]
+        m = _close(m, close_radius)
     if fill_holes:
-        m = ndimage.binary_fill_holes(m)
+        m = _fill_holes(m)
     labels, n = ndimage.label(m, structure=_EIGHT)
     if n <= 1:
         return m
-    centroids = ndimage.center_of_mass(m, labels, range(1, n + 1))
+    # each centroid sums its pixels' coordinates in raster order, as
+    # ndimage.center_of_mass does
+    flat = np.flatnonzero(labels)
+    lab = labels.ravel()[flat]
+    ys, xs = np.divmod(flat, m.shape[1])
+    count = np.bincount(lab)[1:]
+    centroids = zip((np.bincount(lab, weights=ys)[1:] / count).tolist(),
+                    (np.bincount(lab, weights=xs)[1:] / count).tolist())
     dists = [(py - cy) ** 2 + (px - cx) ** 2 for py, px in centroids]
     keep = 1 + int(np.argmin(dists))
     return labels == keep
@@ -106,47 +177,54 @@ def trace_contour(mask) -> list[list[tuple[int, int]]]:
     ``(x, y)`` vertices; degenerate components are padded so every contour
     has at least 3 vertices (an isolated pixel yields its 4-vertex square
     collapsed onto that pixel).
+
+    Every set pixel next to a component belongs to it, so all components
+    are walked on one zero-bordered copy of the mask, one byte per pixel.
     """
     m = np.asarray(mask, dtype=bool)
     labels, n = ndimage.label(m, structure=_EIGHT)
+    if n == 0:
+        return []
+    width = m.shape[1] + 2
+    grid = np.pad(m, 1).tobytes()
+    offsets = [dy * width + dx for dy, dx in _MOORE]
+    # from backtrack b, the neighbours in search order, each with the
+    # backtrack that stepping onto it leaves
+    searches = [[(offsets[k % 8], (k + 5) % 8) for k in range(b, b + 8)] for b in range(8)]
+    sizes = np.bincount(labels.ravel()).tolist()
     contours = []
-    for i in range(1, n + 1):
-        comp = labels == i
-        # the first set pixel in raster order is the topmost, then leftmost
-        contours.append(_moore_trace(comp, divmod(int(np.argmax(comp)), comp.shape[1])))
+    for i, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+        # the component's first pixel in raster order lies in its top row
+        x = cols.start + int(np.argmax(labels[rows.start, cols] == i))
+        start = (rows.start + 1) * width + x + 1
+        contours.append(_moore_trace(grid, width, searches, start, sizes[i]))
     return contours
 
 
-def _moore_trace(comp: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
-    h, w = comp.shape
-    sy, sx = start
+def _moore_trace(grid: bytes, width: int, searches: list, start: int,
+                 size: int) -> list[tuple[int, int]]:
+    """Walk the boundary of the ``size``-pixel component holding flat index
+    ``start`` of ``grid``, a mask ``width`` bytes wide whose border is unset."""
     backtrack = 7  # west of the start pixel
-    vertices = [(sx, sy)]
+    path = [start]
     pos = start
-    first_state = None
-    limit = 4 * (int(comp.sum()) + 1) * 8
-    for _ in range(limit):
-        found = None
-        for step in range(8):
-            k = (backtrack + step) % 8
-            dy, dx = _MOORE[k]
-            ny, nx = pos[0] + dy, pos[1] + dx
-            if 0 <= ny < h and 0 <= nx < w and comp[ny, nx]:
-                found = (ny, nx, k)
+    first_pos = first_backtrack = None
+    for _ in range(4 * (size + 1) * 8):
+        for step, after in searches[backtrack]:
+            if grid[pos + step]:
                 break
-        if found is None:
+        else:
             break  # isolated pixel
-        ny, nx, k = found
-        pos = (ny, nx)
-        backtrack = (k + 5) % 8
-        state = (pos, backtrack)
-        if first_state is None:
-            first_state = state
-        elif state == first_state:
+        pos += step
+        backtrack = after
+        if first_pos is None:
+            first_pos, first_backtrack = pos, backtrack
+        elif pos == first_pos and backtrack == first_backtrack:
             break
-        vertices.append((nx, ny))
+        path.append(pos)
     else:
         raise InternalInvariantError("boundary trace failed to close")
+    vertices = [(p % width - 1, p // width - 1) for p in path]
     if len(vertices) >= 2 and vertices[0] == vertices[-1]:
         vertices.pop()
     if len(vertices) == 1:

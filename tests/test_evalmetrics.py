@@ -129,6 +129,23 @@ class TestMetrics:
         assert metrics(c).specificity == 1.0 - 7 / 20
 
 
+def oracle_roc_points(scores, truth):
+    """``roc_az``'s points as it built them from one stable argsort of the
+    negated scores: cumulative counts read at the last pixel of each run of
+    tied scores."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    t = np.asarray(truth, dtype=bool).ravel()
+    n_pos = int(np.count_nonzero(t))
+    order = np.argsort(-s, kind="stable")
+    s_sorted, t_sorted = s[order], t[order]
+    group_ends = np.concatenate([np.nonzero(np.diff(s_sorted))[0], [s.size - 1]])
+    cum_tp = np.cumsum(t_sorted)[group_ends]
+    cum_fp = (group_ends + 1) - cum_tp
+    tpr = np.concatenate([[0.0], cum_tp / n_pos, [1.0]])
+    fpr = np.concatenate([[0.0], cum_fp / (s.size - n_pos), [1.0]])
+    return np.stack([fpr, tpr], axis=1)
+
+
 class TestRocAz:
     def test_perfect_separation(self):
         scores = np.array([[5.0, 4.0], [1.0, 0.0]])
@@ -171,6 +188,41 @@ class TestRocAz:
         base = roc_az(scores, truth).az
         assert roc_az(3.0 * scores + 7.0, truth).az == base
         assert roc_az(np.arctan(scores), truth).az == base
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "signed_zeros", "one_value"])
+    def test_matches_argsort_oracle_bits(self, kind, rng):
+        for _ in range(20):
+            shape = tuple(rng.integers(1, 30, size=2))
+            truth = rng.random(shape) < rng.uniform(0.05, 0.95)
+            if truth.all() or not truth.any():
+                continue
+            if kind == "continuous":
+                scores = rng.normal(size=shape)
+            elif kind == "ties":
+                scores = rng.integers(-3, 4, size=shape) * 0.25
+            elif kind == "signed_zeros":
+                scores = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+                scores[rng.random(shape) < 0.3] = 1.0
+            else:
+                scores = np.full(shape, 7.5)
+            curve = roc_az(scores, truth)
+            want = oracle_roc_points(scores, truth)
+            assert curve.points.tobytes() == want.tobytes()
+            fpr, tpr = want[:, 0], want[:, 1]
+            az = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
+            assert curve.az.hex() == az.hex()
+
+    def test_tied_infinities_form_one_threshold(self):
+        scores = np.array([np.inf, np.inf, 1.0, -np.inf, -np.inf, 0.0])
+        truth = np.array([1, 0, 1, 0, 1, 0], bool)
+        curve = roc_az(scores, truth)
+        assert curve.points.tolist() == [[0.0, 0.0], [1 / 3, 1 / 3], [1 / 3, 2 / 3],
+                                         [2 / 3, 2 / 3], [1.0, 1.0], [1.0, 1.0]]
+        assert curve.az == pytest.approx(oracle_concordance_az(scores, truth), abs=1e-12)
+
+    def test_nan_score_is_refused(self):
+        with pytest.raises(TexturedgeError, match="scores hold a NaN"):
+            roc_az(np.array([[0.5, np.nan]]), np.array([[True, False]]))
 
     def test_no_positives(self):
         with pytest.raises(TexturedgeError, match="reference has no positive pixels"):

@@ -187,6 +187,33 @@ class TestDecodePgm:
         with pytest.raises(TexturedgeError, match="outside"):
             decode_pgm(b"P2 1 1 255 99999999999999999999999")
 
+    @pytest.mark.parametrize("raster, want", [
+        (b"007 -0 255", [7, 0, 255]),
+        (b"1 # a comment 9 9\n2\t3", [1, 2, 3]),
+        (b"1#2 9\n2 3", [1, 2, 3]),
+        (b"1 2 3 x-y #4", [1, 2, 3]),  # fields past the last sample are not read
+        (b"0" * 4400 + b"7 1 2", [7, 1, 2]),  # longer than int()'s digit limit
+    ])
+    def test_p2_samples_decode(self, raster, want):
+        assert decode_pgm(b"P2 3 1 255 " + raster).tolist() == [want]
+
+    @pytest.mark.parametrize("raster, message", [
+        (b"x 2 3", "non-numeric sample field b'x'"),
+        (b"1 2 3x", "non-numeric sample field b'3x'"),
+        (b"1 -2- 3x", "non-numeric sample field b'-2-'"),
+        (b"1 - 3", "non-numeric sample field b'-'"),
+        (b"1 --2 3", "non-numeric sample field b'--2'"),
+        (b"1 2-3 4", "non-numeric sample field b'2-3'"),
+        (b"1 2 " + b"9" * 25, "sample value outside [0, maxval]"),
+        (b"1 -" + b"9" * 25 + b" 2", "sample value outside [0, maxval]"),
+        (b"1 2 " + b"9" * 4400, "sample value outside [0, maxval]"),
+        (b"1 2 256", "sample value outside [0, maxval]"),
+        (b"1 2", "fewer than 3 ASCII samples"),
+    ])
+    def test_p2_sample_refusals(self, raster, message):
+        with pytest.raises(TexturedgeError, match=re.escape(message)):
+            decode_pgm(b"P2 3 1 255 " + raster)
+
     @pytest.mark.parametrize("data", [
         b"P5 1_0 1 2_5_5 " + bytes(10),  # int() reads 1_0 as 10
         b"P2 2 1 255 +7 0_1",

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from texturedge import binarize, otsu_threshold, refine_mask, trace_contour
-from texturedge.errors import TexturedgeError
+from texturedge.errors import InternalInvariantError, TexturedgeError
 from texturedge.segment import (
+    _close,
+    _fill_holes,
     boundary_pixels,
     contours_to_text,
     disk_footprint,
+    disk_rectangles,
     make_overlay,
     mask_to_gray,
 )
@@ -79,6 +83,97 @@ def oracle_flood_fill_holes(mask):
                 outside[ny, nx] = True
                 stack.append((ny, nx))
     return m | ~outside
+
+
+def oracle_close(mask, radius):
+    """Closing by the disk through scipy, on the mask padded by ``radius``
+    unset pixels so the erosion never meets the array edge."""
+    padded = np.pad(mask, radius)
+    closed = ndimage.binary_closing(padded, structure=disk_footprint(radius))
+    return closed[radius:radius + mask.shape[0], radius:radius + mask.shape[1]]
+
+
+def oracle_refine_mask(mask, roi_center, close_radius, fill_holes):
+    """``refine_mask`` as it was built from scipy's morphology calls and
+    ``center_of_mass``."""
+    cx, cy = roi_center
+    m = np.asarray(mask, dtype=bool)
+    if not m.any():
+        return m.copy()
+    if close_radius > 0:
+        m = oracle_close(m, close_radius)
+    if fill_holes:
+        m = ndimage.binary_fill_holes(m)
+    labels, n = ndimage.label(m, structure=np.ones((3, 3)))
+    if n <= 1:
+        return m
+    centroids = ndimage.center_of_mass(m, labels, range(1, n + 1))
+    dists = [(py - cy) ** 2 + (px - cx) ** 2 for py, px in centroids]
+    return labels == 1 + int(np.argmin(dists))
+
+
+_MOORE = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
+
+
+def oracle_moore_trace(comp, start):
+    """The clockwise Moore walk over one component's boolean array, one
+    bounds check and array read per neighbour test."""
+    h, w = comp.shape
+    sy, sx = start
+    backtrack = 7
+    vertices = [(sx, sy)]
+    pos = start
+    first_state = None
+    for _ in range(4 * (int(comp.sum()) + 1) * 8):
+        found = None
+        for step in range(8):
+            k = (backtrack + step) % 8
+            dy, dx = _MOORE[k]
+            ny, nx = pos[0] + dy, pos[1] + dx
+            if 0 <= ny < h and 0 <= nx < w and comp[ny, nx]:
+                found = (ny, nx, k)
+                break
+        if found is None:
+            break
+        ny, nx, k = found
+        pos = (ny, nx)
+        backtrack = (k + 5) % 8
+        state = (pos, backtrack)
+        if first_state is None:
+            first_state = state
+        elif state == first_state:
+            break
+        vertices.append((nx, ny))
+    else:
+        raise InternalInvariantError("boundary trace failed to close")
+    if len(vertices) >= 2 and vertices[0] == vertices[-1]:
+        vertices.pop()
+    if len(vertices) == 1:
+        vertices = vertices * 4
+    while len(vertices) < 3:
+        vertices = vertices + vertices[:1]
+    return vertices
+
+
+def oracle_trace_contour(mask):
+    """One ``labels == i`` array per component, walked from its first pixel
+    in raster order."""
+    labels, n = ndimage.label(mask, structure=np.ones((3, 3)))
+    contours = []
+    for i in range(1, n + 1):
+        comp = labels == i
+        contours.append(oracle_moore_trace(comp, divmod(int(np.argmax(comp)), comp.shape[1])))
+    return contours
+
+
+def differential_masks(rng):
+    """Random masks of every density, all-set and all-unset masks, and
+    single rows and columns."""
+    masks = []
+    for shape in ((1, 1), (1, 17), (17, 1), (2, 9), (9, 2), (12, 12), (23, 31)):
+        masks += [np.zeros(shape, bool), np.ones(shape, bool)]
+        masks += [rng.random(shape) > p for p in (0.2, 0.5, 0.8, 0.95)]
+    return masks
 
 
 def ring_mask(size=21, center=10, outer=8, inner=6):
@@ -233,6 +328,33 @@ class TestRefineMask:
             with pytest.raises(ValueError, match="roi_center must be finite"):
                 refine_mask(mask, center, close_radius=0)
 
+    @pytest.mark.parametrize("radius", range(13))
+    def test_disk_is_the_union_of_its_rectangles(self, radius):
+        union = np.zeros((2 * radius + 1,) * 2, bool)
+        for half_h, half_w in disk_rectangles(radius):
+            union[radius - half_h:radius + half_h + 1, radius - half_w:radius + half_w + 1] = True
+        assert np.array_equal(union, disk_footprint(radius))
+        if radius == 3:
+            assert disk_rectangles(3) == [(3, 0), (2, 2), (0, 3)]
+
+    @pytest.mark.parametrize("radius", range(1, 10))
+    def test_close_matches_scipy_closing(self, radius, rng):
+        for m in differential_masks(rng):
+            assert np.array_equal(_close(m, radius), oracle_close(m, radius)), (m.shape, radius)
+
+    def test_fill_holes_matches_scipy(self, rng):
+        for m in differential_masks(rng) + [ring_mask(), ~ring_mask()]:
+            assert np.array_equal(_fill_holes(m), ndimage.binary_fill_holes(m)), m.shape
+
+    @pytest.mark.parametrize("fill_holes", [True, False])
+    @pytest.mark.parametrize("radius", range(10))
+    def test_matches_scipy_oracle(self, radius, fill_holes, rng):
+        for m in differential_masks(rng):
+            center = (rng.uniform(0, m.shape[1]), rng.uniform(0, m.shape[0]))
+            got = refine_mask(m, center, radius, fill_holes)
+            assert got.dtype == bool
+            assert np.array_equal(got, oracle_refine_mask(m, center, radius, fill_holes))
+
     def test_disk_footprint_shape(self):
         fp = disk_footprint(1)
         assert fp.tolist() == [[False, True, False], [True, True, True], [False, True, False]]
@@ -269,6 +391,11 @@ class TestTraceContour:
     def test_empty_mask(self):
         assert trace_contour(np.zeros((4, 4), bool)) == []
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_size_mask(self, shape):
+        assert trace_contour(np.zeros(shape, bool)) == []
+        assert refine_mask(np.zeros(shape, bool), (1, 1)).shape == shape
+
     def test_two_components_two_contours(self):
         m = np.zeros((8, 8), bool)
         m[1, 1] = True
@@ -302,6 +429,12 @@ class TestTraceContour:
                     continue
                 missing = {(x, y) for y, x in zip(*np.nonzero(boundary_pixels(comp)))}
                 assert missing <= set(contour)
+
+    def test_matches_array_walk_oracle(self, rng):
+        masks = differential_masks(rng) + [ring_mask(), ~ring_mask()]
+        masks += [refine_mask(m, (6, 6), 3) for m in masks]
+        for m in masks:
+            assert trace_contour(m) == oracle_trace_contour(m), m.shape
 
     def test_contours_to_text(self):
         text = contours_to_text([[(1, 2), (3, 4)], [(5, 6)]])
