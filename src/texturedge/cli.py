@@ -155,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--descriptor", default="contrast",
                    choices=[d.value for d in Descriptor])
-    p.add_argument("--symmetric", action="store_true", help="also tally each pair reversed")
+    p.add_argument("--symmetric", action="store_true",
+                   help="also tally each pair reversed; changes the entropy and asm maps "
+                        "only")
     _add_config_flags(p, _GLCM)
 
     p = sub.add_parser("segment", help="mask + contours from a texture map")

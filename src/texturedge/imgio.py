@@ -62,11 +62,18 @@ _MISPLACED_SIGN = re.compile(rb"-(?:(?![0-9])|(?<=[^ ]-))")
 
 
 def _decimal(token: str) -> int:
-    """``int(token)`` for an optional ``-`` and ASCII digits, nothing else."""
-    digits = token[1:] if token.startswith("-") else token
+    """The value of an optional ``-`` and ASCII digits, nothing else, read
+    as ``strtoll`` reads a P2 sample: leading zeros drop, and a value past
+    int64 saturates. So no token reaches ``int``'s digit limit, which the
+    interpreter's settings move, and a field too wide for an image still
+    fails that field's range check."""
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 19:  # past int64, whose bounds have 19 digits
+        return -2 ** 63 if sign else 2 ** 63 - 1
+    return max(-2 ** 63, min(int(sign + digits), 2 ** 63 - 1))
 
 
 def _header_int(field: bytes, what: str) -> int:

@@ -7,14 +7,17 @@ computed for a fixed pixel displacement. Four displacement directions
 outlines.
 
 Two window kernels are provided. ``texture_map_naive`` recounts every
-window from scratch. ``texture_map_sliding`` reads a contrast window as a
-box sum of squared differences from one summed-area table; for the other
-descriptors it keeps one running pair histogram per window of the current
-row and moves them all down a row by adding the entering row's pairs and
-removing the leaving row's. Its contrast map divides exact integer box
-sums by the pair count, the one rounding step of the ``_StripEvaluator``
-through which every other map evaluates its exact integer tallies, so the
-two kernels' outputs are bit-identical.
+window from scratch. ``texture_map_sliding`` reads the two descriptors
+that are linear in the pair counts from summed-area tables: a contrast
+window is a box sum of squared differences, and an IDM window is one box
+count per gray-level difference ``d = |a - b|``. For entropy and ASM it
+keeps one running pair histogram per window of the current row and moves
+them all down a row by adding the entering row's pairs and removing the
+leaving row's. Its contrast map divides exact integer box sums by the pair
+count, the one rounding step of the ``_StripEvaluator``; its IDM map goes
+through ``_idm``, as the evaluator's does; entropy and ASM evaluate their
+exact integer tallies through the evaluator. So the two kernels' outputs
+are bit-identical.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -171,28 +174,50 @@ def _codes(a: np.ndarray, b: np.ndarray, levels: int, symmetric: bool) -> np.nda
 # Descriptor evaluation
 # ---------------------------------------------------------------------------
 
+def _idm(differences, count, pair_count: int, out: np.ndarray) -> np.ndarray:
+    """Inverse difference moment from pair counts grouped by difference.
+
+    ``count(d)`` is the int64 array of the pairs with ``|a - b| = d``, for
+    each ``d`` in ``differences``. Writes ``(sum over d of n_d / (1 + d^2)) /
+    pair_count`` into ``out``, adding one ``d`` at a time from zero, the
+    largest first: the smallest terms are added before the large ones, which
+    keeps the sum within a few ulp of the exact value. Every term is >= 0,
+    so a ``d`` whose counts are all zero adds nothing, and leaving it out of
+    ``differences`` keeps every bit.
+    """
+    out[...] = 0.0
+    for d in sorted(differences, reverse=True):
+        out += count(d) * (1.0 / (1.0 + float(d * d)))
+    out /= pair_count
+    return out
+
+
 class _StripEvaluator:
     """One descriptor over strips of flattened count matrices.
 
     Built once per ``(kind, levels, pair_count)``, so the weights and the
     entropy table are made once per map, not per strip. Calling it on an
     ``(n, levels^2)`` int64 strip writes the ``n`` float64 values into
-    ``out``. The scalar API and both map kernels evaluate through it, so
-    equal tallies always give bit-identical values: entropy and IDM sum each
+    ``out``. The scalar API and the naive kernel evaluate through it, so
+    equal tallies always give bit-identical values: entropy sums each
     window's contiguous ``levels^2`` terms with ``np.sum(..., axis=-1)``,
-    whose pairwise order depends only on that length.
+    whose pairwise order depends only on that length. IDM folds the tallies
+    into exact per-difference counts and hands them to ``_idm``, as the
+    sliding kernel does with its box counts.
     """
 
     def __init__(self, kind: Descriptor, levels: int, pair_count: int):
         self.kind = kind
         self.pair_count = pair_count
         idx = np.arange(levels, dtype=np.int64)
-        diff_sq = np.square(idx[:, None] - idx[None, :]).reshape(-1)
+        diff = np.abs(idx[:, None] - idx[None, :]).reshape(-1)
         self._terms = None
         if kind is Descriptor.CONTRAST:
-            self._terms = diff_sq
+            self._terms = np.square(diff)
         elif kind is Descriptor.IDM:
-            self._terms = 1.0 / (1.0 + diff_sq.astype(np.float64))
+            # the cells sorted by |i - j|; difference d's run starts at _starts[d]
+            self._order = np.argsort(diff, kind="stable")
+            self._starts = np.searchsorted(diff[self._order], idx)
         elif kind is Descriptor.ENTROPY and pair_count > 0:
             # table of c * (log2 N - log2 c): each term >= 0, so the sum is too
             ks = np.arange(1, pair_count + 1, dtype=np.float64)
@@ -207,6 +232,10 @@ class _StripEvaluator:
         if kind is Descriptor.CONTRAST:
             # integer matmul is exact, so the division is the only rounding step
             out[...] = flat @ self._terms
+        elif kind is Descriptor.IDM:
+            # integer sums are exact in any order
+            by_d = np.add.reduceat(flat[:, self._order], self._starts, axis=1)
+            return _idm(np.flatnonzero(by_d.any(axis=0)), lambda d: by_d[:, d], divisor, out)
         elif kind is Descriptor.ASM:
             # an integer sum of squares is exact in any order
             out[...] = np.einsum("ij,ij->i", flat, flat)
@@ -214,12 +243,9 @@ class _StripEvaluator:
         else:
             if self._scratch.shape != flat.shape:
                 self._scratch = np.empty(flat.shape, dtype=np.float64)
-            if kind is Descriptor.IDM:
-                np.multiply(flat, self._terms, out=self._scratch)
-            else:
-                # counts lie in [0, pair_count]; a mode other than "raise"
-                # writes straight into the scratch buffer
-                np.take(self._terms, flat, out=self._scratch, mode="wrap")
+            # counts lie in [0, pair_count]; a mode other than "raise"
+            # writes straight into the scratch buffer
+            np.take(self._terms, flat, out=self._scratch, mode="wrap")
             np.sum(self._scratch, axis=-1, out=out)
         out /= divisor
         return out
@@ -287,16 +313,28 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     return out
 
 
+def _box_sums(plane: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Exact int64 sums of ``plane`` over every ``n_rows x n_cols`` box, read
+    from one summed-area table; box (r, c) starts at ``plane[r, c]``."""
+    table = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(plane, axis=0), axis=1, out=table[1:, 1:])
+    return (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
+            - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
+
+
 def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    CONTRAST sums the per-anchor plane ``(a - b)^2`` over each window from
-    one summed-area table, then divides once by the anchor count. It ignores
-    ``symmetric``: a reversed pair adds the same square, so symmetry doubles
-    both the integer sum S and the pair count N, and 2S/2N is the float S/N.
-    The others keep a ``(width, levels^2)`` histogram of the current row's
-    windows: each step down subtracts the pair codes of the anchor row
+    CONTRAST and IDM are linear in the pair counts, so they read each window
+    from summed-area tables and ignore ``symmetric``: a reversed pair has the
+    same difference, so symmetry doubles every integer sum and the pair
+    count N, and the quotient keeps its bits. CONTRAST sums the per-anchor
+    plane ``(a - b)^2`` and divides once by the anchor count. IDM takes one
+    box count of the anchors with ``|a - b| = d`` for each ``d`` that occurs
+    and weights them through ``_idm``.
+    ENTROPY and ASM keep a ``(width, levels^2)`` histogram of the current
+    row's windows: each step down subtracts the pair codes of the anchor row
     leaving the windows and adds those of the row entering them, then
     evaluates the strip with the map's one ``_StripEvaluator``. The integer
     tallies are exact, so the order of updates cannot change them.
@@ -308,11 +346,13 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
         return np.zeros((h, w), dtype=np.float64)
     levels = q.levels
     if kind is Descriptor.CONTRAST:
-        table = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(np.square(a - b), axis=0), axis=1, out=table[1:, 1:])
-        sums = (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
-                - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
+        sums = _box_sums(np.square(a - b), n_rows, n_cols)
         return sums.astype(np.float64) / (n_rows * n_cols)
+    if kind is Descriptor.IDM:
+        diff = np.abs(a - b)
+        return _idm(np.flatnonzero(np.bincount(diff.ravel())),
+                    lambda d: _box_sums(diff == d, n_rows, n_cols),
+                    n_rows * n_cols, np.empty((h, w), dtype=np.float64))
     ll = levels * levels
     # segments[p, y, c] views the n_cols anchor codes of row y in column c's
     # window; column c's histogram starts at flat index c * ll

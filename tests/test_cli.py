@@ -314,6 +314,22 @@ class TestTextureSegmentEvalChain:
                        "--out", str(tmp_path / "seg")) == 2
 
 
+    @pytest.mark.parametrize("descriptor", ["contrast", "idm"])
+    def test_symmetric_leaves_linear_descriptor_trees_unchanged(self, descriptor, tmp_path):
+        # a reversed pair has the same gray-level difference, so the flag
+        # doubles every difference count and the pair count alike
+        ref, _, cx, cy, r, seed = SYNTH_CASES[2]
+        roi = tmp_path / "roi.pgm"
+        write_pgm(roi, synth_mass_image(seed, cx, cy, r)[cy - 30:cy + 30, cx - 30:cx + 30])
+        trees = []
+        for flags in ([], ["--symmetric"]):
+            out = tmp_path / ("tree" + "".join(flags))
+            assert run_cli("texture", "-i", str(roi), "--out", str(out),
+                           "--descriptor", descriptor, *flags) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(trees[0]) == 11 and trees[0] == trees[1]
+
+
 class TestStagesMatchLibrary:
     """The stage subcommands reproduce ``run_pipeline``'s artifacts."""
 

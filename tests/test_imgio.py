@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 
 import numpy as np
@@ -187,6 +188,31 @@ class TestDecodePgm:
         with pytest.raises(TexturedgeError, match="outside"):
             decode_pgm(b"P2 1 1 255 99999999999999999999999")
 
+    # int() refuses strings of more than its digit limit (4,300 by default,
+    # 640 at the least); 640 stands for an interpreter set to that least
+    @pytest.mark.parametrize("digit_limit", [None, 640])
+    def test_header_fields_are_read_by_value_whatever_the_digit_limit(self, digit_limit):
+        saved = sys.get_int_max_str_digits()
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+        try:
+            assert decode_pgm(b"P5 " + b"0" * 4300 + b"1 1 255 \x00").tolist() == [[0]]
+            assert decode_pgm(b"P5 1 1 " + b"0" * 4400 + b"255 \x09").tolist() == [[9]]
+            assert decode_pgm(b"P2 1 " + b"0" * 700 + b"2 255 3 4").tolist() == [[3], [4]]
+            # wider than int64, the width saturates as strtoll saturates a P2
+            # sample, and the raster is then too short for it
+            for width in (b"7" * 30, b"7" * 4400, b"0" * 4400 + b"7" * 4400):
+                with pytest.raises(TexturedgeError,
+                                   match="^raster has 1 of 9223372036854775807 bytes$"):
+                    decode_pgm(b"P5 " + width + b" 1 255 \x00")
+            with pytest.raises(TexturedgeError,
+                               match=re.escape("maxval 9223372036854775807 not supported")):
+                decode_pgm(b"P5 1 1 " + b"9" * 4400 + b" \x00")
+            with pytest.raises(TexturedgeError, match="^invalid header: width=-9223372036854775808 "):
+                decode_pgm(b"P2 -" + b"9" * 4400 + b" 1 255 0")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     @pytest.mark.parametrize("raster, want", [
         (b"007 -0 255", [7, 0, 255]),
         (b"1 # a comment 9 9\n2\t3", [1, 2, 3]),
@@ -293,6 +319,10 @@ class TestEncodePgm:
 class TestParseMiasIndex:
     def test_circ_line(self):
         recs = parse_mias_index("mdb005 F CIRC B 477 133 30")
+        assert recs == [MiasRecord("mdb005", "F", "CIRC", "B", 477, 133, 30)]
+
+    def test_zero_padded_geometry_is_read_by_value(self):
+        recs = parse_mias_index("mdb005 F CIRC B 477 133 " + "0" * 4400 + "30")
         assert recs == [MiasRecord("mdb005", "F", "CIRC", "B", 477, 133, 30)]
 
     def test_norm_line(self):

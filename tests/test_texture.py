@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from texturedge import (
     texture_map_naive,
     texture_map_sliding,
 )
+from texturedge import texture
 from texturedge.errors import TexturedgeError
 from texturedge.texture import (
     decode_texture_map,
@@ -244,6 +246,89 @@ class TestDescriptors:
         assert 0.0 < descriptor(g, "asm") <= 1.0
         assert 0.0 < descriptor(g, "idm") <= 1.0
         assert 0.0 <= descriptor(g, "entropy") <= 2.0 * np.log2(g.levels)
+
+
+def oracle_idm(counts) -> Fraction:
+    """Sum over (i, j) of c(i, j) / (1 + (i - j)^2), over the pair count, exactly."""
+    total = sum(Fraction(int(c), 1 + (i - j) ** 2)
+                for (i, j), c in np.ndenumerate(counts) if c)
+    return total / int(counts.sum())
+
+
+def idm_crops(rng, h, w, levels):
+    """Quantized crops in which some gray-level differences never occur:
+    random, constant (only d = 0), the two extreme levels (d = 0 and
+    levels - 1) and a slow ramp (small d only)."""
+    ramp = np.add.outer(np.arange(h), np.arange(w)) * 3
+    images = [rng.integers(0, 256, size=(h, w)),
+              np.full((h, w), rng.integers(0, 256)),
+              np.where(rng.random((h, w)) < 0.5, 0, 255),
+              np.clip(ramp, 0, 255)]
+    return [quantize(img.astype(np.uint8), levels) for img in images]
+
+
+class TestIdm:
+    def test_descriptor_against_exact_fractions(self, rng):
+        for levels in (2, 3, 8, 32, 256):
+            for density in (1.0, 0.3, 0.02):
+                counts = rng.integers(0, 60, size=(levels, levels))
+                counts[rng.random((levels, levels)) >= density] = 0
+                counts[0, 0] += 1  # at least one pair
+                g = Glcm(counts.astype(np.int64), int(counts.sum()))
+                want = float(oracle_idm(counts))
+                got = descriptor(g, "idm")
+                assert abs(got - want) <= 4 * np.spacing(want), (levels, density, got, want)
+
+    @pytest.mark.parametrize("levels, h, w", [(2, 11, 13), (8, 11, 13), (32, 11, 13),
+                                              (256, 5, 6)])
+    def test_sliding_equals_naive_bit_for_bit(self, levels, h, w, rng):
+        offsets = (list(offsets_for_distance(1).values())
+                   + list(offsets_for_distance(2).values()))
+        for q in idm_crops(rng, h, w, levels):
+            for window in (3, 5, 7, 9, 11, 13):
+                for off in offsets:
+                    assert_same_bits(texture_map_naive(q, Descriptor.IDM, window, off),
+                                     texture_map_sliding(q, Descriptor.IDM, window, off))
+
+    def test_constant_crop_is_all_ones(self):
+        q = quantize(np.full((9, 8), 77, dtype=np.uint8), 32)
+        for off in ALL_OFFSETS:
+            for kernel in (texture_map_naive, texture_map_sliding):
+                assert (kernel(q, "idm", 5, off) == 1.0).all()
+
+    def test_symmetric_keeps_every_bit(self, rng):
+        # a reversed pair has the same |a - b|, doubling every difference
+        # count and the pair count
+        for levels in (2, 8, 32):
+            for q in idm_crops(rng, 14, 12, levels):
+                for window in (3, 7):
+                    for off in offsets_for_distance(2).values():
+                        plain = texture_map_naive(q, Descriptor.IDM, window, off)
+                        for kernel, symmetric in [(texture_map_naive, True),
+                                                  (texture_map_sliding, False),
+                                                  (texture_map_sliding, True)]:
+                            assert_same_bits(kernel(q, Descriptor.IDM, window, off, symmetric),
+                                             plain)
+
+    @pytest.mark.parametrize("window, offset", [(3, Offset(3, 0)), (3, Offset(5, -1)),
+                                                (5, Offset(0, -5)), (7, Offset(-7, -7))])
+    def test_offset_that_fits_no_window_gives_zeros(self, window, offset, rng):
+        q = quantize(rng.integers(0, 256, size=(10, 12), dtype=np.uint8), 8)
+        for kernel in (texture_map_naive, texture_map_sliding):
+            for symmetric in (False, True):
+                m = kernel(q, Descriptor.IDM, window, offset, symmetric)
+                assert m.shape == (10, 12)
+                assert_same_bits(m, np.zeros((10, 12)))
+
+    def test_sliding_builds_no_pair_codes(self, rng, monkeypatch):
+        q = quantize(rng.integers(0, 256, size=(12, 12), dtype=np.uint8), 8)
+        want = texture_map_naive(q, Descriptor.IDM, 5, Offset(1, -1), True)
+
+        def no_codes(*args):
+            raise AssertionError("IDM built pair codes")
+
+        monkeypatch.setattr(texture, "_codes", no_codes)
+        assert_same_bits(texture_map_sliding(q, Descriptor.IDM, 5, Offset(1, -1), True), want)
 
 
 # --- texture maps ------------------------------------------------------------
