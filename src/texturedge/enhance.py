@@ -46,6 +46,14 @@ class SradParams:
         if not 0.0 <= self.q0_decay_rho < np.inf:
             raise ValueError(f"q0_decay_rho must be finite and >= 0, got {self.q0_decay_rho}")
 
+    def check_fits(self, width: int, height: int) -> None:
+        """Refuse a homogeneous region outside a ``width x height`` image."""
+        if self.homogeneous_region is not None:
+            x, y, w, h = self.homogeneous_region
+            if min(x, y) < 0 or min(w, h) < 1 or x + w > width or y + h > height:
+                raise ValueError(f"homogeneous_region {self.homogeneous_region} is not "
+                                 f"inside the {width}x{height} image")
+
 
 @dataclass(frozen=True)
 class ClaheParams:
@@ -62,6 +70,12 @@ class ClaheParams:
             raise ValueError(f"clip_limit must be > 0, got {self.clip_limit}")
         if self.tiles_x < 1 or self.tiles_y < 1:
             raise ValueError("tile counts must be >= 1")
+
+    def check_fits(self, width: int, height: int) -> None:
+        """Refuse more tiles than pixels along an axis of a ``width x height`` image."""
+        if self.tiles_x > width or self.tiles_y > height:
+            raise TexturedgeError(
+                f"{self.tiles_x}x{self.tiles_y} tiles do not fit a {width}x{height} image")
 
 
 def srad(img, params: SradParams = SradParams()) -> np.ndarray:
@@ -175,11 +189,9 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     (inside ``u``) and decays in float64; each step rounds its scalars once.
     """
     height, width = u.shape
+    params.check_fits(width, height)
     if params.homogeneous_region is not None:
         x, y, w, h = params.homogeneous_region
-        if not (x >= 0 and y >= 0 and w >= 1 and h >= 1 and x + w <= width and y + h <= height):
-            raise ValueError(f"homogeneous_region {params.homogeneous_region} is not "
-                             f"inside the {width}x{height} image")
         region = u[y:y + h, x:x + w].astype(np.float64)
         q0_init = max(float(region.std() / region.mean()), 1e-8)
     else:
@@ -336,9 +348,7 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
     """
     a = as_gray_image(img)
     h, w = a.shape
-    if params.tiles_x > w or params.tiles_y > h:
-        raise TexturedgeError(
-            f"{params.tiles_x}x{params.tiles_y} tiles do not fit a {w}x{h} image")
+    params.check_fits(w, h)
 
     xs = np.append(np.arange(params.tiles_x) * (w // params.tiles_x), w)  # remainder: last tile
     ys = np.append(np.arange(params.tiles_y) * (h // params.tiles_y), h)

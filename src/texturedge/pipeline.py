@@ -88,6 +88,9 @@ class GlcmConfig:
         check_levels(self.levels)
         check_window_side(self.window_side)
         offsets_for_distance(self.distance)
+        if self.distance >= self.window_side:  # no pair would fit a window
+            raise ValueError(f"distance must be < window_side {self.window_side}, "
+                             f"got {self.distance}")
 
 
 @dataclass(frozen=True)
@@ -253,20 +256,25 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     return located[0] if located else matches[0]
 
 
-def _check_run_input(image, record: MiasRecord, roi: RoiConfig) -> tuple[np.ndarray, np.ndarray]:
+def _check_run_input(image, record: MiasRecord,
+                     config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """The image, read once, and its crop's circle truth (enhancement keeps
     the shape), after what ``run_pipeline`` refuses before SRAD: no image
     file or circle, an undecodable PGM, a circle ``crop_roi`` refuses or one
-    covering the crop. A PGM or circle refusal names the id and the file."""
+    covering the crop, too many CLAHE tiles or a homogeneous region outside
+    the image. The PGM, circle and tile refusals name the id and the file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
         raise TexturedgeError(f"no image file at {Path(image)}")
     check_geometry(record)
     try:
         img = read_pgm(image) if from_file else image
-        crop, (cx, cy) = crop_roi(img, record, roi)
+        crop, (cx, cy) = crop_roi(img, record, config.roi)
         truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
         reference_counts(truth)
+        height, width = img.shape
+        config.srad.check_fits(width, height)
+        config.clahe.check_fits(width, height)
     except TexturedgeError as exc:
         source = f" ({Path(image)})" if from_file else ""
         raise TexturedgeError(f"id {record.ref_id}{source}: {exc}") from None
@@ -295,7 +303,7 @@ def run_pipeline(image, record: MiasRecord,
     chance even when the mask is good: 0.253/0.530/0.434 against Dice
     0.64/0.80/0.77 on the three synthetic test cases.
     """
-    img, truth = _check_run_input(image, record, config.roi)
+    img, truth = _check_run_input(image, record, config)
     enhanced = enhance_image(img, config)
     crop, (cx, cy) = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
@@ -398,8 +406,9 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     When an id has several annotation lines, the first one carrying circle
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling. Every id's
-    record, image file, PGM decoding and circle are checked before the first
-    image runs, so a refused id leaves nothing written. ``run_pipeline``
+    record, image file, PGM decoding, circle and fit to the SRAD and CLAHE
+    settings are checked before the first image runs, so a refused id leaves
+    nothing written. ``run_pipeline``
     checks and decodes each image again rather than keep the pre-check's:
     on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms against a run of
     about 0.65 s, and keeping them would hold 1 MB per id for the batch.
@@ -409,7 +418,7 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     runs = []
     for ref in sorted(set(ids)):
         record = select_record(records, ref)
-        _check_run_input(root / f"{ref}.pgm", record, config.roi)
+        _check_run_input(root / f"{ref}.pgm", record, config)
         runs.append(record)
     rows = []
     for record in runs:

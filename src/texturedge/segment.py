@@ -1,9 +1,9 @@
 """Turn a summed contrast map into a mass mask and contour.
 
-Recipe: Otsu threshold on the map, morphological closing, optional hole
-filling, then keep the connected component whose centroid sits closest
-to the annotated mass center. Contours come from clockwise Moore
-boundary tracing.
+Recipe: Otsu threshold on the map, morphological closing from the box
+sums of ``texture.summed_area``, optional hole filling, then keep the
+connected component whose centroid sits closest to the annotated mass
+center. Contours come from clockwise Moore boundary tracing.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from scipy import ndimage
 
 from .errors import InternalInvariantError, TexturedgeError
 from .imgio import as_gray_image
+from .texture import box_sums, summed_area
 
 _EIGHT = np.ones((3, 3), dtype=bool)
 
@@ -76,40 +77,24 @@ def disk_rectangles(radius: int) -> list[tuple[int, int]]:
     return [(int(np.flatnonzero(half == w)[-1]), int(w)) for w in np.unique(half)]
 
 
-def _summed_area(a: np.ndarray) -> np.ndarray:
-    """Inclusive 2-D prefix counts of a boolean array, with a zero first row
-    and column, so any box count is four reads. int32 may wrap on a huge
-    array, but a box count, a difference of four of them, is then still
-    exact modulo 2**32, and no box here holds that many pixels."""
-    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int32)
-    np.cumsum(a, axis=0, dtype=np.int32, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    return sat
-
-
-def _box_counts(sat: np.ndarray, margin: int, half_h: int, half_w: int) -> np.ndarray:
-    """Set pixels in the ``(2 half_h + 1) x (2 half_w + 1)`` box around each
-    pixel of the array that ``sat`` sums, shrunk by ``margin`` on every side."""
-    h, w = sat.shape[0] - 1 - 2 * margin, sat.shape[1] - 1 - 2 * margin
-    y0, y1 = margin - half_h, margin + half_h + 1
-    x0, x1 = margin - half_w, margin + half_w + 1
-    return (sat[y1:y1 + h, x1:x1 + w] - sat[y0:y0 + h, x1:x1 + w]
-            - sat[y1:y1 + h, x0:x0 + w] + sat[y0:y0 + h, x0:x0 + w])
-
-
 def _close(m: np.ndarray, radius: int) -> np.ndarray:
     """Binary closing of ``m`` by the radius-``radius`` disk, with everything
     outside ``m`` unset: a dilation onto ``m`` grown by ``radius``, then an
-    erosion back onto ``m``'s own pixels."""
-    rects = disk_rectangles(radius)
-    sat = _summed_area(np.pad(m, 2 * radius))
-    dilated = np.zeros((m.shape[0] + 2 * radius, m.shape[1] + 2 * radius), dtype=bool)
-    for half_h, half_w in rects:
-        dilated |= _box_counts(sat, radius, half_h, half_w) > 0
-    sat = _summed_area(dilated)
-    closed = np.ones(m.shape, dtype=bool)
-    for half_h, half_w in rects:
-        closed &= _box_counts(sat, radius, half_h, half_w) == (2 * half_h + 1) * (2 * half_w + 1)
+    erosion back onto ``m``'s own pixels. Each pass builds one summed-area
+    table of its source, ``radius`` wider than its target on every side, and
+    reads each rectangle's box counts as a slice of its ``box_sums``."""
+    boxes = [(2 * hh + 1, 2 * hw + 1, radius - hh, radius - hw)
+             for hh, hw in disk_rectangles(radius)]
+    table = summed_area(np.pad(m, 2 * radius))
+    h, w = m.shape[0] + 2 * radius, m.shape[1] + 2 * radius
+    dilated = np.zeros((h, w), dtype=bool)
+    for n_rows, n_cols, y0, x0 in boxes:
+        dilated |= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] > 0
+    table = summed_area(dilated)
+    h, w = m.shape
+    closed = np.ones((h, w), dtype=bool)
+    for n_rows, n_cols, y0, x0 in boxes:
+        closed &= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] == n_rows * n_cols
     return closed
 
 
@@ -140,8 +125,8 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     rectangles of ``disk_rectangles``: the dilation sets a pixel when one
     of their boxes around it holds a set pixel, and the erosion keeps a
     pixel when all of its boxes are full. Each pass reads its box counts
-    from one summed-area table. A hole is a 4-connected background
-    component that touches no edge of the mask.
+    from one ``summed_area`` table, as the texture maps do. A hole is a
+    4-connected background component that touches no edge of the mask.
     """
     check_close_radius(close_radius)
     cx, cy = float(roi_center[0]), float(roi_center[1])

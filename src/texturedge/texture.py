@@ -6,18 +6,11 @@ computed for a fixed pixel displacement. Four displacement directions
 (0, 45, 90, 135 degrees) are combined by elementwise sum to close mass
 outlines.
 
-Two window kernels are provided. ``texture_map_naive`` recounts every
-window from scratch. ``texture_map_sliding`` reads the two descriptors
-that are linear in the pair counts from summed-area tables: a contrast
-window is a box sum of squared differences, and an IDM window is one box
-count per gray-level difference ``d = |a - b|``. For entropy and ASM it
-keeps one running pair histogram per window of the current row and moves
-them all down a row by adding the entering row's pairs and removing the
-leaving row's. Its contrast map divides exact integer box sums by the pair
-count, the one rounding step of the ``_StripEvaluator``; its IDM map goes
-through ``_idm``, as the evaluator's does; entropy and ASM evaluate their
-exact integer tallies through the evaluator. So the two kernels' outputs
-are bit-identical.
+``texture_map_naive`` recounts every window from scratch;
+``texture_map_sliding`` gives the same bits faster (see its docstring).
+``summed_area`` and ``box_sums`` are the package's one
+summed-area table: the contrast and IDM maps and ``segment``'s disk
+closing read their window sums from it.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -105,12 +98,9 @@ def quantize(img, levels: int) -> QuantizedImage:
 
 @dataclass(frozen=True, eq=False)
 class Glcm:
-    """Co-occurrence tallies for one displacement.
-
-    ``counts`` holds the raw ordered-pair tallies (exact integers);
-    ``p`` is the probability-normalized matrix. An empty region yields
-    ``pair_count == 0`` and an all-zero ``p``.
-    """
+    """Co-occurrence tallies for one displacement: ``counts`` holds the
+    exact ordered-pair tallies, which sum to ``pair_count`` (0 for an empty
+    region)."""
 
     counts: np.ndarray  # (levels, levels) int64
     pair_count: int
@@ -118,12 +108,6 @@ class Glcm:
     @property
     def levels(self) -> int:
         return self.counts.shape[0]
-
-    @property
-    def p(self) -> np.ndarray:
-        if self.pair_count == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts.astype(np.float64) / self.pair_count
 
 
 def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
@@ -177,12 +161,11 @@ def _codes(a: np.ndarray, b: np.ndarray, levels: int, symmetric: bool) -> np.nda
 def _idm(differences, count, pair_count: int, out: np.ndarray) -> np.ndarray:
     """Inverse difference moment from pair counts grouped by difference.
 
-    ``count(d)`` is the int64 array of the pairs with ``|a - b| = d``, for
-    each ``d`` in ``differences``. Writes ``(sum over d of n_d / (1 + d^2)) /
-    pair_count`` into ``out``, adding one ``d`` at a time from zero, the
-    largest first: the smallest terms are added before the large ones, which
-    keeps the sum within a few ulp of the exact value. Every term is >= 0,
-    so a ``d`` whose counts are all zero adds nothing, and leaving it out of
+    ``count(d)`` is the integer array of the pairs with ``|a - b| = d``.
+    Writes ``(sum over d of n_d / (1 + d^2)) / pair_count`` into ``out``,
+    adding the ``d`` in ``differences`` from zero, largest first, so the
+    small terms go in first and the sum stays within a few ulp of the exact
+    value. A ``d`` whose counts are all zero adds nothing; leaving it out of
     ``differences`` keeps every bit.
     """
     out[...] = 0.0
@@ -313,11 +296,22 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     return out
 
 
-def _box_sums(plane: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Exact int64 sums of ``plane`` over every ``n_rows x n_cols`` box, read
-    from one summed-area table; box (r, c) starts at ``plane[r, c]``."""
-    table = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(plane, axis=0), axis=1, out=table[1:, 1:])
+def summed_area(plane: np.ndarray) -> np.ndarray:
+    """Inclusive 2-D prefix sums of ``plane`` with a zero first row and
+    column. A boolean plane gets an int32 table, whose box counts stay exact
+    modulo 2**32 where it wraps (no box holds 2**31 pixels); any other plane
+    gets int64, which contrast's squared differences need."""
+    dtype = np.int32 if plane.dtype == bool else np.int64
+    table = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=dtype)
+    np.cumsum(plane, axis=0, dtype=dtype, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return table
+
+
+def box_sums(table: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The sum over every ``n_rows x n_cols`` box of the plane that
+    ``table = summed_area(plane)`` tabulates: entry (r, c) sums
+    ``plane[r:r + n_rows, c:c + n_cols]``."""
     return (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
             - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
 
@@ -327,12 +321,12 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
     CONTRAST and IDM are linear in the pair counts, so they read each window
-    from summed-area tables and ignore ``symmetric``: a reversed pair has the
-    same difference, so symmetry doubles every integer sum and the pair
-    count N, and the quotient keeps its bits. CONTRAST sums the per-anchor
-    plane ``(a - b)^2`` and divides once by the anchor count. IDM takes one
-    box count of the anchors with ``|a - b| = d`` for each ``d`` that occurs
-    and weights them through ``_idm``.
+    through ``summed_area`` and ``box_sums`` and ignore ``symmetric``: a
+    reversed pair has the same difference, so symmetry doubles every integer
+    sum and the pair count N, and the quotient keeps its bits. CONTRAST
+    divides its box sums of ``(a - b)^2`` once by the anchor count, as
+    ``_StripEvaluator`` does; IDM weights the box counts of the anchors with
+    each ``|a - b| = d`` that occurs through ``_idm``, as the evaluator does.
     ENTROPY and ASM keep a ``(width, levels^2)`` histogram of the current
     row's windows: each step down subtracts the pair codes of the anchor row
     leaving the windows and adds those of the row entering them, then
@@ -346,12 +340,12 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
         return np.zeros((h, w), dtype=np.float64)
     levels = q.levels
     if kind is Descriptor.CONTRAST:
-        sums = _box_sums(np.square(a - b), n_rows, n_cols)
+        sums = box_sums(summed_area(np.square(a - b)), n_rows, n_cols)
         return sums.astype(np.float64) / (n_rows * n_cols)
     if kind is Descriptor.IDM:
         diff = np.abs(a - b)
         return _idm(np.flatnonzero(np.bincount(diff.ravel())),
-                    lambda d: _box_sums(diff == d, n_rows, n_cols),
+                    lambda d: box_sums(summed_area(diff == d), n_rows, n_cols),
                     n_rows * n_cols, np.empty((h, w), dtype=np.float64))
     ll = levels * levels
     # segments[p, y, c] views the n_cols anchor codes of row y in column c's

@@ -74,10 +74,11 @@ def synth_dataset(tmp_path_factory):
 
 @pytest.fixture()
 def refusal_dataset(synth_dataset, tmp_path):
-    """The synthetic dataset plus four annotated ids that an experiment
+    """The synthetic dataset plus five annotated ids that an experiment
     refuses: sy005, whose image is missing, sy008, whose PGM is cut short,
-    sy009, whose circle centre lies outside its 128x128 image, and sy010,
-    whose radius-200 circle covers its whole crop. With sy004 (NORM) and an
+    sy009, whose circle centre lies outside its 128x128 image, sy010, whose
+    radius-200 circle covers its whole crop, and sy011, whose 6x6 image is
+    too small for the default 8x8 CLAHE tiles. With sy004 (NORM) and an
     unknown id, each sorts after sy001..sy003."""
     root = tmp_path / "refusals"
     shutil.copytree(synth_dataset, root)
@@ -85,11 +86,13 @@ def refusal_dataset(synth_dataset, tmp_path):
     (root / "sy008.pgm").write_bytes(pgm[:len(pgm) // 2])
     (root / "sy009.pgm").write_bytes(pgm)
     (root / "sy010.pgm").write_bytes(pgm)
+    write_pgm(root / "sy011.pgm", synth_mass_image(11, 3, 3, 1, size=6))
     with open(root / "Info.txt", "a") as index:
         index.write(synth_index_line("sy005", "F", 64, 64, 14) + "\n")
         index.write(synth_index_line("sy008", "G", 64, 64, 14) + "\n")
         index.write("sy009 F CIRC B 500 20 10\n")
         index.write(synth_index_line("sy010", "D", 64, 64, 200) + "\n")
+        index.write(synth_index_line("sy011", "F", 3, 3, 1, size=6) + "\n")
     return root
 
 

@@ -201,6 +201,10 @@ class TestConfigFlags:
         # glcm.symmetric cannot change a contrast map, the only map pipeline makes
         ([], {"glcm": {"symmetric": True}}, "unknown fields in config.glcm: ['symmetric']"),
         ([], {"srad": {"q0_decay_rho": -0.05}}, "q0_decay_rho must be finite and >= 0, got -0.05"),
+        # no pair fits a window at distance >= window_side, so every map is zero
+        (["--distance", "7"], None, "distance must be < window_side 7, got 7"),
+        ([], {"glcm": {"window_side": 3, "distance": 3}},
+         "distance must be < window_side 3, got 3"),
     ])
     def test_out_of_range_value_is_usage_error(self, flags, doc, message, tmp_path, monkeypatch,
                                                capsys):
@@ -221,7 +225,7 @@ class TestConfigFlags:
     @pytest.mark.parametrize("flags", [
         ["--srad-iterations", "-1"], ["--srad-time-step", "0.3"], ["--clahe-clip", "0"],
         ["--margin", "0.5"], ["--levels", "1"], ["--window", "4"], ["--distance", "0"],
-        ["--close-radius", "-1"],
+        ["--close-radius", "-1"], ["--distance", "7"], ["--window", "3", "--distance", "3"],
     ])
     def test_refused_before_the_first_srad_pass(self, flags, tmp_path, monkeypatch):
         calls = []
@@ -490,12 +494,13 @@ class TestExperimentCommand:
         ("sy008", "raster has 8184 of 16384 bytes"),
         ("sy009", "center (500, 107) outside 128x128 image"),
         ("sy010", "reference has no negative pixels in the evaluated region"),
+        ("sy011", "8x8 tiles do not fit a 6x6 image"),
     ])
     def test_bad_image_or_circle_runs_nothing_and_writes_nothing(
             self, bad, message, refusal_dataset, tmp_path, monkeypatch, capsys):
-        # a PGM that does not decode, a circle outside its image and one
-        # that covers its whole crop, after two good ids: each is found
-        # before the first film runs
+        # a PGM that does not decode, a circle outside its image, one that
+        # covers its whole crop and an image too small for the CLAHE tiles,
+        # after two good ids: each is found before the first film runs
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         out = tmp_path / "a" / "out"

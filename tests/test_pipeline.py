@@ -23,7 +23,7 @@ from texturedge import (
     serialize_config,
 )
 from texturedge import pipeline
-from texturedge.enhance import srad
+from texturedge.enhance import SradParams, srad
 from texturedge.errors import TexturedgeError
 from texturedge.pipeline import (
     EvalConfig,
@@ -333,6 +333,7 @@ class TestExperiment:
                      id="sy009-CenterOutOfBoundsError"),
         pytest.param("sy010", "reference has no negative pixels in the evaluated region",
                      id="sy010-CircleCoversCrop"),
+        pytest.param("sy011", "8x8 tiles do not fit a 6x6 image", id="sy011-TilesDoNotFit"),
     ])
     def test_bad_image_or_circle_stops_the_run_before_any_image(
             self, bad, message, refusal_dataset, tmp_path, monkeypatch):
@@ -345,6 +346,17 @@ class TestExperiment:
         where = f"id {bad} ({refusal_dataset / f'{bad}.pgm'}): "
         with pytest.raises(TexturedgeError, match=re.escape(where + message)):
             run_experiment(refusal_dataset, ["sy001", "sy002", bad], out_dir=tmp_path / "out")
+        assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_homogeneous_region_outside_an_image_stops_the_run_before_any_image(
+            self, refusal_dataset, tmp_path, monkeypatch):
+        # the region fits sy001's 128x128 image but not sy011's 6x6 one
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        config = PipelineConfig(srad=SradParams(homogeneous_region=(0, 0, 8, 8)))
+        with pytest.raises(ValueError, match=re.escape(
+                "homogeneous_region (0, 0, 8, 8) is not inside the 6x6 image")):
+            run_experiment(refusal_dataset, ["sy001", "sy011"], config, out_dir=tmp_path / "out")
         assert calls == [] and not (tmp_path / "out").exists()
 
     def test_missing_index(self, tmp_path):

@@ -21,11 +21,13 @@ from texturedge import (
     texture_map_naive,
     texture_map_sliding,
 )
-from texturedge import texture
+from texturedge import refine_mask, segment, texture
 from texturedge.errors import TexturedgeError
 from texturedge.texture import (
+    box_sums,
     decode_texture_map,
     encode_texture_map,
+    summed_area,
     texture_map_to_gray,
 )
 
@@ -130,19 +132,18 @@ class TestGlcmWindow:
         q = QuantizedImage(values, 2)
         g = glcm_window(q, (0, 0, 4, 4), Offset(1, 0))
         assert g.pair_count == 12
-        expected = np.array([[1 / 3, 1 / 3], [0.0, 1 / 3]])
-        assert np.allclose(g.p, expected, atol=1e-15)
+        assert np.array_equal(g.counts, [[4, 4], [0, 4]])
 
     def test_constant_region(self):
         q = QuantizedImage(np.full((5, 5), 3, dtype=np.uint8), 8)
         g = glcm_window(q, (0, 0, 5, 5), Offset(1, -1))
-        assert g.p[3, 3] == 1.0 and g.p.sum() == 1.0
+        assert g.counts[3, 3] == g.pair_count == int(g.counts.sum()) == 16
 
     def test_single_pixel_region(self):
         q = QuantizedImage(np.zeros((3, 3), dtype=np.uint8), 2)
         g = glcm_window(q, (1, 1, 1, 1), Offset(1, 0))
         assert g.pair_count == 0
-        assert not g.p.any()
+        assert not g.counts.any()
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("dx, dy", [(4, 0), (-4, 0), (0, 3), (0, -3),
@@ -241,7 +242,7 @@ class TestDescriptors:
         g = _glcm_from_counts(counts)
         if g.pair_count == 0:
             return
-        assert abs(g.p.sum() - 1.0) <= 1e-9
+        assert int(g.counts.sum()) == g.pair_count
         assert contrast(g) >= 0.0
         assert 0.0 < descriptor(g, "asm") <= 1.0
         assert 0.0 < descriptor(g, "idm") <= 1.0
@@ -329,6 +330,52 @@ class TestIdm:
 
         monkeypatch.setattr(texture, "_codes", no_codes)
         assert_same_bits(texture_map_sliding(q, Descriptor.IDM, 5, Offset(1, -1), True), want)
+
+
+# --- summed-area box sums ---------------------------------------------------
+
+class TestSummedArea:
+    @pytest.mark.parametrize("dtype,low,high", [
+        (bool, 0, 2), (np.int64, -500, 500), (np.int64, 0, 2 ** 40)])
+    def test_box_sums_equal_window_sums(self, dtype, low, high, rng):
+        plane = rng.integers(low, high, size=(7, 9)).astype(dtype)
+        table = summed_area(plane)
+        for n_rows in range(1, 8):
+            for n_cols in range(1, 10):
+                want = np.lib.stride_tricks.sliding_window_view(
+                    plane, (n_rows, n_cols)).sum(axis=(-2, -1))
+                got = box_sums(table, n_rows, n_cols)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype,table_dtype", [
+        (bool, np.int32), (np.uint8, np.int64), (np.int32, np.int64), (np.int64, np.int64)])
+    def test_table_is_int32_for_a_boolean_plane_only(self, dtype, table_dtype):
+        table = summed_area(np.ones((3, 4), dtype=dtype))
+        assert table.dtype == table_dtype and table.shape == (4, 5)
+        assert not table[0].any() and not table[:, 0].any() and table[-1, -1] == 12
+
+    @pytest.mark.parametrize("user,tables", [
+        (Descriptor.CONTRAST, {np.dtype(np.int64)}), (Descriptor.IDM, {np.dtype(bool)}),
+        ("refine_mask", {np.dtype(bool)})])
+    def test_maps_and_closing_go_through_summed_area(self, user, tables, rng, monkeypatch):
+        q = quantize(rng.integers(0, 256, size=(12, 12), dtype=np.uint8), 8)
+        if user == "refine_mask":
+            def run():
+                return refine_mask(q.values >= 4, (6, 6), close_radius=2)
+        else:
+            def run():
+                return texture_map_sliding(q, user, 5, Offset(1, -1))
+        want = run()
+        planes = []
+
+        def recorded(plane):
+            planes.append(plane.dtype)
+            return summed_area(plane)
+
+        monkeypatch.setattr(texture, "summed_area", recorded)
+        monkeypatch.setattr(segment, "summed_area", recorded)
+        assert np.array_equal(run(), want)
+        assert planes and set(planes) == tables
 
 
 # --- texture maps ------------------------------------------------------------
