@@ -8,9 +8,9 @@ outlines.
 
 ``texture_map_naive`` recounts every window from scratch;
 ``texture_map_sliding`` gives the same bits faster (see its docstring).
-``summed_area`` and ``box_sums`` are the package's one
-summed-area table: the contrast and IDM maps and ``segment``'s disk
-closing read their window sums from it.
+``summed_area`` and ``box_sums`` are the package's one summed-area table:
+the contrast and IDM maps and ``segment``'s disk closing read their
+window sums from it.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -163,9 +163,9 @@ def _idm(differences, count, pair_count: int, out: np.ndarray) -> np.ndarray:
 
     ``count(d)`` is the integer array of the pairs with ``|a - b| = d``.
     Writes ``(sum over d of n_d / (1 + d^2)) / pair_count`` into ``out``,
-    adding the ``d`` in ``differences`` from zero, largest first, so the
-    small terms go in first and the sum stays within a few ulp of the exact
-    value. A ``d`` whose counts are all zero adds nothing; leaving it out of
+    starting from zero and adding the ``d`` in ``differences`` largest
+    first, so the small terms go in first and the sum stays within a few
+    ulp of the exact value. A ``d`` whose counts are all zero adds nothing; leaving it out of
     ``differences`` keeps every bit.
     """
     out[...] = 0.0
