@@ -65,8 +65,7 @@ def circle_mask(width: int, height: int, cx: float, cy: float, r: float) -> np.n
     """Boolean disk: bit set iff (x-cx)^2 + (y-cy)^2 <= r^2."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    yy, xx = np.mgrid[0:height, 0:width]
-    return (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    return (np.arange(width) - cx) ** 2 + (np.arange(height)[:, None] - cy) ** 2 <= r * r
 
 
 def confusion(pred, truth) -> ConfusionCounts:

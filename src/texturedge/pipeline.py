@@ -262,11 +262,12 @@ def _check_run_input(image, record: MiasRecord,
     the shape), after what ``run_pipeline`` refuses before SRAD: no image
     file or circle, an undecodable PGM, a circle ``crop_roi`` refuses or one
     covering the crop, too many CLAHE tiles or a homogeneous region outside
-    the image. The PGM, circle and tile refusals name the id and the file."""
+    the image. Every refusal from the PGM on names the id and the file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
         raise TexturedgeError(f"no image file at {Path(image)}")
     check_geometry(record)
+    where = f"id {record.ref_id}" + (f" ({Path(image)})" if from_file else "")
     try:
         img = read_pgm(image) if from_file else image
         crop, (cx, cy) = crop_roi(img, record, config.roi)
@@ -276,8 +277,9 @@ def _check_run_input(image, record: MiasRecord,
         config.srad.check_fits(width, height)
         config.clahe.check_fits(width, height)
     except TexturedgeError as exc:
-        source = f" ({Path(image)})" if from_file else ""
-        raise TexturedgeError(f"id {record.ref_id}{source}: {exc}") from None
+        raise TexturedgeError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     return img, truth
 
 

@@ -1,11 +1,15 @@
 """Turn a summed contrast map into a mass mask and contour.
 
-Recipe: Otsu threshold on the map, morphological closing from the box
-sums of ``texture.summed_area``, optional hole filling, then keep the
-connected component whose centroid sits closest to the annotated mass
-center. Contours come from clockwise Moore boundary tracing.
+Recipe: Otsu threshold on the map, morphological closing by a disk,
+optional hole filling, then keep the connected component whose centroid
+sits closest to the annotated mass center. Contours come from clockwise
+Moore boundary tracing. One box-count erosion, read from
+``texture.summed_area``, serves both passes of the closing and the overlay
+boundary; scipy is used only to label connected components.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -61,41 +65,36 @@ def binarize(texture_map, threshold: float) -> np.ndarray:
     return np.asarray(texture_map, dtype=np.float64) >= threshold
 
 
-def disk_footprint(radius: int) -> np.ndarray:
-    r = int(radius)
-    yy, xx = np.mgrid[-r:r + 1, -r:r + 1]
-    return (xx * xx + yy * yy) <= r * r
-
-
 def disk_rectangles(radius: int) -> list[tuple[int, int]]:
     """``(half_height, half_width)`` of the centred rectangles whose union is
-    ``disk_footprint(radius)``, read off its rows: row ``dy`` spans
-    ``|x| <= isqrt(r**2 - dy**2)``, a half-width that never grows with
+    the radius-``radius`` disk of pixels ``x**2 + y**2 <= r**2``: row ``dy``
+    spans ``|x| <= isqrt(r**2 - dy**2)``, a half-width that never grows with
     ``|dy|``, so each distinct half-width reaches down to its last row."""
     r = int(radius)
-    half = disk_footprint(r)[r:].sum(axis=1) // 2  # rows dy = 0..r
-    return [(int(np.flatnonzero(half == w)[-1]), int(w)) for w in np.unique(half)]
+    last_row = {math.isqrt(r * r - dy * dy): dy for dy in range(r + 1)}
+    return [(last_row[w], w) for w in sorted(last_row)]
+
+
+def _erode(m: np.ndarray, radius: int) -> np.ndarray:
+    """Erosion of ``m`` by the radius-``radius`` disk, kept only for the
+    pixels ``radius`` in from every edge, so each side is ``2 * radius``
+    shorter: a pixel stays when every box of ``disk_rectangles`` around it
+    is full, read as a slice of ``box_sums`` of one ``summed_area`` table."""
+    table = summed_area(m)
+    h, w = m.shape[0] - 2 * radius, m.shape[1] - 2 * radius
+    eroded = np.ones((h, w), dtype=bool)
+    for hh, hw in disk_rectangles(radius):
+        n_rows, n_cols, y0, x0 = 2 * hh + 1, 2 * hw + 1, radius - hh, radius - hw
+        eroded &= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] == n_rows * n_cols
+    return eroded
 
 
 def _close(m: np.ndarray, radius: int) -> np.ndarray:
     """Binary closing of ``m`` by the radius-``radius`` disk, with everything
-    outside ``m`` unset: a dilation onto ``m`` grown by ``radius``, then an
-    erosion back onto ``m``'s own pixels. Each pass builds one summed-area
-    table of its source, ``radius`` wider than its target on every side, and
-    reads each rectangle's box counts as a slice of its ``box_sums``."""
-    boxes = [(2 * hh + 1, 2 * hw + 1, radius - hh, radius - hw)
-             for hh, hw in disk_rectangles(radius)]
-    table = summed_area(np.pad(m, 2 * radius))
-    h, w = m.shape[0] + 2 * radius, m.shape[1] + 2 * radius
-    dilated = np.zeros((h, w), dtype=bool)
-    for n_rows, n_cols, y0, x0 in boxes:
-        dilated |= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] > 0
-    table = summed_area(dilated)
-    h, w = m.shape
-    closed = np.ones((h, w), dtype=bool)
-    for n_rows, n_cols, y0, x0 in boxes:
-        closed &= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] == n_rows * n_cols
-    return closed
+    outside ``m`` unset. The dilation onto ``m`` grown by ``radius`` is the
+    complement of the complement's erosion, since a box is full of unset
+    pixels exactly when it holds no set one."""
+    return _erode(~_erode(~np.pad(m, 2 * radius), radius), radius)
 
 
 def _fill_holes(m: np.ndarray) -> np.ndarray:
@@ -120,13 +119,13 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     component (8-connectivity) whose centroid is nearest ``roi_center``
     (an ``(x, y)`` point). An empty mask stays empty.
 
-    The closing uses the disk ``disk_footprint(close_radius)`` and treats
-    everything outside the mask as unset. The disk is the union of the few
-    rectangles of ``disk_rectangles``: the dilation sets a pixel when one
-    of their boxes around it holds a set pixel, and the erosion keeps a
-    pixel when all of its boxes are full. Each pass reads its box counts
-    from one ``summed_area`` table, as the texture maps do. A hole is a
-    4-connected background component that touches no edge of the mask.
+    The closing uses the radius-``close_radius`` disk and treats everything
+    outside the mask as unset. The disk is the union of the few rectangles
+    of ``disk_rectangles``: the erosion keeps a pixel when all of its boxes
+    are full, and the dilation is the complement's erosion. Each pass reads
+    its box counts from one ``summed_area`` table, as the texture maps do.
+    A hole is a 4-connected background component that touches no edge of
+    the mask.
     """
     check_close_radius(close_radius)
     cx, cy = float(roi_center[0]), float(roi_center[1])
@@ -233,9 +232,7 @@ def mask_to_gray(mask) -> np.ndarray:
 def boundary_pixels(mask) -> np.ndarray:
     """Mask pixels with an unset 4-neighbor (or on the image edge)."""
     m = np.asarray(mask, dtype=bool)
-    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    interior = ndimage.binary_erosion(m, structure=cross, border_value=0)
-    return m & ~interior
+    return m & ~_erode(np.pad(m, 1), 1)  # the radius-1 disk is the 4-neighbour cross
 
 
 def make_overlay(img, mask) -> np.ndarray:

@@ -510,6 +510,23 @@ class TestExperimentCommand:
         assert f"texturedge: {where}: {message}" in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "a").exists()
 
+    def test_homogeneous_region_outside_an_image_runs_nothing_and_writes_nothing(
+            self, refusal_dataset, tmp_path, monkeypatch, capsys):
+        # the region fits sy001's 128x128 image but not sy011's 6x6 one, on
+        # tiles that fit both: a usage error that names the id and its file
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"srad": {"homogeneous_region": [0, 0, 8, 8]},
+                                      "clahe": {"tiles_x": 2, "tiles_y": 2}}))
+        out = tmp_path / "a" / "out"
+        assert run_cli("experiment", "--dataset", str(refusal_dataset), "--ids", "sy001",
+                       "sy011", "--config", str(config), "--out", str(out)) == 1
+        where = f"id sy011 ({refusal_dataset / 'sy011.pgm'})"
+        assert (f"texturedge: {where}: homogeneous_region (0, 0, 8, 8) is not inside "
+                "the 6x6 image") in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "a").exists()
+
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"eval": {"full_image": true}}')

@@ -48,6 +48,15 @@ class TestCircleMask:
         with pytest.raises(ValueError):
             circle_mask(5, 5, 2, 2, -1)
 
+    @pytest.mark.parametrize("cx,cy,r", [
+        (2, 3, 2), (2, 3, 2.5), (3.5, 1.25, 2.75), (-3, 9.5, 6), (20, -4, 5.5), (0, 0, 0)])
+    @pytest.mark.parametrize("width,height", [(7, 5), (1, 9), (9, 1), (0, 4), (4, 0)])
+    def test_matches_index_grid_form(self, width, height, cx, cy, r):
+        yy, xx = np.mgrid[0:height, 0:width]
+        want = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        got = circle_mask(width, height, cx, cy, r)
+        assert got.shape == (height, width) and np.array_equal(got, want)
+
 
 class TestConfusion:
     def test_identical_masks(self, rng):

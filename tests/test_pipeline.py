@@ -350,12 +350,14 @@ class TestExperiment:
 
     def test_homogeneous_region_outside_an_image_stops_the_run_before_any_image(
             self, refusal_dataset, tmp_path, monkeypatch):
-        # the region fits sy001's 128x128 image but not sy011's 6x6 one
+        # the region fits sy001's 128x128 image but not sy011's 6x6 one; the
+        # refusal names the id and its file
         calls = []
         monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         config = PipelineConfig(srad=SradParams(homogeneous_region=(0, 0, 8, 8)))
+        where = f"id sy011 ({refusal_dataset / 'sy011.pgm'}): "
         with pytest.raises(ValueError, match=re.escape(
-                "homogeneous_region (0, 0, 8, 8) is not inside the 6x6 image")):
+                where + "homogeneous_region (0, 0, 8, 8) is not inside the 6x6 image")):
             run_experiment(refusal_dataset, ["sy001", "sy011"], config, out_dir=tmp_path / "out")
         assert calls == [] and not (tmp_path / "out").exists()
 

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from texturedge import binarize, otsu_threshold, refine_mask, trace_contour
+from texturedge import binarize, circle_mask, otsu_threshold, refine_mask, trace_contour
 from texturedge.errors import InternalInvariantError, TexturedgeError
 from texturedge.segment import (
     _close,
     _fill_holes,
     boundary_pixels,
     contours_to_text,
-    disk_footprint,
     disk_rectangles,
     make_overlay,
     mask_to_gray,
@@ -85,12 +84,23 @@ def oracle_flood_fill_holes(mask):
     return m | ~outside
 
 
+def disk(radius):
+    return circle_mask(2 * radius + 1, 2 * radius + 1, radius, radius, radius)
+
+
 def oracle_close(mask, radius):
     """Closing by the disk through scipy, on the mask padded by ``radius``
     unset pixels so the erosion never meets the array edge."""
     padded = np.pad(mask, radius)
-    closed = ndimage.binary_closing(padded, structure=disk_footprint(radius))
+    closed = ndimage.binary_closing(padded, structure=disk(radius))
     return closed[radius:radius + mask.shape[0], radius:radius + mask.shape[1]]
+
+
+def oracle_boundary_pixels(mask):
+    """Mask pixels that scipy's erosion by the 4-neighbour cross removes,
+    with everything outside the array unset."""
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    return mask & ~ndimage.binary_erosion(mask, structure=cross, border_value=0)
 
 
 def oracle_refine_mask(mask, roi_center, close_radius, fill_holes):
@@ -328,12 +338,12 @@ class TestRefineMask:
             with pytest.raises(ValueError, match="roi_center must be finite"):
                 refine_mask(mask, center, close_radius=0)
 
-    @pytest.mark.parametrize("radius", range(13))
+    @pytest.mark.parametrize("radius", range(61))
     def test_disk_is_the_union_of_its_rectangles(self, radius):
         union = np.zeros((2 * radius + 1,) * 2, bool)
         for half_h, half_w in disk_rectangles(radius):
             union[radius - half_h:radius + half_h + 1, radius - half_w:radius + half_w + 1] = True
-        assert np.array_equal(union, disk_footprint(radius))
+        assert np.array_equal(union, disk(radius))
         if radius == 3:
             assert disk_rectangles(3) == [(3, 0), (2, 2), (0, 3)]
 
@@ -356,8 +366,8 @@ class TestRefineMask:
             assert np.array_equal(got, oracle_refine_mask(m, center, radius, fill_holes))
 
     def test_disk_footprint_shape(self):
-        fp = disk_footprint(1)
-        assert fp.tolist() == [[False, True, False], [True, True, True], [False, True, False]]
+        # the radius-1 disk is the 4-neighbour cross: a 3x1 and a 1x3 box
+        assert disk_rectangles(1) == [(1, 0), (0, 1)]
 
 
 # --- contour tracing ---------------------------------------------------------
@@ -453,3 +463,10 @@ class TestRenderHelpers:
         m[2:5, 2:5] = True
         out = make_overlay(img, m)
         assert out[2, 2] == 255 and out[3, 3] == 0
+
+    def test_boundary_matches_scipy_erosion(self, rng):
+        masks = differential_masks(rng) + [ring_mask(), ~ring_mask()]
+        masks += [np.zeros(shape, bool) for shape in ((0, 5), (5, 0), (0, 0))]
+        for m in masks:
+            got = boundary_pixels(m)
+            assert got.shape == m.shape and np.array_equal(got, oracle_boundary_pixels(m)), m.shape

@@ -356,12 +356,15 @@ class TestSummedArea:
 
     @pytest.mark.parametrize("user,tables", [
         (Descriptor.CONTRAST, {np.dtype(np.int64)}), (Descriptor.IDM, {np.dtype(bool)}),
-        ("refine_mask", {np.dtype(bool)})])
+        ("refine_mask", {np.dtype(bool)}), ("make_overlay", {np.dtype(bool)})])
     def test_maps_and_closing_go_through_summed_area(self, user, tables, rng, monkeypatch):
         q = quantize(rng.integers(0, 256, size=(12, 12), dtype=np.uint8), 8)
         if user == "refine_mask":
             def run():
                 return refine_mask(q.values >= 4, (6, 6), close_radius=2)
+        elif user == "make_overlay":
+            def run():
+                return segment.make_overlay(np.zeros((12, 12), np.uint8), q.values >= 4)
         else:
             def run():
                 return texture_map_sliding(q, user, 5, Offset(1, -1))
