@@ -3,8 +3,8 @@
 Recipe: Otsu threshold on the map, morphological closing by a disk,
 optional hole filling, then keep the connected component whose centroid
 sits closest to the annotated mass center. Contours come from clockwise
-Moore boundary tracing. One box-count erosion, read from
-``texture.summed_area``, serves both passes of the closing and the overlay
+Moore boundary tracing. One box-count erosion, counted by
+``texture.box_sums``, serves both passes of the closing and the overlay
 boundary; scipy is used only to label connected components.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from .errors import InternalInvariantError, TexturedgeError
 from .imgio import as_gray_image
-from .texture import box_sums, summed_area
+from .texture import box_sums
 
 _EIGHT = np.ones((3, 3), dtype=bool)
 
@@ -79,13 +79,12 @@ def _erode(m: np.ndarray, radius: int) -> np.ndarray:
     """Erosion of ``m`` by the radius-``radius`` disk, kept only for the
     pixels ``radius`` in from every edge, so each side is ``2 * radius``
     shorter: a pixel stays when every box of ``disk_rectangles`` around it
-    is full, read as a slice of ``box_sums`` of one ``summed_area`` table."""
-    table = summed_area(m)
+    is full, read as a slice of ``box_sums`` of ``m``."""
     h, w = m.shape[0] - 2 * radius, m.shape[1] - 2 * radius
     eroded = np.ones((h, w), dtype=bool)
     for hh, hw in disk_rectangles(radius):
         n_rows, n_cols, y0, x0 = 2 * hh + 1, 2 * hw + 1, radius - hh, radius - hw
-        eroded &= box_sums(table, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] == n_rows * n_cols
+        eroded &= box_sums(m, n_rows, n_cols)[y0:y0 + h, x0:x0 + w] == n_rows * n_cols
     return eroded
 
 
@@ -122,8 +121,8 @@ def refine_mask(mask, roi_center: tuple[float, float], close_radius: int = 3,
     The closing uses the radius-``close_radius`` disk and treats everything
     outside the mask as unset. The disk is the union of the few rectangles
     of ``disk_rectangles``: the erosion keeps a pixel when all of its boxes
-    are full, and the dilation is the complement's erosion. Each pass reads
-    its box counts from one ``summed_area`` table, as the texture maps do.
+    are full, and the dilation is the complement's erosion. Each box count
+    comes from ``texture.box_sums``, as the texture maps' window sums do.
     A hole is a 4-connected background component that touches no edge of
     the mask.
     """

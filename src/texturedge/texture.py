@@ -8,9 +8,11 @@ outlines.
 
 ``texture_map_naive`` recounts every window from scratch;
 ``texture_map_sliding`` gives the same bits faster (see its docstring).
-``summed_area`` and ``box_sums`` are the package's one summed-area table:
-the contrast and IDM maps and ``segment``'s disk closing read their
-window sums from it.
+``box_sums`` is the package's one window sum: the maps of all four
+descriptors and ``segment``'s disk erosion read their window sums from
+it. Entropy and ASM take one box count per pair code that occurs, so their
+cost grows with the number of distinct codes in the image, not with
+``levels^2``; entropy adds its terms as a running sum in code order.
 
 All functions are pure; internal parallelism is not used, so results are
 independent of the caller's threading.
@@ -175,6 +177,13 @@ def _idm(differences, count, pair_count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _entropy_terms(pair_count: int) -> np.ndarray:
+    """Entry ``c`` is ``c * (log2 N - log2 c)``, ``N = pair_count``: the
+    entropy term of a cell counted ``c`` times, >= 0, and 0.0 for ``c = 0``."""
+    ks = np.arange(1, pair_count + 1, dtype=np.float64)
+    return np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
+
+
 class _StripEvaluator:
     """One descriptor over strips of flattened count matrices.
 
@@ -183,8 +192,9 @@ class _StripEvaluator:
     ``(n, levels^2)`` int64 strip writes the ``n`` float64 values into
     ``out``. The scalar API and the naive kernel evaluate through it, so
     equal tallies always give bit-identical values: entropy sums each
-    window's contiguous ``levels^2`` terms with ``np.sum(..., axis=-1)``,
-    whose pairwise order depends only on that length. IDM folds the tallies
+    window's ``levels^2`` terms left to right in code order, so a cell
+    counted 0 times adds an exact 0.0 and leaving it out keeps every bit,
+    as the sliding kernel's per-code sum does. IDM folds the tallies
     into exact per-difference counts and hands them to ``_idm``, as the
     sliding kernel does with its box counts.
     """
@@ -202,9 +212,7 @@ class _StripEvaluator:
             self._order = np.argsort(diff, kind="stable")
             self._starts = np.searchsorted(diff[self._order], idx)
         elif kind is Descriptor.ENTROPY and pair_count > 0:
-            # table of c * (log2 N - log2 c): each term >= 0, so the sum is too
-            ks = np.arange(1, pair_count + 1, dtype=np.float64)
-            self._terms = np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
+            self._terms = _entropy_terms(pair_count)
         self._scratch = np.empty((0, levels * levels), dtype=np.float64)
 
     def __call__(self, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -229,7 +237,8 @@ class _StripEvaluator:
             # counts lie in [0, pair_count]; a mode other than "raise"
             # writes straight into the scratch buffer
             np.take(self._terms, flat, out=self._scratch, mode="wrap")
-            np.sum(self._scratch, axis=-1, out=out)
+            # a running sum in code order, so a zero term adds an exact 0.0
+            out[...] = np.add.accumulate(self._scratch, axis=-1, out=self._scratch)[:, -1]
         out /= divisor
         return out
 
@@ -296,74 +305,91 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
     return out
 
 
-def summed_area(plane: np.ndarray) -> np.ndarray:
-    """Inclusive 2-D prefix sums of ``plane`` with a zero first row and
-    column. A boolean plane gets an int32 table, whose box counts stay exact
-    modulo 2**32 where it wraps (no box holds 2**31 pixels); any other plane
-    gets int64, which contrast's squared differences need."""
-    dtype = np.int32 if plane.dtype == bool else np.int64
-    table = np.zeros((plane.shape[0] + 1, plane.shape[1] + 1), dtype=dtype)
-    np.cumsum(plane, axis=0, dtype=dtype, out=table[1:, 1:])
-    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    return table
+def _runs(x: np.ndarray, n: int, step: int) -> np.ndarray:
+    """Entry ``i`` of 1-D ``x`` plus the ``n - 1`` entries after it at
+    intervals of ``step``: sums of 1, 2, 4, ... entries come by doubling,
+    and the binary digits of ``n`` pick which of them tile the run."""
+    size = len(x) - (n - 1) * step
+    total, start, width = None, 0, 1
+    while True:
+        if n & width:
+            run = x[start * step:start * step + size]
+            total = run if total is None else total + run
+            start += width
+        if 2 * width > n:
+            return total
+        x = x[:-width * step] + x[width * step:]
+        width *= 2
 
 
-def box_sums(table: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """The sum over every ``n_rows x n_cols`` box of the plane that
-    ``table = summed_area(plane)`` tabulates: entry (r, c) sums
-    ``plane[r:r + n_rows, c:c + n_cols]``."""
-    return (table[n_rows:, n_cols:] - table[:-n_rows, n_cols:]
-            - table[n_rows:, :-n_cols] + table[:-n_rows, :-n_cols])
+def box_sums(plane: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The sum over every ``n_rows x n_cols`` box of the 2-D ``plane``:
+    entry (r, c) sums ``plane[r:r + n_rows, c:c + n_cols]`` exactly, in
+    int32 for a boolean plane, else in int64. ``_runs`` sums the plane
+    flat, one row and then one element apart, so each add is one contiguous
+    pass; a sum that wraps past the end of a row lands on an entry that the
+    returned view leaves out."""
+    x = plane.astype(np.int32 if plane.dtype == bool else np.int64, order="C")
+    sums = _runs(_runs(x.ravel(), n_rows, x.shape[1]), n_cols, 1)
+    shape = (x.shape[0] - n_rows + 1, x.shape[1] - n_cols + 1)
+    return np.lib.stride_tricks.as_strided(sums, shape, x.strides, writeable=False)
 
 
 def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    CONTRAST and IDM are linear in the pair counts, so they read each window
-    through ``summed_area`` and ``box_sums`` and ignore ``symmetric``: a
-    reversed pair has the same difference, so symmetry doubles every integer
-    sum and the pair count N, and the quotient keeps its bits. CONTRAST
-    divides its box sums of ``(a - b)^2`` once by the anchor count, as
+    Every descriptor reads its windows through ``box_sums``. CONTRAST and
+    IDM are linear in the pair counts and ignore ``symmetric``: a reversed
+    pair has the same difference, so symmetry doubles every integer sum and
+    the pair count N, and the quotient keeps its bits. CONTRAST divides its
+    box sums of ``(a - b)^2`` once by the anchor count, as
     ``_StripEvaluator`` does; IDM weights the box counts of the anchors with
     each ``|a - b| = d`` that occurs through ``_idm``, as the evaluator does.
-    ENTROPY and ASM keep a ``(width, levels^2)`` histogram of the current
-    row's windows: each step down subtracts the pair codes of the anchor row
-    leaving the windows and adds those of the row entering them, then
-    evaluates the strip with the map's one ``_StripEvaluator``. The integer
-    tallies are exact, so the order of updates cannot change them.
+
+    ENTROPY and ASM take one box count per pair code ``k`` that occurs: of
+    the anchors whose code is ``k`` and, when ``symmetric``, of those whose
+    reversed code is ``k``. ASM sums the counts squared in int64; ENTROPY
+    sums their terms from the table the evaluator uses, left to right in
+    code order as it does, so a code that a window lacks adds an exact 0.0.
+    The cost is one box sum per code that occurs: tens to a few hundred on
+    film crops, but all ``levels^2`` on uniform noise, where a running
+    ``(width, levels^2)`` histogram is three (ENTROPY) to six (ASM) times
+    faster at 330 x 330, 32 levels and window 7.
     """
     kind = Descriptor(kind)
     h, w = q.values.shape
     a, b, n_rows, n_cols, pair_count = _map_prep(q, window_side, offset, symmetric)
     if pair_count == 0:
         return np.zeros((h, w), dtype=np.float64)
-    levels = q.levels
     if kind is Descriptor.CONTRAST:
-        sums = box_sums(summed_area(np.square(a - b)), n_rows, n_cols)
+        sums = box_sums(np.square(a - b), n_rows, n_cols)
         return sums.astype(np.float64) / (n_rows * n_cols)
     if kind is Descriptor.IDM:
         diff = np.abs(a - b)
         return _idm(np.flatnonzero(np.bincount(diff.ravel())),
-                    lambda d: box_sums(summed_area(diff == d), n_rows, n_cols),
+                    lambda d: box_sums(diff == d, n_rows, n_cols),
                     n_rows * n_cols, np.empty((h, w), dtype=np.float64))
-    ll = levels * levels
-    # segments[p, y, c] views the n_cols anchor codes of row y in column c's
-    # window; column c's histogram starts at flat index c * ll
-    segments = np.lib.stride_tricks.sliding_window_view(
-        _codes(a, b, levels, symmetric), n_cols, axis=2)
-    base = np.arange(w, dtype=np.int64)[:, None] * ll
-    hist = np.bincount((segments[:, :n_rows] + base).ravel(), minlength=w * ll)
-    window = hist.reshape(w, ll)
-    evaluate = _StripEvaluator(kind, levels, pair_count)
-    out = np.empty((h, w), dtype=np.float64)
-    evaluate(window, out[0])
-    for r in range(1, h):
-        # unbuffered scatter: one window may hold the same code more than once
-        np.subtract.at(hist, segments[:, r - 1] + base, 1)
-        np.add.at(hist, segments[:, r + n_rows - 1] + base, 1)
-        evaluate(window, out[r])
-    return out
+    levels = q.levels
+    codes = a * levels + b
+    occurring = np.flatnonzero(np.bincount(codes.ravel()))
+    if symmetric:
+        occurring = np.union1d(occurring, occurring % levels * levels + occurring // levels)
+    entropy = kind is Descriptor.ENTROPY
+    terms = _entropy_terms(pair_count) if entropy else None
+    total = np.zeros((h, w), dtype=np.float64 if entropy else np.int64)
+    for k in occurring:
+        # symmetric also counts k = i * levels + j at each anchor whose code
+        # is j * levels + i, so one plane of codes serves both orders
+        i, j = divmod(int(k), levels)
+        hits = codes == k
+        if symmetric and i != j:
+            hits |= codes == j * levels + i
+        count = box_sums(hits, n_rows, n_cols)
+        if symmetric and i == j:
+            count = 2 * count  # a pair of equal levels is its own reverse
+        total += np.take(terms, count) if entropy else np.square(count, dtype=np.int64)
+    return total / (pair_count if entropy else pair_count * pair_count)
 
 
 def directional_sum(maps: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,6 @@ from texturedge.texture import (
     box_sums,
     decode_texture_map,
     encode_texture_map,
-    summed_area,
     texture_map_to_gray,
 )
 
@@ -248,6 +248,26 @@ class TestDescriptors:
         assert 0.0 < descriptor(g, "idm") <= 1.0
         assert 0.0 <= descriptor(g, "entropy") <= 2.0 * np.log2(g.levels)
 
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=40), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_entropy_is_a_running_sum_in_code_order(self, counted, data):
+        # the cells counted at least once, in code order, placed among zero
+        # cells at any positions of any grid large enough to hold them
+        n = sum(counted)
+        terms = texture._entropy_terms(n)
+        want = 0.0
+        for c in counted:
+            want += terms[c]
+        want /= n
+        for _ in range(3):
+            levels = data.draw(st.integers(max(2, math.isqrt(len(counted) - 1) + 1), 9))
+            cells = data.draw(st.lists(st.integers(0, levels * levels - 1), unique=True,
+                                       min_size=len(counted), max_size=len(counted)))
+            flat = np.zeros(levels * levels, dtype=np.int64)
+            flat[sorted(cells)] = counted
+            g = Glcm(flat.reshape(levels, levels), n)
+            assert descriptor(g, Descriptor.ENTROPY).hex() == want.hex()
+
 
 def oracle_idm(counts) -> Fraction:
     """Sum over (i, j) of c(i, j) / (1 + (i - j)^2), over the pair count, exactly."""
@@ -332,32 +352,36 @@ class TestIdm:
         assert_same_bits(texture_map_sliding(q, Descriptor.IDM, 5, Offset(1, -1), True), want)
 
 
-# --- summed-area box sums ---------------------------------------------------
+# --- box sums ----------------------------------------------------------------
 
 class TestSummedArea:
+    """``box_sums``: the sum over every box of a plane, read by all four
+    descriptors' maps and by ``segment``'s erosion."""
+
     @pytest.mark.parametrize("dtype,low,high", [
         (bool, 0, 2), (np.int64, -500, 500), (np.int64, 0, 2 ** 40)])
     def test_box_sums_equal_window_sums(self, dtype, low, high, rng):
-        plane = rng.integers(low, high, size=(7, 9)).astype(dtype)
-        table = summed_area(plane)
-        for n_rows in range(1, 8):
-            for n_cols in range(1, 10):
-                want = np.lib.stride_tricks.sliding_window_view(
-                    plane, (n_rows, n_cols)).sum(axis=(-2, -1))
-                got = box_sums(table, n_rows, n_cols)
-                assert got.shape == want.shape and np.array_equal(got, want)
+        full = rng.integers(low, high, size=(7, 9)).astype(dtype)
+        # a contiguous plane, a reversed view and a column-major copy
+        for plane in (full, full[::-1, 1:], np.asfortranarray(full)):
+            for n_rows in range(1, plane.shape[0] + 1):
+                for n_cols in range(1, plane.shape[1] + 1):
+                    want = np.lib.stride_tricks.sliding_window_view(
+                        plane, (n_rows, n_cols)).sum(axis=(-2, -1))
+                    got = box_sums(plane, n_rows, n_cols)
+                    assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("dtype,table_dtype", [
         (bool, np.int32), (np.uint8, np.int64), (np.int32, np.int64), (np.int64, np.int64)])
     def test_table_is_int32_for_a_boolean_plane_only(self, dtype, table_dtype):
-        table = summed_area(np.ones((3, 4), dtype=dtype))
-        assert table.dtype == table_dtype and table.shape == (4, 5)
-        assert not table[0].any() and not table[:, 0].any() and table[-1, -1] == 12
+        sums = box_sums(np.ones((3, 4), dtype=dtype), 2, 3)
+        assert sums.dtype == table_dtype and sums.shape == (2, 2) and (sums == 6).all()
 
     @pytest.mark.parametrize("user,tables", [
         (Descriptor.CONTRAST, {np.dtype(np.int64)}), (Descriptor.IDM, {np.dtype(bool)}),
-        ("refine_mask", {np.dtype(bool)}), ("make_overlay", {np.dtype(bool)})])
-    def test_maps_and_closing_go_through_summed_area(self, user, tables, rng, monkeypatch):
+        ("refine_mask", {np.dtype(bool)}), ("make_overlay", {np.dtype(bool)}),
+        (Descriptor.ENTROPY, {np.dtype(bool)}), (Descriptor.ASM, {np.dtype(bool)})])
+    def test_maps_and_closing_go_through_box_sums(self, user, tables, rng, monkeypatch):
         q = quantize(rng.integers(0, 256, size=(12, 12), dtype=np.uint8), 8)
         if user == "refine_mask":
             def run():
@@ -371,14 +395,40 @@ class TestSummedArea:
         want = run()
         planes = []
 
-        def recorded(plane):
+        def recorded(plane, n_rows, n_cols):
             planes.append(plane.dtype)
-            return summed_area(plane)
+            return box_sums(plane, n_rows, n_cols)
 
-        monkeypatch.setattr(texture, "summed_area", recorded)
-        monkeypatch.setattr(segment, "summed_area", recorded)
+        monkeypatch.setattr(texture, "box_sums", recorded)
+        monkeypatch.setattr(segment, "box_sums", recorded)
         assert np.array_equal(run(), want)
         assert planes and set(planes) == tables
+
+    @pytest.mark.parametrize("kind", [Descriptor.ENTROPY, Descriptor.ASM])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_joint_maps_count_each_pair_code_that_occurs_once(self, kind, symmetric,
+                                                              monkeypatch):
+        # a ramp across 32 levels holds few of the 1024 pair codes
+        img = (np.add.outer(np.arange(20), 2 * np.arange(24)) * 3).astype(np.uint8)
+        q = quantize(img, 32)
+        window, (dx, dy) = 5, (1, -1)
+        padded = np.pad(q.values, window // 2, mode="reflect").tolist()
+        occurring = set()
+        for y in range(len(padded)):
+            for x in range(len(padded[0])):
+                if 0 <= y + dy < len(padded) and 0 <= x + dx < len(padded[0]):
+                    i, j = padded[y][x], padded[y + dy][x + dx]
+                    occurring |= {(i, j), (j, i)} if symmetric else {(i, j)}
+        want = texture_map_naive(q, kind, window, Offset(dx, dy), symmetric)
+        calls = []
+
+        def counted(plane, n_rows, n_cols):
+            calls.append(plane.shape)
+            return box_sums(plane, n_rows, n_cols)
+
+        monkeypatch.setattr(texture, "box_sums", counted)
+        assert_same_bits(texture_map_sliding(q, kind, window, Offset(dx, dy), symmetric), want)
+        assert 1 < len(calls) == len(occurring) < 32 * 32 // 4
 
 
 # --- texture maps ------------------------------------------------------------
@@ -554,12 +604,28 @@ class TestTextureMaps:
 
     @pytest.mark.parametrize("kind", JOINT_DESCRIPTORS)
     def test_joint_map_memory_is_a_few_window_histograms(self, kind, rng):
-        # one (w, levels^2) int64 histogram and one float term buffer fit;
-        # a (columns, levels^2) scan per row or a whole-map (h, w, levels^2)
-        # array does not
+        # the bound is four (w, levels^2) int64 histograms; the map holds a
+        # few planes of the padded image at a time, and a whole-map
+        # (h, w, levels^2) array does not fit
         levels = 32
         q = quantize(rng.integers(0, 256, size=(96, 96), dtype=np.uint8), levels)
         bound = 4 * q.width * levels * levels * 8
+        tracemalloc.start()
+        try:
+            texture_map_sliding(q, kind, 13, Offset(1, -1), symmetric=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+
+    @pytest.mark.parametrize("kind", [Descriptor.ENTROPY, Descriptor.ASM])
+    def test_joint_map_memory_does_not_grow_with_levels(self, kind):
+        # a smooth ramp at 256 levels holds a few hundred of the 65536 pair
+        # codes; one (w, levels^2) int64 histogram alone is 64 MiB here
+        img = np.add.outer(np.arange(128), np.arange(128)).astype(np.uint8)
+        q = quantize(img, 256)
+        bound = 16 * img.size * 8
         tracemalloc.start()
         try:
             texture_map_sliding(q, kind, 13, Offset(1, -1), symmetric=True)
