@@ -413,7 +413,7 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     nothing written. ``run_pipeline``
     checks and decodes each image again rather than keep the pre-check's:
     on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms against a run of
-    about 0.65 s, and keeping them would hold 1 MB per id for the batch.
+    about 0.45 s, and keeping them would hold 1 MB per id for the batch.
     """
     root = Path(dataset_dir)
     records = parse_mias_index(find_index_file(root).read_text())

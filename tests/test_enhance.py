@@ -29,6 +29,19 @@ srad(np.random.default_rng(7).integers(0, 256, size=(130, 40), dtype=np.uint8),
      SradParams(iterations=3))
 '''
 
+# prints the dispatch targets NumPy enabled above its baseline, then the SRAD
+# field's and output's bytes for one seeded image with a homogeneous region
+DISPATCH_SRAD = '''
+import numpy as np
+from texturedge import SradParams, enhance, srad
+print(" ".join(np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])))
+img = np.random.default_rng(11).integers(0, 256, size=(130, 77), dtype=np.uint8)
+params = SradParams(iterations=5, homogeneous_region=(3, 3, 20, 20))
+u = (img.astype(np.float64) / 255.0 + 1e-6).astype(np.float32)
+print(enhance._diffuse(u, params).tobytes().hex())
+print(srad(img, params).tobytes().hex())
+'''
+
 
 def speckled_patch(rng, mean=128.0, sigma=0.25, size=64):
     noisy = mean * (1.0 + sigma * rng.standard_normal((size, size)))
@@ -373,6 +386,74 @@ class TestSrad:
             assert np.array_equal(srad(arr, params),
                                   srad(np.ascontiguousarray(arr, dtype=np.uint8), params))
 
+    @pytest.mark.parametrize("offset", [4, 16, 32, 48])
+    def test_field_offset_does_not_change_bits(self, offset, rng):
+        # a caller's field that starts off a cache line splits lines in the
+        # vector loops: slower steps, the same bits
+        img = rng.integers(0, 256, size=(70, 101), dtype=np.uint8)
+        params = SradParams(iterations=3, homogeneous_region=(1, 1, 9, 9))
+        raw = np.empty(img.size * 4 + 2 * 64, dtype=np.uint8)
+        start = -raw.ctypes.data % 64 + offset
+        u = raw[start:start + img.size * 4].view(np.float32).reshape(img.shape)
+        u[...] = _field(img)
+        assert u.ctypes.data % 64 == offset
+        assert_same_bits(enhance._diffuse(u, params), _srad_reference_field(img, params))
+
+    @pytest.mark.parametrize("width", [13, 1023, 1024])
+    def test_buffers_start_on_cache_lines(self, width, monkeypatch, rng):
+        # both field buffers from srad and every scratch plane, for widths
+        # whose rows are not a whole number of cache lines too
+        starts = []
+        tile = enhance._srad_tile
+
+        def recording_tile(src, dst, r0, r1, planes):
+            starts.extend(a.ctypes.data for a in (src, dst, *planes))
+            return tile(src, dst, r0, r1, planes)
+
+        monkeypatch.setattr(enhance, "_srad_tile", recording_tile)
+        srad(rng.integers(0, 256, size=(70, width), dtype=np.uint8), SradParams(iterations=1))
+        assert len(set(starts)) >= 2 + 6 and all(start % 64 == 0 for start in starts)
+
+    def test_dispatch_targets_do_not_change_bits(self, rng):
+        # the field and the output with every SIMD target above NumPy's
+        # baseline disabled (narrower vectors, other loop tails) equal the
+        # in-process run's, which uses every target this host has (on an
+        # AVX-512 host X86_V3, X86_V4 and the AVX512_* ones)
+        targets = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+        if not targets:
+            pytest.skip("NumPy dispatches to no target above its baseline here")
+        result = subprocess.run(
+            [sys.executable, "-c", DISPATCH_SRAD],
+            env={**os.environ, "PYTHONPATH": str(SRC),
+                 "NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        found, field_hex, out_hex = result.stdout.splitlines()
+        assert found == ""  # the child ran on the baseline loops only
+        img = np.random.default_rng(11).integers(0, 256, size=(130, 77), dtype=np.uint8)
+        params = SradParams(iterations=5, homogeneous_region=(3, 3, 20, 20))
+        assert field_hex == enhance._diffuse(_field(img), params).tobytes().hex()
+        assert out_hex == srad(img, params).tobytes().hex()
+
+    def test_srad_peak_holds_one_float64_plane(self, monkeypatch, rng):
+        # entry and exit each convert in place on one float64 plane: the
+        # peak is the exit's field, float64 plane and uint8 output (one
+        # worker keeps the diffusion's two fields and scratch planes below
+        # it), with a quarter field of slack; one more float64 or field-sized
+        # temporary at either end breaks the bound
+        workers = 1
+        monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
+        img = rng.integers(0, 256, size=(512, 256), dtype=np.uint8)
+        field = img.size * 4
+        scratch = workers * 6 * (enhance.TILE_ROWS + 2) * img.shape[1] * 4
+        tracemalloc.start()
+        try:
+            srad(img, SradParams(iterations=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < max(field + 8 * img.size + img.size, 2 * field + scratch) + field // 4
+
     def test_steps_allocate_no_image_sized_array(self, monkeypatch, rng):
         # the second field buffer, at most seven scratch planes per worker
         # and a quarter image of slack: one image-sized temporary per step
@@ -525,6 +606,19 @@ class TestClahe:
         want = _clahe_float64_reference(img, params)
         for arr in (np.asfortranarray(img), img.astype(np.int64)):
             assert np.array_equal(clahe(arr, params), want)
+
+    def test_blend_holds_three_float64_planes(self, rng):
+        # the blend runs in place: at most two float64 planes, the product
+        # being added and its uint8 gather live at once, plus slack; written
+        # out of place the same blend peaks at about 40 bytes a pixel
+        img = rng.integers(0, 256, size=(512, 256), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            clahe(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (3 * 8 + 4) * img.size
 
     @pytest.mark.parametrize("index", range(3))
     def test_film_matches_float64_table_reference(self, index, benchmark_films):
