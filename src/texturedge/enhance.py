@@ -6,22 +6,23 @@ are deterministic, and preserve image dimensions.
 """
 from __future__ import annotations
 
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import TexturedgeError
+from .errors import InternalInvariantError, TexturedgeError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
-# rows per SRAD tile; a worker's six float32 scratch planes of TILE_ROWS + 2
-# rows (halo rows for d_s and kc) take 1.6 MB at 1024 columns, each plane
-# starting on its own cache line
-TILE_ROWS = 64
+# rows per SRAD tile; a band's six float32 scratch planes of TILE_ROWS + 2
+# rows (halo rows for d_s and kc) take 0.8 MB at 1024 columns, each plane
+# starting on its own cache line. On a 1024x1024 film with two bands, 32-row
+# tiles beat 64-row ones in 25 of 28 alternating srad calls (2 vCPUs)
+TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -127,26 +128,40 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     one float64 plane, and neither plane lives through the steps.
 
     The field lives in two image-sized float32 buffers: each step reads one
-    and writes the other. Both buffers, and each worker's scratch planes
+    and writes the other. Both buffers, and each band's scratch planes
     below, start on a 64-byte cache line. NumPy's widest loops (AVX-512
     where the CPU has it) load and store 64 bytes at a time, and an array
     that starts off a line, as a large ``np.empty`` one from the
     allocator's mmap path does, splits a line at every such access: at
     1024 columns that cost about 30 % of a step's time. Where the data
-    lives changes no pass and no bit. The rows are split into contiguous
-    bands, one per CPU this process may run on but never more than there
-    are ``TILE_ROWS``-row tiles, and the bands run on a thread pool (NumPy's
-    ufuncs release the GIL). A worker walks its band tile by tile and keeps
-    every temporary in its own scratch planes, so no step allocates an
-    image-sized array or a padded copy. Every view a tile reads or writes is
-    sliced once per call, for either buffer as the source, so a step is
-    ufunc calls only: each one is a GIL hand-off between the workers. A tile
-    also computes ``kc`` for the one row south of it, which ``kc_s`` reads;
-    every band is joined before the buffers swap, so that one barrier per
-    step is the only synchronisation. Each pixel goes through the same IEEE
-    operations in the same order for any tiling and worker count, so the
-    float field is bit-identical to evaluating the formulas above in
-    float32, with the same float32 scalars, one whole array at a time.
+    lives changes no pass and no bit.
+
+    The rows are split into contiguous bands, one per CPU this process may
+    run on but never more than there are ``TILE_ROWS``-row tiles. This
+    process steps the first band and an ``os.fork``-ed child steps each of
+    the others; with one band no child is started and the same loop runs.
+    Threads would not do: a step is ufunc calls only, and each call hands
+    the GIL over, a cost that grows with the number of calls (two threads
+    stepping separate half-films took 1.3 times one thread's time with
+    64-row tiles and 3.2 times with 16-row ones). Each process keeps both
+    field buffers as private copy-on-write pages and writes only its own
+    band's rows. It walks its band tile by tile and keeps every temporary
+    in its own scratch planes, so no step allocates an image-sized array or
+    a padded copy. Every view a tile reads or writes is sliced once per call,
+    for either buffer as the source. A tile reads one row above it and two
+    below it: it also computes ``kc`` for the one row south of it, which
+    ``kc_s`` reads. So after each step a band copies its first two rows and
+    its last row into a small strip that every process maps, waits at a
+    one-byte pipe barrier for every band to do the same, and copies the
+    rows its neighbours published into its own buffer. The strip has one
+    half per step parity, so a band that runs ahead cannot overwrite rows
+    its neighbour has yet to read; that barrier is the only
+    synchronisation. At the end each child writes its band of the result
+    down its pipe into this process's buffer and exits; no process
+    outlives the call. Each pixel goes through the same IEEE operations in
+    the same order for any tiling and band count, so the float field is
+    bit-identical to evaluating the formulas above in float32, with the
+    same float32 scalars, one whole array at a time.
 
     A tile computes each term that neighbours share once. IEEE subtraction
     is sign-symmetric, so ``d_n(r) = -d_s(r-1)`` and ``d_w(j) = -d_e(j-1)``,
@@ -208,7 +223,10 @@ def _aligned_empty(shape) -> np.ndarray:
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on."""
+    """Processes SRAD may step bands in: the CPUs this process may run on,
+    or 1 where the platform has no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -222,7 +240,13 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     buffers and is overwritten. A ``u`` that does not start on a 64-byte
     cache line, unlike ``srad``'s, gives the same field in slower steps.
     ``q0`` starts from the homogeneous region (inside ``u``) and decays in
-    float64; each step rounds its scalars once.
+    float64; each step rounds its scalars once, before any band starts.
+
+    This process steps band 0 and starts one forked child per other band
+    (see ``srad``); each child sends its band of the result down its pipe
+    into the returned buffer and exits. A child that dies, or a tile step
+    that raises in band 0, raises ``InternalInvariantError`` naming the
+    band, after every child has been reaped.
     """
     height, width = u.shape
     params.check_fits(width, height)
@@ -232,41 +256,136 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
         q0_init = max(float(region.std() / region.mean()), 1e-8)
     else:
         q0_init = 1.0
+    dt = params.time_step
+    # float32 scalars: a float64 one would promote every tile pass to float64
+    k = np.float32(0.25 * dt)
+    steps = []  # (ks, q0_4) of every step; one with ks = 0 is the identity
+    for n in range(params.iterations):
+        q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
+        q0_sq = q0 * q0
+        ks = k * np.float32(q0_sq * (1.0 + q0_sq))
+        if ks > 0.0:
+            steps.append((ks, np.float32(q0_sq * q0_sq)))
 
     tiles = [(r, min(r + TILE_ROWS, height)) for r in range(0, height, TILE_ROWS)]
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    scratch = [[_aligned_empty((min(TILE_ROWS, height) + 2, width)) for _ in range(6)]
-               for _ in bands]
     buffers = (u, _aligned_empty(u.shape))
-    # steps[i][b]: band b's tiles with buffers[i] as the source
-    steps = [[[_srad_tile(buffers[i], buffers[1 - i], r0, r1, planes) for r0, r1 in band]
-              for band, planes in zip(bands, scratch)] for i in (0, 1)]
-    src = 0
-    dt = params.time_step
-    # float32 scalars: a float64 one would promote every tile pass to float64
-    k = np.float32(0.25 * dt)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for n in range(params.iterations):
-            q0 = q0_init * np.exp(-params.q0_decay_rho * (n * dt))
-            q0_sq = q0 * q0
-            q0_4 = np.float32(q0_sq * q0_sq)
-            ks = k * np.float32(q0_sq * (1.0 + q0_sq))
-            if not ks > 0.0:
-                continue  # the step leaves the field as it is
-            # every band is joined before the buffers swap: the next step
-            # reads rows that other workers wrote in this one
-            list(pool.map(partial(_srad_band, ks=ks, q0_4=q0_4, k=k), steps[src]))
-            src = 1 - src
+    # edges[parity, b]: band b's first two rows and last row after a step
+    # whose result has that parity, in a mapping every process shares
+    edges = np.frombuffer(mmap.mmap(-1, 2 * workers * 3 * width * 4), np.float32)
+    edges = edges.reshape(2, workers, 3, width)
+    fds, links, pids = [], [], {}  # links[b - 1]: this end of band b's two pipes
+
+    def lost(b):
+        code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(b), 0)[1])
+        raise InternalInvariantError(f"SRAD band {b} ended with exit status {code}")
+
+    def sync():
+        for b, (up, _) in enumerate(links, 1):
+            if not os.read(up, 1):
+                lost(b)
+        for _, down in links:
+            os.write(down, b"\0")
+
+    try:
+        for b in range(1, workers):
+            up, down = os.pipe(), os.pipe()
+            fds += (*up, *down)
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a fork in a process with other
+                # threads (OpenBLAS's idle pool) may deadlock the child. This
+                # child runs only ufunc passes over its own arrays and pipe
+                # I/O: it takes no BLAS, logging or other lock a thread of
+                # the parent could have held at the fork.
+                warnings.filterwarnings("ignore", r"This process .*is multi-threaded, "
+                                        r"use of fork\(\)", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds:
+                        if fd not in (up[1], down[0]):
+                            os.close(fd)
+                    _band_child(buffers, bands, b, edges, steps, k, up[1], down[0])
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[b] = pid
+            for fd in (up[1], down[0]):
+                fds.remove(fd)
+                os.close(fd)
+            links.append((up[0], down[1]))
+        src = _run_band(buffers, bands, 0, edges, steps, k, sync)
+        for b, (up, _) in enumerate(links, 1):
+            view = _band_bytes(buffers[src], bands[b])
+            while view:
+                n = os.readv(up, [view])
+                if not n:
+                    lost(b)
+                view = view[n:]
+    finally:
+        # a child still running sees its pipes close and exits
+        for fd in fds:
+            os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
     return buffers[src]
 
 
-def _srad_band(tile_steps, ks, q0_4, k) -> None:
-    """One SRAD step for the tiles of one band, with this step's scalars."""
+def _band_bytes(field: np.ndarray, tiles) -> memoryview:
+    """The bytes of the rows of ``field`` that ``tiles`` cover."""
+    return memoryview(field[tiles[0][0]:tiles[-1][1]]).cast("B")
+
+
+def _band_child(buffers, bands, b, edges, steps, k, up, down) -> None:
+    """Band ``b``'s steps in a forked child, synchronised with the parent
+    through the pipe ends ``up`` (to it) and ``down`` (from it); then sends
+    the band's rows of the result up."""
+    def sync():
+        os.write(up, b"\0")
+        if not os.read(down, 1):
+            raise InternalInvariantError(f"SRAD band {b} lost band 0")
+
+    view = _band_bytes(buffers[_run_band(buffers, bands, b, edges, steps, k, sync)], bands[b])
+    while view:
+        view = view[os.write(up, view):]
+
+
+def _run_band(buffers, bands, b, edges, steps, k, sync) -> int:
+    """Every step for the tiles of band ``b``, returning the index of the
+    buffer that holds the result. After each step the band publishes its
+    first two rows and its last row in ``edges``, ``sync()`` waits for
+    every band to do the same, and the band reads the row above it and the
+    two below it, which its tiles read next step, from its neighbours."""
+    height, width = buffers[0].shape
+    tiles = bands[b]
+    planes = [_aligned_empty((min(TILE_ROWS, height) + 2, width)) for _ in range(6)]
+    tile_steps = [[_srad_tile(buffers[i], buffers[1 - i], r0, r1, planes) for r0, r1 in tiles]
+                  for i in (0, 1)]
+    r0, r1 = tiles[0][0], tiles[-1][1]
+    head, below = min(2, r1 - r0), min(2, height - r1)
+    src = 0
     with np.errstate(divide="ignore"):  # a flat pixel's ks / 0 (see srad)
-        for step in tile_steps:
-            step(ks, q0_4, k)
+        for ks, q0_4 in steps:
+            try:
+                for step in tile_steps[src]:
+                    step(ks, q0_4, k)
+            except Exception as exc:
+                raise InternalInvariantError(f"SRAD band {b} raised {exc!r}") from exc
+            src = 1 - src
+            # the parity keeps a neighbour's next publication off the rows
+            # this band has yet to read
+            out, strip = buffers[src], edges[src]
+            strip[b, :head] = out[r0:r0 + head]
+            strip[b, 2] = out[r1 - 1]
+            sync()
+            if b > 0:
+                out[r0 - 1] = strip[b - 1, 2]
+            if below:
+                out[r1:r1 + below] = strip[b + 1, :below]
+    return src
 
 
 def _srad_tile(src, dst, r0, r1, planes):

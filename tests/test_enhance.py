@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from texturedge import ClaheParams, SradParams, clahe, enhance, srad
-from texturedge.errors import TexturedgeError
+from texturedge.errors import InternalInvariantError, TexturedgeError
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# three 64-row tiles: with two or more CPUs the thread pool runs several bands
-THREADED_SRAD = '''
+# five 32-row tiles: with two or more CPUs srad forks a child per band after
+# the first
+FORKED_SRAD = '''
 import numpy as np
 from texturedge import SradParams, srad
 srad(np.random.default_rng(7).integers(0, 256, size=(130, 40), dtype=np.uint8),
@@ -116,7 +117,7 @@ def assert_field_matches_reference(img, iterations, with_region):
     assert np.array_equal(srad(img, params), _quantize(want))
 
 
-# one either side of the 64-row tile edges
+# one either side of the tile edges at rows 64 and 128, multiples of TILE_ROWS
 HEIGHTS = [1, 2, 63, 64, 65, 129, 130]
 WIDTHS_ITERATIONS = [(1, 20), (9, 1), (31, 7)]
 PATTERNS = ["random", "checkerboard", "lone_peak"]
@@ -237,6 +238,14 @@ def clahe_grid(shape):
 
 
 class TestSrad:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        # every srad call reaps the children it forked, whether it returns
+        # or raises
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("height", HEIGHTS)
     @pytest.mark.parametrize("width,iterations", WIDTHS_ITERATIONS)
     @pytest.mark.parametrize("with_region", [False, True])
@@ -355,28 +364,74 @@ class TestSrad:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
-        # more workers than cores, and a thread switch every microsecond: a
-        # halo row read before its neighbour tile was joined breaks equality
+        # more processes than cores: a halo row read before its neighbour
+        # band published it, or a publication that overwrites one not yet
+        # read, breaks equality
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         img = speckled_patch(rng, size=5 * 64 + 3)[:, :13]
         params = SradParams(iterations=4, homogeneous_region=(2, 2, 8, 8))
         want = _srad_reference_field(img, params)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = enhance._diffuse(_field(img), params)
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_bits(got, want)
+        assert_same_bits(enhance._diffuse(_field(img), params), want)
 
-    def test_threaded_srad_is_clean_in_development_mode(self):
-        # the README's development-mode check: an executor, thread or other
-        # resource left open warns under -X dev, and the warning is an error
+    def test_forked_srad_is_clean_in_development_mode(self):
+        # the README's development-mode check: a file or other resource left
+        # open warns under -X dev, and so does os.fork on Python 3.12+ in a
+        # process with other threads; every warning is an error
         result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", THREADED_SRAD],
+            [sys.executable, "-X", "dev", "-W", "error", "-c", FORKED_SRAD],
             env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
             timeout=300)
         assert (result.returncode, result.stderr) == (0, "")
+
+    def test_fork_warning_for_a_threaded_process_is_not_an_error(self, monkeypatch, rng):
+        # Python 3.12+ gives this warning in the parent after forking a
+        # process with other threads, as OpenBLAS's pool makes numpy's;
+        # pytest makes every warning an error, which would leave the parent
+        # without its child's pid
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(enhance, "_worker_count", lambda: 2)
+        img = rng.integers(0, 256, size=(2 * enhance.TILE_ROWS + 3, 9), dtype=np.uint8)
+        params = SradParams(iterations=2)
+        assert_same_bits(enhance._diffuse(_field(img), params),
+                         _srad_reference_field(img, params))
+
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_failed_band_raises_invariant_error(self, band, monkeypatch, rng):
+        # band 0 raises in its second step, or band 1's child dies in its
+        # second step; either way every child is reaped (see no_child_left)
+        parent, tile = os.getpid(), enhance._srad_tile
+
+        def failing_tile(src, dst, r0, r1, planes):
+            step, calls = tile(src, dst, r0, r1, planes), []
+            if (os.getpid() == parent) != (band == 0):
+                return step
+
+            def fail(*scalars):
+                calls.append(1)
+                if len(calls) == 2:
+                    if band:
+                        os._exit(7)
+                    raise FloatingPointError("overflow")
+                step(*scalars)
+
+            return fail
+
+        monkeypatch.setattr(enhance, "_srad_tile", failing_tile)
+        monkeypatch.setattr(enhance, "_worker_count", lambda: 3)
+        img = rng.integers(0, 256, size=(3 * enhance.TILE_ROWS, 9), dtype=np.uint8)
+        what = "ended with exit status 7" if band else r"raised FloatingPointError\('overflow'\)"
+        with pytest.raises(InternalInvariantError, match=f"^SRAD band {band} {what}$"):
+            enhance._diffuse(_field(img), SradParams(iterations=5))
 
     def test_input_layout_does_not_change_output(self, rng):
         # the tiles shift along flattened C rows, so srad must hand them one
@@ -400,19 +455,31 @@ class TestSrad:
         assert_same_bits(enhance._diffuse(u, params), _srad_reference_field(img, params))
 
     @pytest.mark.parametrize("width", [13, 1023, 1024])
-    def test_buffers_start_on_cache_lines(self, width, monkeypatch, rng):
-        # both field buffers from srad and every scratch plane, for widths
-        # whose rows are not a whole number of cache lines too
-        starts = []
+    def test_buffers_start_on_cache_lines(self, width, monkeypatch, rng, tmp_path):
+        # both field buffers from srad and every scratch plane of every band,
+        # for widths whose rows are not a whole number of cache lines too;
+        # each process, this one and the forked child, appends what its
+        # tiles got to one log
+        log = tmp_path / "starts"
         tile = enhance._srad_tile
 
         def recording_tile(src, dst, r0, r1, planes):
-            starts.extend(a.ctypes.data for a in (src, dst, *planes))
+            with open(log, "a") as f:
+                f.write(" ".join(map(str, (os.getpid(), r0, *(a.ctypes.data for a in
+                                                              (src, dst, *planes))))) + "\n")
             return tile(src, dst, r0, r1, planes)
 
         monkeypatch.setattr(enhance, "_srad_tile", recording_tile)
-        srad(rng.integers(0, 256, size=(70, width), dtype=np.uint8), SradParams(iterations=1))
-        assert len(set(starts)) >= 2 + 6 and all(start % 64 == 0 for start in starts)
+        monkeypatch.setattr(enhance, "_worker_count", lambda: 2)
+        srad(rng.integers(0, 256, size=(enhance.TILE_ROWS + 6, width), dtype=np.uint8),
+             SradParams(iterations=1))
+        by_pid = {}
+        for line in log.read_text().splitlines():
+            pid, r0, *starts = map(int, line.split())
+            by_pid.setdefault(pid, set()).add(r0)
+            assert len(set(starts)) == 2 + 6 and all(start % 64 == 0 for start in starts)
+        assert sorted(by_pid.values(), key=min) == [{0}, {enhance.TILE_ROWS}]
+        assert os.getpid() in by_pid
 
     def test_dispatch_targets_do_not_change_bits(self, rng):
         # the field and the output with every SIMD target above NumPy's
@@ -435,17 +502,18 @@ class TestSrad:
         assert field_hex == enhance._diffuse(_field(img), params).tobytes().hex()
         assert out_hex == srad(img, params).tobytes().hex()
 
-    def test_srad_peak_holds_one_float64_plane(self, monkeypatch, rng):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_srad_peak_holds_one_float64_plane(self, workers, monkeypatch, rng):
         # entry and exit each convert in place on one float64 plane: the
-        # peak is the exit's field, float64 plane and uint8 output (one
-        # worker keeps the diffusion's two fields and scratch planes below
-        # it), with a quarter field of slack; one more float64 or field-sized
-        # temporary at either end breaks the bound
-        workers = 1
+        # peak is the exit's field, float64 plane and uint8 output (the
+        # diffusion's two fields and band 0's scratch planes stay below it),
+        # with a quarter field of slack; one more float64 or field-sized
+        # temporary at either end breaks the bound. tracemalloc sees this
+        # process only; with one worker that is every band.
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         img = rng.integers(0, 256, size=(512, 256), dtype=np.uint8)
         field = img.size * 4
-        scratch = workers * 6 * (enhance.TILE_ROWS + 2) * img.shape[1] * 4
+        scratch = 6 * (enhance.TILE_ROWS + 2) * img.shape[1] * 4  # band 0's
         tracemalloc.start()
         try:
             srad(img, SradParams(iterations=3))
@@ -454,14 +522,18 @@ class TestSrad:
             tracemalloc.stop()
         assert peak < max(field + 8 * img.size + img.size, 2 * field + scratch) + field // 4
 
-    def test_steps_allocate_no_image_sized_array(self, monkeypatch, rng):
-        # the second field buffer, at most seven scratch planes per worker
-        # and a quarter image of slack: one image-sized temporary per step
-        # breaks the bound
-        workers = 2
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_steps_allocate_no_image_sized_array(self, workers, monkeypatch, rng):
+        # the second field buffer, at most seven scratch planes for the one
+        # band this process steps and a quarter image of slack: one
+        # image-sized temporary per step, or a copy of a child's half-image
+        # band in gathering the result, breaks the bound. tracemalloc sees
+        # this process only; with one worker that is every band. The image
+        # is tall enough for a quarter of it to outweigh seven planes, and
+        # wide enough for the slack to hold each tile's views (about 5 kB).
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
-        u = _field(rng.integers(0, 256, size=(512, 256), dtype=np.uint8))
-        scratch = workers * 7 * (enhance.TILE_ROWS + 2) * u.shape[1] * u.itemsize
+        u = _field(rng.integers(0, 256, size=(2048, 512), dtype=np.uint8))
+        scratch = 7 * (enhance.TILE_ROWS + 2) * u.shape[1] * u.itemsize  # band 0's
         tracemalloc.start()
         try:
             enhance._diffuse(u, SradParams(iterations=3))
