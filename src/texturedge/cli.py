@@ -115,9 +115,7 @@ _SEGMENTING = (
     ("--no-fill-holes", "segment.fill_holes", {"action": "store_const", "const": False}),
 )
 _ROI = (("--margin", "roi.margin_factor", {"type": float}),)
-_EVAL = (("--eval-full-image", "eval.full_image", {"action": "store_const", "const": True,
-          "help": "score masks over whole images, not just ROI crops"}),)
-_CONFIG_FLAGS = _SRAD_CLAHE + _GLCM + _SEGMENTING + _ROI + _EVAL
+_CONFIG_FLAGS = _SRAD_CLAHE + _GLCM + _SEGMENTING + _ROI
 
 
 def _add_config_flags(p: argparse.ArgumentParser, flags):

@@ -112,18 +112,12 @@ class RoiConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    full_image: bool = False
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     srad: SradParams = field(default_factory=SradParams)
     clahe: ClaheParams = field(default_factory=ClaheParams)
     glcm: GlcmConfig = field(default_factory=GlcmConfig)
     segment: SegmentConfig = field(default_factory=SegmentConfig)
     roi: RoiConfig = field(default_factory=RoiConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
 
 def to_plain(value):
@@ -198,7 +192,6 @@ class PipelineResult:
     contours: list[list[tuple[int, int]]]
     report: EvalReport
     roc: RocCurve
-    eval_scope: str = "roi"
 
 
 def enhance_image(img, config: PipelineConfig) -> np.ndarray:
@@ -260,8 +253,9 @@ def _check_run_input(image, record: MiasRecord,
                      config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """The image, read once, and its crop's circle truth (enhancement keeps
     the shape), after what ``run_pipeline`` refuses before SRAD: no image
-    file or circle, an undecodable PGM, a circle ``crop_roi`` refuses or one
-    covering the crop, too many CLAHE tiles or a homogeneous region outside
+    file or circle, an undecodable PGM, a circle ``crop_roi`` refuses, one
+    covering the crop or one the crop cuts (an image pixel of the circle
+    left outside it), too many CLAHE tiles or a homogeneous region outside
     the image. Every refusal from the PGM on names the id and the file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
@@ -272,8 +266,14 @@ def _check_run_input(image, record: MiasRecord,
         img = read_pgm(image) if from_file else image
         crop, (cx, cy) = crop_roi(img, record, config.roi)
         truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
-        reference_counts(truth)
         height, width = img.shape
+        # the circle's image pixels span its centre's row and column, clipped
+        x, y, r = crop.x0 + cx, crop.y0 + cy, record.radius
+        if (max(0, x - r) < crop.x0 or min(width - 1, x + r) >= crop.x0 + crop.width
+                or max(0, y - r) < crop.y0 or min(height - 1, y + r) >= crop.y0 + crop.height):
+            raise TexturedgeError(f"the crop at margin_factor {config.roi.margin_factor} "
+                                  f"leaves out part of the radius-{r} circle")
+        reference_counts(truth)
         config.srad.check_fits(width, height)
         config.clahe.check_fits(width, height)
     except TexturedgeError as exc:
@@ -294,10 +294,11 @@ def run_pipeline(image, record: MiasRecord,
     circle geometry (it defines the ROI and the proxy ground truth);
     otherwise ``TexturedgeError`` is raised.
 
-    Confusion metrics are taken over the ROI crop by default;
-    ``config.eval.full_image`` scores the mask against the circle on the
-    whole image instead (the ROC area always sweeps the crop, the only place
-    texture scores exist).
+    Confusion metrics and the ROC area are taken over the ROI crop, the only
+    place texture scores exist. A crop that would leave out an image pixel
+    of the circle is refused, so the whole image would change only tn and
+    specificity: ``report.json`` carries those as ``image_tn`` and
+    ``image_specificity``.
 
     ``az`` is ``roc_az(sum_map, filled circle)`` over the crop: it asks how
     well the summed contrast map ranks mass pixels above the rest. The map
@@ -311,19 +312,9 @@ def run_pipeline(image, record: MiasRecord,
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
     threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
 
-    roc = roc_az(sum_map, truth)
-    if config.eval.full_image:
-        h, w = img.shape
-        full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
-        full_mask = np.zeros((h, w), dtype=bool)
-        full_mask[crop.y0:crop.y0 + crop.height, crop.x0:crop.x0 + crop.width] = mask
-        report = metrics(confusion(full_mask, full_truth))
-    else:
-        report = metrics(confusion(mask, truth))
-
-    result = PipelineResult(record.ref_id, enhanced, crop, direction_maps,
-                            sum_map, threshold, mask, contours, report, roc,
-                            "full" if config.eval.full_image else "roi")
+    result = PipelineResult(record.ref_id, enhanced, crop, direction_maps, sum_map,
+                            threshold, mask, contours, metrics(confusion(mask, truth)),
+                            roc_az(sum_map, truth))
     if out_dir is not None:
         write_artifacts(result, record, out_dir)
     return result
@@ -363,6 +354,10 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path
 
 
 def _report_json(result: PipelineResult, record: MiasRecord) -> str:
+    # the crop holds the mask and every image pixel of the circle
+    # (_check_run_input), so the whole image adds only true negatives
+    c = result.report.counts
+    image = metrics(dataclasses.replace(c, tn=result.enhanced.size - c.tp - c.fp - c.fn))
     return json.dumps({
         "ref_id": result.ref_id,
         "tissue": record.tissue,
@@ -370,7 +365,8 @@ def _report_json(result: PipelineResult, record: MiasRecord) -> str:
         "roi_offset": [result.roi.x0, result.roi.y0],
         "threshold": result.threshold,
         "az": result.roc.az,
-        "eval_scope": result.eval_scope,
+        "image_tn": image.counts.tn,
+        "image_specificity": image.specificity,
         **result.report.as_dict(),
     }, indent=2, sort_keys=True) + "\n"
 
@@ -402,16 +398,16 @@ def run_experiment(dataset_dir, ids: Sequence[str],
                    config: PipelineConfig = PipelineConfig(),
                    out_dir=None) -> list[ExperimentRow]:
     """Run and score the pipeline for each id in a dataset directory, with
-    ``config`` (its ``eval.full_image`` included) for every image.
+    ``config`` for every image. Every row is scored over its crop.
 
     The directory must hold ``<id>.pgm`` images and the index ``Info.txt``.
     When an id has several annotation lines, the first one carrying circle
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling. Every id's
-    record, image file, PGM decoding, circle and fit to the SRAD and CLAHE
-    settings are checked before the first image runs, so a refused id leaves
-    nothing written. ``run_pipeline``
-    checks and decodes each image again rather than keep the pre-check's:
+    record, image file, PGM decoding, circle, crop and fit to the SRAD and
+    CLAHE settings are checked before the first image runs, so a refused id
+    leaves nothing written. ``run_pipeline`` checks and decodes each image
+    again rather than keep the pre-check's:
     on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms against a run of
     about 0.45 s, and keeping them would hold 1 MB per id for the batch.
     """

@@ -1,4 +1,6 @@
+import faulthandler
 import importlib.util
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -16,6 +18,32 @@ SYNTH_CASES = [
     ("sy002", "F", 58, 70, 16, 22),
     ("sy003", "G", 70, 60, 12, 33),
 ]
+
+# Seconds one test may take, its fixtures' set-up and tear-down included,
+# before the run ends with every thread's traceback: about six times the
+# slowest test (20 s). SRAD's forked bands block on pipe reads, so a fault
+# in their protocol would otherwise hang the suite.
+TEST_TIME_LIMIT_S = 120
+_TRACEBACK_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the real stderr, taken before output capture redirects fd 2,
+    # so that the traceback of a run ended mid-test reaches the terminal
+    config.stash[_TRACEBACK_FD] = os.dup(sys.stderr.fileno())
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # a hook, not an autouse fixture: module- and session-scoped fixtures,
+    # such as test_pipeline's whole run and test_enhance's 20 s SRAD oracle,
+    # are set up before any function-scoped one
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=item.config.stash[_TRACEBACK_FD])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def synth_mass_image(seed: int, cx: int, cy: int, r: int, size: int = SYNTH_SIZE) -> np.ndarray:

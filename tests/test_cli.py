@@ -88,7 +88,6 @@ CONFIG_FLAG_CASES = {
         (["--no-fill-holes"], "segment", "fill_holes", False),
     ],
     "roi": [(["--margin", "2.5"], "roi", "margin_factor", 2.5)],
-    "eval": [(["--eval-full-image"], "eval", "full_image", True)],
 }
 # each subcommand's required arguments and the flag sets it takes
 SUBCOMMAND_FLAG_SETS = {
@@ -141,6 +140,8 @@ class TestConfigFlags:
 
     @pytest.mark.parametrize("command", ["enhance", "texture", "segment"])
     def test_eval_flag_only_on_scoring_subcommands(self, command, capsys):
+        # the non-scoring subcommands never took the flag; the scoring ones no
+        # longer take it either (TestEvalScopeAndRoc.test_full_image_flag)
         with pytest.raises(SystemExit) as excinfo:
             run_cli(command, *SUBCOMMAND_FLAG_SETS[command][0], "--eval-full-image")
         assert excinfo.value.code == 1
@@ -527,19 +528,38 @@ class TestExperimentCommand:
                 "the 6x6 image") in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "a").exists()
 
-    def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path, capsys):
+    def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path,
+                                                     monkeypatch, capsys):
+        # every run is scored over its crop: the former config section is an
+        # unknown field, as the former flag is an unknown argument
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
         config = tmp_path / "config.json"
         config.write_text('{"eval": {"full_image": true}}')
-        trees, outputs = [], []
-        for name, extra in (("file", ["--config", str(config)]), ("flag", ["--eval-full-image"])):
-            out = tmp_path / name
-            assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", "sy001",
-                           "--out", str(out), *extra) == 0
-            outputs.append(capsys.readouterr().out)
-            trees.append({p.relative_to(out): p.read_bytes()
-                          for p in sorted(out.rglob("*")) if p.is_file()})
-        assert trees[0] == trees[1] and outputs[0] == outputs[1]
-        assert json.loads(trees[0][Path("sy001", "report.json")])["eval_scope"] == "full"
+        out = tmp_path / "a" / "out"
+        assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", "sy001",
+                       "--config", str(config), "--out", str(out)) == 1
+        assert "texturedge: unknown fields in config: ['eval']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("experiment", "--dataset", str(synth_dataset), "--ids", "sy001",
+                    "--out", str(out), "--eval-full-image")
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --eval-full-image" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "a").exists()
+
+    def test_crop_that_cuts_its_circle_runs_nothing_and_writes_nothing(
+            self, synth_dataset, tmp_path, monkeypatch, capsys):
+        # at margin 1.0 sy001's crop spans columns and rows [50, 78), which
+        # leaves out the radius-14 circle's east and south ends at 78
+        calls = []
+        monkeypatch.setattr(pipeline, "srad", lambda *args: calls.append(args))
+        out = tmp_path / "a" / "out"
+        assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", "sy001",
+                       "--margin", "1.0", "--out", str(out)) == 2
+        where = f"id sy001 ({synth_dataset / 'sy001.pgm'})"
+        assert (f"texturedge: {where}: the crop at margin_factor 1.0 leaves out part of the "
+                "radius-14 circle") in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "a").exists()
 
 
 class TestSegmentCommand:
@@ -640,13 +660,16 @@ class TestBadMapIsDataError:
 
 
 class TestEvalScopeAndRoc:
-    def test_full_image_flag(self, synth_dataset, tmp_path):
-        ref = SYNTH_CASES[0][0]
-        assert run_cli("pipeline", "--image", str(synth_dataset / f"{ref}.pgm"),
-                       "--id", ref, "--dataset", str(synth_dataset),
-                       "--out", str(tmp_path), "--eval-full-image") == 0
-        report = json.loads((tmp_path / ref / "report.json").read_text())
-        assert report["eval_scope"] == "full"
+    def test_full_image_flag(self, capsys):
+        # scoring has no scope setting: no subcommand takes the former flag
+        required = {command: argv for command, (argv, _) in SUBCOMMAND_FLAG_SETS.items()}
+        required["eval"] = ["--pred", "p.pgm", "--truth", "t.pgm"]
+        assert set(required) == set(cli._COMMANDS)
+        for command, argv in required.items():
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(command, *argv, "--eval-full-image")
+            assert excinfo.value.code == 1
+            assert "unrecognized arguments: --eval-full-image" in capsys.readouterr().err
 
     def test_eval_roc_csv(self, tmp_path, rng):
         mask = rng.random((12, 12)) > 0.5

@@ -4,7 +4,7 @@ The manifest holds the NumPy version and one SHA-256 per file written by:
 
 - ``experiment`` over the three synthetic test cases plus the first film of
   the benchmark's ``single_mass_films(5)``, once with the default config and
-  once with ``--eval-full-image --distance 2``, each run's stdout included;
+  once with ``--distance 2``, each run's stdout included;
 - ``texture`` on sy001's ``roi.pgm`` from the default run, for every
   descriptor, without and with ``--symmetric``;
 
@@ -13,6 +13,9 @@ fails here and lists the changed, missing and extra files. A change that
 alters output bits on purpose rewrites the manifest, from the repo root:
 
     PYTHONPATH=src python tests/test_golden_manifest.py
+
+which prints the files changed, missing and extra against the manifest it
+replaces, for the change to name.
 
 SRAD's float64 ``exp`` and entropy's ``log2`` may round differently under
 another NumPy, so the test skips on any version but the manifest's.
@@ -32,7 +35,7 @@ from texturedge import Descriptor, write_pgm
 from texturedge.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
-EXPERIMENTS = {"defaults": [], "full_image_distance_2": ["--eval-full-image", "--distance", "2"]}
+EXPERIMENTS = {"defaults": [], "distance_2": ["--distance", "2"]}
 
 
 def _cli(*argv: str) -> str:
@@ -71,20 +74,28 @@ def build(work: Path, film) -> dict[str, str]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def differences(want: dict[str, str], got: dict[str, str]) -> dict[str, list[str]]:
+    """The files of ``got`` whose hash differs from ``want``'s, those only in
+    ``want`` and those only in ``got``."""
+    return {"changed": sorted(k for k in want.keys() & got.keys() if want[k] != got[k]),
+            "missing": sorted(want.keys() - got.keys()),
+            "extra": sorted(got.keys() - want.keys())}
+
+
 def test_outputs_match_the_golden_manifest(tmp_path, benchmark_films):
     golden = json.loads(MANIFEST.read_text())
     if golden["numpy"] != np.__version__:
         pytest.skip(f"the manifest pins NumPy {golden['numpy']}; this is {np.__version__}")
-    want, got = golden["files"], build(tmp_path, benchmark_films[0])
-    changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
-    missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
-    assert not (changed or missing or extra), (
-        f"changed: {changed}\nmissing: {missing}\nextra: {extra}")
+    diff = differences(golden["files"], build(tmp_path, benchmark_films[0]))
+    assert not any(diff.values()), "\n".join(f"{k}: {v}" for k, v in diff.items())
 
 
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text())["files"] if MANIFEST.is_file() else {}
     with tempfile.TemporaryDirectory() as work:
         files = build(Path(work), load_benchmark_films(5)[0])
     MANIFEST.write_text(json.dumps({"numpy": np.__version__, "files": files},
                                    indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(files)} hashes to {MANIFEST}")
+    for label, keys in differences(old, files).items():
+        print(f"{label} ({len(keys)}):", *keys, sep="\n  ")

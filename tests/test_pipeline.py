@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
 from texturedge import (
+    MiasRecord,
     PipelineConfig,
     ThresholdSpec,
     parse_config,
@@ -25,8 +26,9 @@ from texturedge import (
 from texturedge import pipeline
 from texturedge.enhance import SradParams, srad
 from texturedge.errors import TexturedgeError
+from texturedge.evalmetrics import circle_mask, confusion, metrics
 from texturedge.pipeline import (
-    EvalConfig,
+    RoiConfig,
     SegmentConfig,
     experiment_csv,
     experiment_jsonl,
@@ -114,7 +116,6 @@ class TestConfig:
 
         assert sorted(leaves(to_plain(PipelineConfig()))) == [
             "clahe.clip_limit", "clahe.tiles_x", "clahe.tiles_y",
-            "eval.full_image",
             "glcm.distance", "glcm.levels", "glcm.window_side",
             "roi.margin_factor",
             "segment.close_radius", "segment.fill_holes",
@@ -138,7 +139,7 @@ class TestConfig:
     @pytest.mark.parametrize("doc,field", [
         ({"glcm": {"window_side": "no"}}, "config.glcm.window_side"),
         ({"srad": {"iterations": True}}, "config.srad.iterations"),
-        ({"eval": {"full_image": 0}}, "config.eval.full_image"),
+        ({"segment": {"fill_holes": 0}}, "config.segment.fill_holes"),
         ({"glcm": {"levels": 8.0}}, "config.glcm.levels"),
         ({"roi": {"margin_factor": None}}, "config.roi.margin_factor"),
         ({"segment": {"threshold_method": {"method": "fixed", "value": "0.4"}}},
@@ -231,17 +232,56 @@ class TestRunPipeline:
         with pytest.raises(TexturedgeError, match="reference has no negative pixels"):
             run_pipeline(synth_mass_image(seed, cx, cy, r), record)
 
-    def test_full_image_eval_scope(self, result):
-        ref, tissue, cx, cy, r, seed = SYNTH_CASES[0]
-        img = synth_mass_image(seed, cx, cy, r)
-        full = run_pipeline(img, first_case_record(), dataclasses.replace(
-            PipelineConfig(), eval=EvalConfig(full_image=True)))
-        assert full.eval_scope == "full" and result.eval_scope == "roi"
-        # whole-image scoring adds only true negatives for this centered mass
-        assert full.report.counts.tn > result.report.counts.tn
-        assert full.report.counts.tp == result.report.counts.tp
-        assert full.report.dice == result.report.dice
-        assert full.report.counts.total == img.size
+    def test_full_image_eval_scope(self, benchmark_films, tmp_path):
+        # report.json's image_tn and image_specificity against the mask and
+        # circle scored on the whole image, as the former full-image scope did
+        cases = [(synth_mass_image(seed, cx, cy, r), synth_index_line(ref, tissue, cx, cy, r))
+                 for ref, tissue, cx, cy, r, seed in SYNTH_CASES]
+        film = benchmark_films[0]
+        cases.append((film.image, film.index_lines()[0]))
+        image_tns = []
+        for img, line in cases:
+            record = parse_mias_index(line)[0]
+            result = run_pipeline(img, record, out_dir=tmp_path)
+            report = json.loads((tmp_path / record.ref_id / "report.json").read_text())
+            crop, (cx, cy) = pipeline.crop_roi(img, record, RoiConfig())
+            h, w = img.shape
+            full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
+            full_mask = np.zeros((h, w), dtype=bool)
+            full_mask[crop.y0:crop.y0 + crop.height, crop.x0:crop.x0 + crop.width] = result.mask
+            want = metrics(confusion(full_mask, full_truth))
+            assert [report[k] for k in ("tp", "fp", "fn")] == [
+                want.counts.tp, want.counts.fp, want.counts.fn]
+            assert report["image_tn"] == want.counts.tn
+            assert report["image_specificity"] == want.specificity
+            assert report["tn"] == result.report.counts.tn < want.counts.tn
+            assert "eval_scope" not in report
+            image_tns.append(report["image_tn"])
+        assert image_tns == [15070, 15181, 15680, 1044582]
+
+    @given(st.integers(8, 40), st.integers(8, 40), st.integers(1, 16), st.floats(1.0, 4.0),
+           st.integers(0, 39), st.integers(0, 39))
+    # only the east end cut (the south end is clipped by the image), and only the south
+    @example(40, 40, 5, 1.0, 10, 35)
+    @example(40, 40, 5, 1.0, 35, 10)
+    @settings(max_examples=300, deadline=None)
+    def test_crop_holds_the_circle_or_is_refused(self, w, h, r, margin, cx, cy):
+        # the refusal fires exactly when the crop leaves out an image pixel
+        # of the circle, and never from margin 1.5 on
+        cx, cy = cx % w, cy % h
+        record = MiasRecord("p1", "F", "CIRC", "B", cx, h - 1 - cy, r)
+        img = np.zeros((h, w), dtype=np.uint8)
+        crop, (x, y) = pipeline.crop_roi(img, record, RoiConfig(margin))
+        in_crop = np.count_nonzero(circle_mask(crop.width, crop.height, x, y, r))
+        in_image = np.count_nonzero(circle_mask(w, h, cx, cy, r))
+        config = dataclasses.replace(PipelineConfig(), roi=RoiConfig(margin))
+        try:
+            pipeline._check_run_input(img, record, config)
+            refused = False
+        except TexturedgeError as exc:
+            refused = "leaves out part of the radius" in str(exc)
+        assert refused == (in_crop < in_image)
+        assert not (refused and margin >= 1.5)
 
     @pytest.mark.parametrize("spec", [
         ThresholdSpec("percentile", 75.0),
