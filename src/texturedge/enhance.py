@@ -18,10 +18,11 @@ from .errors import InternalInvariantError, TexturedgeError
 from .imgio import as_gray_image
 
 _EPS = 1e-6
-# rows per SRAD tile; a band's six float32 scratch planes of TILE_ROWS + 2
-# rows (halo rows for d_s and kc) take 0.8 MB at 1024 columns, each plane
-# starting on its own cache line. On a 1024x1024 film with two bands, 32-row
-# tiles beat 64-row ones in 25 of 28 alternating srad calls (2 vCPUs)
+# rows per SRAD tile; a band's six private float32 scratch planes of
+# TILE_ROWS + 2 rows (d_s and kc one row past the tile) take 0.8 MB at 1024
+# columns, each plane starting on its own cache line. On a 1024x1024 film
+# with two bands, 32-row tiles beat 64-row ones in 12 of 14 alternating srad
+# calls (medians 0.251 and 0.285 s wall, 2 vCPUs)
 TILE_ROWS = 32
 
 
@@ -127,14 +128,14 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     pixels per megapixel. The conversions in and out each run in place on
     one float64 plane, and neither plane lives through the steps.
 
-    The field lives in two image-sized float32 buffers: each step reads one
-    and writes the other. Both buffers, and each band's scratch planes
-    below, start on a 64-byte cache line. NumPy's widest loops (AVX-512
-    where the CPU has it) load and store 64 bytes at a time, and an array
-    that starts off a line, as a large ``np.empty`` one from the
-    allocator's mmap path does, splits a line at every such access: at
-    1024 columns that cost about 30 % of a step's time. Where the data
-    lives changes no pass and no bit.
+    The field lives in two image-sized float32 buffers in one shared
+    anonymous mapping: each step reads one and writes the other. Both
+    buffers, and each band's scratch planes below, start on a 64-byte cache
+    line. NumPy's widest loops (AVX-512 where the CPU has it) load and
+    store 64 bytes at a time, and an array that starts off a line, as a
+    large ``np.empty`` one from the allocator's mmap path does, splits a
+    line at every such access: at 1024 columns that cost about 30 % of a
+    step's time. Where the data lives changes no pass and no bit.
 
     The rows are split into contiguous bands, one per CPU this process may
     run on but never more than there are ``TILE_ROWS``-row tiles. This
@@ -143,25 +144,22 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     Threads would not do: a step is ufunc calls only, and each call hands
     the GIL over, a cost that grows with the number of calls (two threads
     stepping separate half-films took 1.3 times one thread's time with
-    64-row tiles and 3.2 times with 16-row ones). Each process keeps both
-    field buffers as private copy-on-write pages and writes only its own
-    band's rows. It walks its band tile by tile and keeps every temporary
-    in its own scratch planes, so no step allocates an image-sized array or
-    a padded copy. Every view a tile reads or writes is sliced once per call,
-    for either buffer as the source. A tile reads one row above it and two
-    below it: it also computes ``kc`` for the one row south of it, which
-    ``kc_s`` reads. So after each step a band copies its first two rows and
-    its last row into a small strip that every process maps, waits at a
-    one-byte pipe barrier for every band to do the same, and copies the
-    rows its neighbours published into its own buffer. The strip has one
-    half per step parity, so a band that runs ahead cannot overwrite rows
-    its neighbour has yet to read; that barrier is the only
-    synchronisation. At the end each child writes its band of the result
-    down its pipe into this process's buffer and exits; no process
-    outlives the call. Each pixel goes through the same IEEE operations in
-    the same order for any tiling and band count, so the float field is
-    bit-identical to evaluating the formulas above in float32, with the
-    same float32 scalars, one whole array at a time.
+    64-row tiles and 3.2 times with 16-row ones). Every band steps the same
+    two buffers, tile by tile, and keeps every temporary in its own scratch
+    planes, so no step allocates an image-sized array or a padded copy;
+    every view a tile reads or writes is sliced once per call, for either
+    buffer as the source. A tile reads its neighbours' rows (one above, two
+    below) where they lie. After each step every band waits at a one-byte
+    pipe barrier for all the others, the only synchronisation; no field
+    byte crosses a pipe. Double buffering makes that enough: step ``n``
+    reads buffer ``s`` and writes only its band's rows of buffer ``1 - s``,
+    nothing writes buffer ``s`` again until step ``n + 1``, and no band
+    starts step ``n + 1`` before every band has passed the barrier after
+    step ``n``. No process outlives the call. Each pixel goes through
+    the same IEEE operations in the same order for any tiling and band
+    count, so the float field is bit-identical to evaluating the formulas
+    above in float32, with the same float32 scalars, one whole array at a
+    time.
 
     A tile computes each term that neighbours share once. IEEE subtraction
     is sign-symmetric, so ``d_n(r) = -d_s(r-1)`` and ``d_w(j) = -d_e(j-1)``,
@@ -195,11 +193,10 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     scaled = a.astype(np.float64)
     scaled /= 255.0
     scaled += _EPS
-    field = _aligned_empty(a.shape)
-    field[...] = scaled
+    fields = _shared_fields(scaled)
     del scaled  # no float64 plane lives through the diffusion
-    field = _diffuse(field, params)  # drops the start buffer unless it is the result
-    scaled = field.astype(np.float64)
+    scaled = _diffuse(fields, params).astype(np.float64)
+    del fields  # unmaps both buffers
     scaled *= 255.0
     return _round_to_uint8(scaled)
 
@@ -222,6 +219,20 @@ def _aligned_empty(shape) -> np.ndarray:
     return raw[start:start + nbytes].view(np.float32).reshape(shape)
 
 
+def _shared_fields(start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SRAD's two float32 field buffers shaped like ``start``, in one
+    anonymous mapping that forked children share, with ``start`` in the
+    first. A mapping starts on a page and the second buffer on the next
+    64-byte cache line after the first (see ``srad``)."""
+    nbytes = start.size * 4
+    second = -(-nbytes // 64) * 64
+    shared = mmap.mmap(-1, second + nbytes)
+    fields = tuple(np.frombuffer(shared, np.float32, start.size, offset).reshape(start.shape)
+                   for offset in (0, second))
+    fields[0][...] = start
+    return fields
+
+
 def _worker_count() -> int:
     """Processes SRAD may step bands in: the CPUs this process may run on,
     or 1 where the platform has no ``os.fork``."""
@@ -233,26 +244,27 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
-    """The float field after ``params.iterations`` SRAD steps from ``u``.
+def _diffuse(fields, params: SradParams) -> np.ndarray:
+    """The float field after ``params.iterations`` SRAD steps from
+    ``fields[0]``, returned as whichever of the two ``fields`` holds it.
 
-    ``u`` must be C-ordered float32; it serves as one of the two field
-    buffers and is overwritten. A ``u`` that does not start on a 64-byte
-    cache line, unlike ``srad``'s, gives the same field in slower steps.
-    ``q0`` starts from the homogeneous region (inside ``u``) and decays in
-    float64; each step rounds its scalars once, before any band starts.
+    ``fields`` are two C-ordered float32 arrays of one shape in memory
+    that forked children share, as ``_shared_fields`` makes them; both are
+    overwritten. Buffers that do not start on a 64-byte cache line give the
+    same field in slower steps. ``q0`` starts from the homogeneous region
+    (inside ``fields[0]``) and decays in float64; each step rounds its
+    scalars once, before any band starts.
 
     This process steps band 0 and starts one forked child per other band
-    (see ``srad``); each child sends its band of the result down its pipe
-    into the returned buffer and exits. A child that dies, or a tile step
-    that raises in band 0, raises ``InternalInvariantError`` naming the
-    band, after every child has been reaped.
+    (see ``srad``). A child that dies, even after its last step, or a tile
+    step that raises in band 0, raises ``InternalInvariantError`` naming
+    the band, after every child has been reaped.
     """
-    height, width = u.shape
+    height, width = fields[0].shape
     params.check_fits(width, height)
     if params.homogeneous_region is not None:
         x, y, w, h = params.homogeneous_region
-        region = u[y:y + h, x:x + w].astype(np.float64)
+        region = fields[0][y:y + h, x:x + w].astype(np.float64)
         q0_init = max(float(region.std() / region.mean()), 1e-8)
     else:
         q0_init = 1.0
@@ -271,21 +283,15 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    buffers = (u, _aligned_empty(u.shape))
-    # edges[parity, b]: band b's first two rows and last row after a step
-    # whose result has that parity, in a mapping every process shares
-    edges = np.frombuffer(mmap.mmap(-1, 2 * workers * 3 * width * 4), np.float32)
-    edges = edges.reshape(2, workers, 3, width)
     fds, links, pids = [], [], {}  # links[b - 1]: this end of band b's two pipes
 
-    def lost(b):
-        code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(b), 0)[1])
-        raise InternalInvariantError(f"SRAD band {b} ended with exit status {code}")
+    def ended(b, status):
+        return f"SRAD band {b} ended with exit status {os.waitstatus_to_exitcode(status)}"
 
     def sync():
         for b, (up, _) in enumerate(links, 1):
             if not os.read(up, 1):
-                lost(b)
+                raise InternalInvariantError(ended(b, os.waitpid(pids.pop(b), 0)[1]))
         for _, down in links:
             os.write(down, b"\0")
 
@@ -296,9 +302,9 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
             with warnings.catch_warnings():
                 # Python 3.12+ warns that a fork in a process with other
                 # threads (OpenBLAS's idle pool) may deadlock the child. This
-                # child runs only ufunc passes over its own arrays and pipe
-                # I/O: it takes no BLAS, logging or other lock a thread of
-                # the parent could have held at the fork.
+                # child runs only ufunc passes over its planes and the shared
+                # fields, and pipe I/O: it takes no BLAS, logging or other
+                # lock a thread of the parent could have held at the fork.
                 warnings.filterwarnings("ignore", r"This process .*is multi-threaded, "
                                         r"use of fork\(\)", DeprecationWarning)
                 pid = os.fork()
@@ -308,7 +314,7 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
                     for fd in fds:
                         if fd not in (up[1], down[0]):
                             os.close(fd)
-                    _band_child(buffers, bands, b, edges, steps, k, up[1], down[0])
+                    _band_child(fields, bands[b], b, steps, k, up[1], down[0])
                     code = 0
                 finally:
                     os._exit(code)
@@ -317,55 +323,37 @@ def _diffuse(u: np.ndarray, params: SradParams) -> np.ndarray:
                 fds.remove(fd)
                 os.close(fd)
             links.append((up[0], down[1]))
-        src = _run_band(buffers, bands, 0, edges, steps, k, sync)
-        for b, (up, _) in enumerate(links, 1):
-            view = _band_bytes(buffers[src], bands[b])
-            while view:
-                n = os.readv(up, [view])
-                if not n:
-                    lost(b)
-                view = view[n:]
+        src = _run_band(fields, bands[0], 0, steps, k, sync)
     finally:
         # a child still running sees its pipes close and exits
         for fd in fds:
             os.close(fd)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
-    return buffers[src]
+        statuses = [(b, os.waitpid(pid, 0)[1]) for b, pid in pids.items()]
+    for b, status in statuses:
+        if status:
+            raise InternalInvariantError(ended(b, status))
+    return fields[src]
 
 
-def _band_bytes(field: np.ndarray, tiles) -> memoryview:
-    """The bytes of the rows of ``field`` that ``tiles`` cover."""
-    return memoryview(field[tiles[0][0]:tiles[-1][1]]).cast("B")
-
-
-def _band_child(buffers, bands, b, edges, steps, k, up, down) -> None:
+def _band_child(fields, tiles, b, steps, k, up, down) -> None:
     """Band ``b``'s steps in a forked child, synchronised with the parent
-    through the pipe ends ``up`` (to it) and ``down`` (from it); then sends
-    the band's rows of the result up."""
+    through the pipe ends ``up`` (to it) and ``down`` (from it)."""
     def sync():
         os.write(up, b"\0")
         if not os.read(down, 1):
             raise InternalInvariantError(f"SRAD band {b} lost band 0")
 
-    view = _band_bytes(buffers[_run_band(buffers, bands, b, edges, steps, k, sync)], bands[b])
-    while view:
-        view = view[os.write(up, view):]
+    _run_band(fields, tiles, b, steps, k, sync)
 
 
-def _run_band(buffers, bands, b, edges, steps, k, sync) -> int:
-    """Every step for the tiles of band ``b``, returning the index of the
-    buffer that holds the result. After each step the band publishes its
-    first two rows and its last row in ``edges``, ``sync()`` waits for
-    every band to do the same, and the band reads the row above it and the
-    two below it, which its tiles read next step, from its neighbours."""
-    height, width = buffers[0].shape
-    tiles = bands[b]
+def _run_band(fields, tiles, b, steps, k, sync) -> int:
+    """Every step for ``tiles``, band ``b``'s, with ``sync()`` after each
+    to wait for every band to finish it; returns the index of the buffer
+    that holds the result."""
+    height, width = fields[0].shape
     planes = [_aligned_empty((min(TILE_ROWS, height) + 2, width)) for _ in range(6)]
-    tile_steps = [[_srad_tile(buffers[i], buffers[1 - i], r0, r1, planes) for r0, r1 in tiles]
+    tile_steps = [[_srad_tile(fields[i], fields[1 - i], r0, r1, planes) for r0, r1 in tiles]
                   for i in (0, 1)]
-    r0, r1 = tiles[0][0], tiles[-1][1]
-    head, below = min(2, r1 - r0), min(2, height - r1)
     src = 0
     with np.errstate(divide="ignore"):  # a flat pixel's ks / 0 (see srad)
         for ks, q0_4 in steps:
@@ -375,16 +363,7 @@ def _run_band(buffers, bands, b, edges, steps, k, sync) -> int:
             except Exception as exc:
                 raise InternalInvariantError(f"SRAD band {b} raised {exc!r}") from exc
             src = 1 - src
-            # the parity keeps a neighbour's next publication off the rows
-            # this band has yet to read
-            out, strip = buffers[src], edges[src]
-            strip[b, :head] = out[r0:r0 + head]
-            strip[b, 2] = out[r1 - 1]
             sync()
-            if b > 0:
-                out[r0 - 1] = strip[b - 1, 2]
-            if below:
-                out[r1:r1 + below] = strip[b + 1, :below]
     return src
 
 

@@ -1,4 +1,5 @@
 import itertools
+import mmap
 import os
 import re
 import subprocess
@@ -39,7 +40,7 @@ print(" ".join(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
 img = np.random.default_rng(11).integers(0, 256, size=(130, 77), dtype=np.uint8)
 params = SradParams(iterations=5, homogeneous_region=(3, 3, 20, 20))
 u = (img.astype(np.float64) / 255.0 + 1e-6).astype(np.float32)
-print(enhance._diffuse(u, params).tobytes().hex())
+print(enhance._diffuse(enhance._shared_fields(u), params).tobytes().hex())
 print(srad(img, params).tobytes().hex())
 '''
 
@@ -95,6 +96,11 @@ def _field(img):
     return (img.astype(np.float64) / 255.0 + 1e-6).astype(np.float32)
 
 
+def _fields(img):
+    """``_diffuse``'s two shared buffers with ``img``'s start field in the first."""
+    return enhance._shared_fields(_field(img))
+
+
 def _quantize(field):
     return np.clip(np.floor(field.astype(np.float64) * 255.0 + 0.5), 0, 255).astype(np.uint8)
 
@@ -113,7 +119,7 @@ def _region_params(shape, iterations, with_region):
 def assert_field_matches_reference(img, iterations, with_region):
     params = _region_params(img.shape, iterations, with_region)
     want = _srad_reference_field(img, params)
-    assert_same_bits(enhance._diffuse(_field(img), params), want)
+    assert_same_bits(enhance._diffuse(_fields(img), params), want)
     assert np.array_equal(srad(img, params), _quantize(want))
 
 
@@ -159,7 +165,7 @@ def oracle_relative_error(img, params, oracle=None):
     re-quantization against the float64 oracle (computed unless given)."""
     if oracle is None:
         oracle = _srad_reference_field(img, params, np.float64)
-    field = enhance._diffuse(_field(img), params).astype(np.float64)
+    field = enhance._diffuse(_fields(img), params).astype(np.float64)
     return np.max(np.abs(field - oracle) / oracle)
 
 
@@ -317,7 +323,7 @@ class TestSrad:
             time_step=data.draw(st.floats(0.0, 0.25, exclude_min=True), label="time_step"),
             q0_decay_rho=data.draw(st.floats(0.0, 5000.0), label="q0_decay_rho"),
             homogeneous_region=region)
-        assert_same_bits(enhance._diffuse(_field(img), params),
+        assert_same_bits(enhance._diffuse(_fields(img), params),
                          _srad_reference_field(img, params))
 
     # from step 1 on, rho 1e4 sends q0^2 to 0, where ks is 0: those steps
@@ -326,9 +332,9 @@ class TestSrad:
     def test_degenerate_q0_matches_reference_bits(self, rho, rng):
         img = rng.integers(0, 256, size=(70, 11), dtype=np.uint8)
         params = SradParams(iterations=4, q0_decay_rho=rho, homogeneous_region=(1, 1, 5, 5))
-        got = enhance._diffuse(_field(img), params)
+        got = enhance._diffuse(_fields(img), params)
         assert_same_bits(got, _srad_reference_field(img, params))
-        assert_same_bits(got, enhance._diffuse(_field(img), replace(params, iterations=1)))
+        assert_same_bits(got, enhance._diffuse(_fields(img), replace(params, iterations=1)))
 
     def test_q0_sq_rounding_to_zero_in_float32_skips_the_step(self, rng):
         # rho 1200 takes q0 to exp(-60) at step 1 and exp(-120) at step 2:
@@ -341,9 +347,9 @@ class TestSrad:
         params = SradParams(iterations=3, q0_decay_rho=1200.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = enhance._diffuse(_field(img), params)
+            got = enhance._diffuse(_fields(img), params)
         assert_same_bits(got, _srad_reference_field(img, params))
-        assert_same_bits(got, enhance._diffuse(_field(img), replace(params, iterations=1)))
+        assert_same_bits(got, enhance._diffuse(_fields(img), replace(params, iterations=1)))
 
     def test_q0_4_underflow_sends_flat_pixels_kc_to_k(self, rng):
         # rho 690 takes q0 to exp(-34.5) at step 1: the float32 q0^4 is 0
@@ -358,20 +364,20 @@ class TestSrad:
         params = SradParams(iterations=2, q0_decay_rho=690.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = enhance._diffuse(_field(img), params)
+            got = enhance._diffuse(_fields(img), params)
             assert_same_bits(got, _srad_reference_field(img, params))
         assert np.isfinite(got).all()  # an inf or NaN kc times a zero is NaN
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_worker_split_matches_reference_bits(self, workers, monkeypatch, rng):
-        # more processes than cores: a halo row read before its neighbour
-        # band published it, or a publication that overwrites one not yet
-        # read, breaks equality
+        # more processes than cores: a neighbour's row read before that band
+        # finished the step, or a row written while a band still reads the
+        # step before, breaks equality
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         img = speckled_patch(rng, size=5 * 64 + 3)[:, :13]
         params = SradParams(iterations=4, homogeneous_region=(2, 2, 8, 8))
         want = _srad_reference_field(img, params)
-        assert_same_bits(enhance._diffuse(_field(img), params), want)
+        assert_same_bits(enhance._diffuse(_fields(img), params), want)
 
     def test_forked_srad_is_clean_in_development_mode(self):
         # the README's development-mode check: a file or other resource left
@@ -402,14 +408,18 @@ class TestSrad:
         monkeypatch.setattr(enhance, "_worker_count", lambda: 2)
         img = rng.integers(0, 256, size=(2 * enhance.TILE_ROWS + 3, 9), dtype=np.uint8)
         params = SradParams(iterations=2)
-        assert_same_bits(enhance._diffuse(_field(img), params),
+        assert_same_bits(enhance._diffuse(_fields(img), params),
                          _srad_reference_field(img, params))
 
-    @pytest.mark.parametrize("band", [0, 1])
-    def test_failed_band_raises_invariant_error(self, band, monkeypatch, rng):
+    @pytest.mark.parametrize("band,after_last_step", [
+        pytest.param(0, False, id="0"), pytest.param(1, False, id="1"),
+        pytest.param(1, True, id="1-after-its-last-step")])
+    def test_failed_band_raises_invariant_error(self, band, after_last_step, monkeypatch, rng):
         # band 0 raises in its second step, or band 1's child dies in its
-        # second step; either way every child is reaped (see no_child_left)
-        parent, tile = os.getpid(), enhance._srad_tile
+        # second step or after its last one, past every barrier, where only
+        # its exit status shows it; either way every child is reaped (see
+        # no_child_left)
+        parent, tile, run_band = os.getpid(), enhance._srad_tile, enhance._run_band
 
         def failing_tile(src, dst, r0, r1, planes):
             step, calls = tile(src, dst, r0, r1, planes), []
@@ -426,12 +436,21 @@ class TestSrad:
 
             return fail
 
-        monkeypatch.setattr(enhance, "_srad_tile", failing_tile)
+        def exiting_band(fields, tiles, b, *rest):
+            src = run_band(fields, tiles, b, *rest)
+            if b == band:
+                os._exit(7)
+            return src
+
+        if after_last_step:
+            monkeypatch.setattr(enhance, "_run_band", exiting_band)
+        else:
+            monkeypatch.setattr(enhance, "_srad_tile", failing_tile)
         monkeypatch.setattr(enhance, "_worker_count", lambda: 3)
         img = rng.integers(0, 256, size=(3 * enhance.TILE_ROWS, 9), dtype=np.uint8)
         what = "ended with exit status 7" if band else r"raised FloatingPointError\('overflow'\)"
         with pytest.raises(InternalInvariantError, match=f"^SRAD band {band} {what}$"):
-            enhance._diffuse(_field(img), SradParams(iterations=5))
+            enhance._diffuse(_fields(img), SradParams(iterations=5))
 
     def test_input_layout_does_not_change_output(self, rng):
         # the tiles shift along flattened C rows, so srad must hand them one
@@ -442,17 +461,20 @@ class TestSrad:
                                   srad(np.ascontiguousarray(arr, dtype=np.uint8), params))
 
     @pytest.mark.parametrize("offset", [4, 16, 32, 48])
-    def test_field_offset_does_not_change_bits(self, offset, rng):
-        # a caller's field that starts off a cache line splits lines in the
-        # vector loops: slower steps, the same bits
+    def test_field_offset_does_not_change_bits(self, offset, monkeypatch, rng):
+        # a caller's fields that start off a cache line split lines in the
+        # vector loops: slower steps, the same bits. Both buffers lie back
+        # to back in one shared mapping sliced at the offset; at 70x101 the
+        # second starts 56 bytes further on, off a line as well
         img = rng.integers(0, 256, size=(70, 101), dtype=np.uint8)
         params = SradParams(iterations=3, homogeneous_region=(1, 1, 9, 9))
-        raw = np.empty(img.size * 4 + 2 * 64, dtype=np.uint8)
-        start = -raw.ctypes.data % 64 + offset
-        u = raw[start:start + img.size * 4].view(np.float32).reshape(img.shape)
-        u[...] = _field(img)
-        assert u.ctypes.data % 64 == offset
-        assert_same_bits(enhance._diffuse(u, params), _srad_reference_field(img, params))
+        shared = mmap.mmap(-1, offset + 2 * img.size * 4)
+        fields = [np.frombuffer(shared, np.float32, img.size, offset + i * img.size * 4)
+                  .reshape(img.shape) for i in (0, 1)]
+        fields[0][...] = _field(img)
+        assert [f.ctypes.data % 64 for f in fields] == [offset, (offset + 56) % 64]
+        monkeypatch.setattr(enhance, "_worker_count", lambda: 2)
+        assert_same_bits(enhance._diffuse(fields, params), _srad_reference_field(img, params))
 
     @pytest.mark.parametrize("width", [13, 1023, 1024])
     def test_buffers_start_on_cache_lines(self, width, monkeypatch, rng, tmp_path):
@@ -499,17 +521,18 @@ class TestSrad:
         assert found == ""  # the child ran on the baseline loops only
         img = np.random.default_rng(11).integers(0, 256, size=(130, 77), dtype=np.uint8)
         params = SradParams(iterations=5, homogeneous_region=(3, 3, 20, 20))
-        assert field_hex == enhance._diffuse(_field(img), params).tobytes().hex()
+        assert field_hex == enhance._diffuse(_fields(img), params).tobytes().hex()
         assert out_hex == srad(img, params).tobytes().hex()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_srad_peak_holds_one_float64_plane(self, workers, monkeypatch, rng):
         # entry and exit each convert in place on one float64 plane: the
-        # peak is the exit's field, float64 plane and uint8 output (the
-        # diffusion's two fields and band 0's scratch planes stay below it),
-        # with a quarter field of slack; one more float64 or field-sized
-        # temporary at either end breaks the bound. tracemalloc sees this
-        # process only; with one worker that is every band.
+        # heap's peak is the exit's float64 plane and uint8 output (band 0's
+        # scratch planes stay below it), with a quarter field of slack; one
+        # more float64 or field-sized temporary at either end breaks the
+        # bound. tracemalloc sees this process's heap only: not the two
+        # fields, which lie in a shared mapping, nor a child's planes; with
+        # one worker every band's planes are this process's.
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         img = rng.integers(0, 256, size=(512, 256), dtype=np.uint8)
         field = img.size * 4
@@ -520,27 +543,64 @@ class TestSrad:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < max(field + 8 * img.size + img.size, 2 * field + scratch) + field // 4
+        assert peak < max(8 * img.size + img.size, scratch) + field // 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_steps_allocate_no_image_sized_array(self, workers, monkeypatch, rng):
-        # the second field buffer, at most seven scratch planes for the one
-        # band this process steps and a quarter image of slack: one
-        # image-sized temporary per step, or a copy of a child's half-image
-        # band in gathering the result, breaks the bound. tracemalloc sees
-        # this process only; with one worker that is every band. The image
-        # is tall enough for a quarter of it to outweigh seven planes, and
-        # wide enough for the slack to hold each tile's views (about 5 kB).
+        # at most seven scratch planes for the one band this process steps
+        # and a quarter image of slack: one image-sized temporary per step,
+        # or a copy of a half-image band, breaks the bound. tracemalloc sees
+        # this process's heap only: not the two fields, which lie in a
+        # shared mapping, nor a child's planes; with one worker every band's
+        # planes are this process's. The image is tall enough for a quarter
+        # of it to outweigh seven planes, and wide enough for the slack to
+        # hold each tile's views (about 5 kB).
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
-        u = _field(rng.integers(0, 256, size=(2048, 512), dtype=np.uint8))
-        scratch = 7 * (enhance.TILE_ROWS + 2) * u.shape[1] * u.itemsize  # band 0's
+        fields = _fields(rng.integers(0, 256, size=(2048, 512), dtype=np.uint8))
+        field = fields[0].nbytes
+        scratch = 7 * (enhance.TILE_ROWS + 2) * fields[0].shape[1] * 4  # band 0's
         tracemalloc.start()
         try:
-            enhance._diffuse(u, SradParams(iterations=3))
+            enhance._diffuse(fields, SradParams(iterations=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < u.nbytes + scratch + u.nbytes // 4
+        assert peak < scratch + field // 4
+
+    def test_no_field_byte_crosses_a_pipe(self, monkeypatch, rng):
+        # two bands step one shared pair of fields: each read or write on a
+        # band pipe moves one barrier byte, never rows of the field. The
+        # forked child inherits the wrapped calls, and a failed assertion
+        # there ends it with status 1, which _diffuse raises
+        pipes, moved = set(), []
+        pipe, read, write, readv = os.pipe, os.read, os.write, os.readv
+
+        def counted(fd, n):
+            if fd in pipes:
+                assert n <= 1, f"{n} bytes crossed a band pipe"
+                moved.append(n)
+            return n
+
+        def new_pipe():
+            fds = pipe()
+            pipes.update(fds)
+            return fds
+
+        def checked_read(fd, n):
+            data = read(fd, n)
+            counted(fd, len(data))
+            return data
+
+        monkeypatch.setattr(os, "pipe", new_pipe)
+        monkeypatch.setattr(os, "read", checked_read)
+        monkeypatch.setattr(os, "write", lambda fd, data: counted(fd, write(fd, data)))
+        monkeypatch.setattr(os, "readv", lambda fd, views: counted(fd, readv(fd, views)))
+        monkeypatch.setattr(enhance, "_worker_count", lambda: 2)
+        img = rng.integers(0, 256, size=(2 * enhance.TILE_ROWS + 3, 9), dtype=np.uint8)
+        params = SradParams(iterations=3)
+        got = enhance._diffuse(_fields(img), params)
+        assert_same_bits(got, _srad_reference_field(img, params))
+        assert moved == [1] * 2 * params.iterations  # this process: one read, one write a step
 
     @pytest.mark.parametrize("iterations", [1, 10, 100])
     def test_constant_image_identity(self, iterations):
