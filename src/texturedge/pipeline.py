@@ -1,14 +1,15 @@
 """End-to-end orchestration: enhance -> ROI -> texture -> segment -> evaluate.
 
 Each stage is one function here (``enhance_image``, ``crop_roi``,
-``texture_maps``, ``segment_map`` and the ``write_*`` writers), called by
-``run_pipeline`` and by the CLI's stage subcommands alike. One JSON config
-document drives every stage; identical inputs and config produce
-byte-identical output trees. Batch experiments aggregate per
-tissue class.
+``texture_maps``, ``segment_map``, ``score_point`` and the ``write_*``
+writers), called by ``run_pipeline``, ``run_experiment`` and the CLI's
+stage subcommands alike. One JSON config document drives every stage;
+identical inputs and config produce byte-identical output trees. Batch
+experiments aggregate per tissue class.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import segment as seg
 from .enhance import ClaheParams, SradParams, clahe, srad
-from .errors import TexturedgeError
+from .errors import InternalInvariantError, TexturedgeError
 from .evalmetrics import (
     EvalReport,
     RocCurve,
@@ -200,12 +201,13 @@ def enhance_image(img, config: PipelineConfig) -> np.ndarray:
 
 
 def crop_roi(enhanced: np.ndarray, record: MiasRecord,
-             roi: RoiConfig) -> tuple[RoiCrop, tuple[int, int]]:
-    """The square crop around the record's mass and the mass center (x, y)
-    inside that crop."""
+             roi: RoiConfig) -> tuple[RoiCrop, tuple[int, int], np.ndarray]:
+    """The square crop around the record's mass, the mass center (x, y) in
+    that crop and the record's circle over it (the proxy ground truth)."""
     spec = RoiSpec.from_mias(record, enhanced.shape[0], roi.margin_factor)
     crop = extract_roi(enhanced, spec)
-    return crop, (spec.center_x - crop.x0, spec.center_y - crop.y0)
+    cx, cy = spec.center_x - crop.x0, spec.center_y - crop.y0
+    return crop, (cx, cy), circle_mask(crop.width, crop.height, cx, cy, record.radius)
 
 
 def texture_maps(roi_image, glcm: GlcmConfig, kind=Descriptor.CONTRAST,
@@ -249,23 +251,34 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     return located[0] if located else matches[0]
 
 
-def _check_run_input(image, record: MiasRecord,
-                     config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The image, read once, and its crop's circle truth (enhancement keeps
-    the shape), after what ``run_pipeline`` refuses before SRAD: no image
-    file or circle, an undecodable PGM, a circle ``crop_roi`` refuses, one
-    covering the crop or one the crop cuts (an image pixel of the circle
-    left outside it), too many CLAHE tiles or a homogeneous region outside
-    the image. Every refusal from the PGM on names the id and the file."""
+@contextlib.contextmanager
+def _naming_film(image, record: MiasRecord):
+    """An error raised inside, of the same exit code, with the film's id and file in front."""
+    where = f"id {record.ref_id}" + (f" ({Path(image)})" if isinstance(image, (str, Path)) else "")
+    try:
+        yield
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(f"{where}: {exc}") from None
+    except TexturedgeError as exc:
+        raise TexturedgeError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _check_run_input(image, record: MiasRecord, config: PipelineConfig) -> np.ndarray:
+    """The image, read once, after what ``run_pipeline`` refuses before SRAD:
+    no image file or circle, an undecodable PGM, a circle ``crop_roi`` refuses,
+    one covering the crop or one the crop cuts (an image pixel of the circle
+    left outside it), too many CLAHE tiles or a homogeneous region outside the
+    image. Every refusal from the PGM on names the id and the file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
         raise TexturedgeError(f"no image file at {Path(image)}")
     check_geometry(record)
-    where = f"id {record.ref_id}" + (f" ({Path(image)})" if from_file else "")
-    try:
+    with _naming_film(image, record):
         img = read_pgm(image) if from_file else image
-        crop, (cx, cy) = crop_roi(img, record, config.roi)
-        truth = circle_mask(crop.width, crop.height, cx, cy, record.radius)
+        # enhancement keeps the shape, so this is score_point's crop and truth
+        crop, (cx, cy), truth = crop_roi(img, record, config.roi)
         height, width = img.shape
         # the circle's image pixels span its centre's row and column, clipped
         x, y, r = crop.x0 + cx, crop.y0 + cy, record.radius
@@ -276,23 +289,12 @@ def _check_run_input(image, record: MiasRecord,
         reference_counts(truth)
         config.srad.check_fits(width, height)
         config.clahe.check_fits(width, height)
-    except TexturedgeError as exc:
-        raise TexturedgeError(f"{where}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return img, truth
+    return img
 
 
-def run_pipeline(image, record: MiasRecord,
-                 config: PipelineConfig = PipelineConfig(),
-                 out_dir=None) -> PipelineResult:
-    """Run every stage on one image, score the mask against the record's
-    circle and, if ``out_dir`` is given, write the full artifact set under
-    ``out_dir/<ref_id>/``.
-
-    ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
-    circle geometry (it defines the ROI and the proxy ground truth);
-    otherwise ``TexturedgeError`` is raised.
+def score_point(enhanced: np.ndarray, record: MiasRecord,
+                config: PipelineConfig) -> PipelineResult:
+    """Every step after enhancement, scored against the circle; no I/O, no check.
 
     Confusion metrics and the ROC area are taken over the ROI crop, the only
     place texture scores exist. A crop that would leave out an image pixel
@@ -306,17 +308,28 @@ def run_pipeline(image, record: MiasRecord,
     chance even when the mask is good: 0.253/0.530/0.434 against Dice
     0.64/0.80/0.77 on the three synthetic test cases.
     """
-    img, truth = _check_run_input(image, record, config)
-    enhanced = enhance_image(img, config)
-    crop, (cx, cy) = crop_roi(enhanced, record, config.roi)
+    crop, center, truth = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
-    threshold, mask, contours = segment_map(sum_map, (cx, cy), config.segment)
+    threshold, mask, contours = segment_map(sum_map, center, config.segment)
+    return PipelineResult(record.ref_id, enhanced, crop, direction_maps, sum_map, threshold, mask,
+                          contours, metrics(confusion(mask, truth)), roc_az(sum_map, truth))
 
-    result = PipelineResult(record.ref_id, enhanced, crop, direction_maps, sum_map,
-                            threshold, mask, contours, metrics(confusion(mask, truth)),
-                            roc_az(sum_map, truth))
-    if out_dir is not None:
-        write_artifacts(result, record, out_dir)
+
+def run_pipeline(image, record: MiasRecord, config: PipelineConfig = PipelineConfig(),
+                 out_dir=None) -> PipelineResult:
+    """Run every stage on one image, score the mask against the record's
+    circle and, if ``out_dir`` is given, write the full artifact set under
+    ``out_dir/<ref_id>/``.
+
+    ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
+    circle geometry (it defines the ROI and the proxy ground truth);
+    otherwise ``TexturedgeError`` is raised.
+    """
+    img = _check_run_input(image, record, config)
+    with _naming_film(image, record):
+        result = score_point(enhance_image(img, config), record, config)
+        if out_dir is not None:
+            write_artifacts(result, record, out_dir)
     return result
 
 
@@ -339,7 +352,7 @@ def write_segmentation(dest: Path, mask: np.ndarray, contours) -> None:
     (dest / "contours.txt").write_text(seg.contours_to_text(contours))
 
 
-def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path:
+def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> None:
     """Deterministic artifact tree for one pipeline run."""
     dest = Path(out_dir) / result.ref_id
     dest.mkdir(parents=True, exist_ok=True)
@@ -350,7 +363,6 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> Path
     write_pgm(dest / "overlay.pgm", seg.make_overlay(result.roi.image, result.mask))
     (dest / "roc_points.csv").write_text(roc_points_csv(result.roc))
     (dest / "report.json").write_text(_report_json(result, record))
-    return dest
 
 
 def _report_json(result: PipelineResult, record: MiasRecord) -> str:
@@ -394,8 +406,7 @@ def find_index_file(dataset_dir) -> Path:
     return index
 
 
-def run_experiment(dataset_dir, ids: Sequence[str],
-                   config: PipelineConfig = PipelineConfig(),
+def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = PipelineConfig(),
                    out_dir=None) -> list[ExperimentRow]:
     """Run and score the pipeline for each id in a dataset directory, with
     ``config`` for every image. Every row is scored over its crop.
@@ -405,22 +416,24 @@ def run_experiment(dataset_dir, ids: Sequence[str],
     geometry is used. Rows come back sorted by ref_id; images are processed
     sequentially so output ordering never depends on scheduling. Every id's
     record, image file, PGM decoding, circle, crop and fit to the SRAD and
-    CLAHE settings are checked before the first image runs, so a refused id
-    leaves nothing written. ``run_pipeline`` checks and decodes each image
-    again rather than keep the pre-check's:
-    on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms against a run of
-    about 0.45 s, and keeping them would hold 1 MB per id for the batch.
+    CLAHE settings are checked once, before the first image runs, so a refused
+    id leaves nothing written. Each film is then decoded again rather than kept
+    from the check: on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms
+    against a run of about 0.45 s, and keeping them would hold 1 MB per id for
+    the batch. A later data or usage error names its id and file and stops the
+    batch; earlier trees stay.
     """
     root = Path(dataset_dir)
     records = parse_mias_index(find_index_file(root).read_text())
-    runs = []
-    for ref in sorted(set(ids)):
-        record = select_record(records, ref)
-        _check_run_input(root / f"{ref}.pgm", record, config)
-        runs.append(record)
+    runs = [(root / f"{ref}.pgm", select_record(records, ref)) for ref in sorted(set(ids))]
+    for path, record in runs:
+        _check_run_input(path, record, config)
     rows = []
-    for record in runs:
-        result = run_pipeline(root / f"{record.ref_id}.pgm", record, config, out_dir=out_dir)
+    for path, record in runs:
+        with _naming_film(path, record):
+            result = score_point(enhance_image(read_pgm(path), config), record, config)
+            if out_dir is not None:
+                write_artifacts(result, record, out_dir)
         rows.append(ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az))
     return rows
 

@@ -106,8 +106,10 @@ def refusal_dataset(synth_dataset, tmp_path):
     refuses: sy005, whose image is missing, sy008, whose PGM is cut short,
     sy009, whose circle centre lies outside its 128x128 image, sy010, whose
     radius-200 circle covers its whole crop, and sy011, whose 6x6 image is
-    too small for the default 8x8 CLAHE tiles. With sy004 (NORM) and an
-    unknown id, each sorts after sy001..sy003."""
+    too small for the default 8x8 CLAHE tiles. A sixth, sy012, passes every
+    check but its constant film leaves a constant map, which has no
+    threshold. With sy004 (NORM) and an unknown id, each sorts after
+    sy001..sy003."""
     root = tmp_path / "refusals"
     shutil.copytree(synth_dataset, root)
     pgm = (root / "sy001.pgm").read_bytes()
@@ -115,12 +117,14 @@ def refusal_dataset(synth_dataset, tmp_path):
     (root / "sy009.pgm").write_bytes(pgm)
     (root / "sy010.pgm").write_bytes(pgm)
     write_pgm(root / "sy011.pgm", synth_mass_image(11, 3, 3, 1, size=6))
+    write_pgm(root / "sy012.pgm", np.full((SYNTH_SIZE, SYNTH_SIZE), 100, dtype=np.uint8))
     with open(root / "Info.txt", "a") as index:
         index.write(synth_index_line("sy005", "F", 64, 64, 14) + "\n")
         index.write(synth_index_line("sy008", "G", 64, 64, 14) + "\n")
         index.write("sy009 F CIRC B 500 20 10\n")
         index.write(synth_index_line("sy010", "D", 64, 64, 200) + "\n")
         index.write(synth_index_line("sy011", "F", 3, 3, 1, size=6) + "\n")
+        index.write(synth_index_line("sy012", "G", 64, 64, 14) + "\n")
     return root
 
 

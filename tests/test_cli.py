@@ -351,7 +351,7 @@ class TestStagesMatchLibrary:
         names = ([f"contrast_{x}.pgm" for x in labels]
                  + [f"contrast_{x}.minmax.txt" for x in labels] + ["contrast_sum.f64"])
 
-        _, (mx, my) = crop_roi(result.enhanced, record, PipelineConfig().roi)
+        _, (mx, my), _ = crop_roi(result.enhanced, record, PipelineConfig().roi)
         seg_dir = tmp_path / "seg"
         assert run_cli("segment", "-i", str(tex / "contrast_sum.f64"),
                        "--center", f"{mx},{my}", "--out", str(seg_dir)) == 0
@@ -527,6 +527,19 @@ class TestExperimentCommand:
         assert (f"texturedge: {where}: homogeneous_region (0, 0, 8, 8) is not inside "
                 "the 6x6 image") in capsys.readouterr().err
         assert calls == [] and not (tmp_path / "a").exists()
+
+    def test_data_error_while_a_film_runs_names_it_and_stops_the_batch(
+            self, refusal_dataset, tmp_path, capsys):
+        # sy012 passes the check and fails at its threshold, after sy001's
+        # tree is written: that tree stays, and no report.csv or .jsonl
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--dataset", str(refusal_dataset),
+                       "--ids", "sy001", "sy012", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        where = f"id sy012 ({refusal_dataset / 'sy012.pgm'})"
+        assert captured.err == f"texturedge: {where}: map is constant; no threshold exists\n"
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["sy001"]
 
     def test_full_image_from_config_file_equals_flag(self, synth_dataset, tmp_path,
                                                      monkeypatch, capsys):

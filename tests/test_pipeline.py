@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -8,13 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
+from test_evalmetrics import oracle_concordance_az, oracle_roc_points
+from test_segment import oracle_otsu_threshold, oracle_refine_mask, oracle_trace_contour
+from test_texture import oracle_texture_map
 from texturedge import (
+    ANGLES,
+    ConfusionCounts,
+    Descriptor,
     MiasRecord,
     PipelineConfig,
+    QuantizedImage,
     ThresholdSpec,
     parse_config,
     parse_mias_index,
@@ -25,9 +33,10 @@ from texturedge import (
 )
 from texturedge import pipeline
 from texturedge.enhance import SradParams, srad
-from texturedge.errors import TexturedgeError
+from texturedge.errors import InternalInvariantError, TexturedgeError
 from texturedge.evalmetrics import circle_mask, confusion, metrics
 from texturedge.pipeline import (
+    GlcmConfig,
     RoiConfig,
     SegmentConfig,
     experiment_csv,
@@ -244,9 +253,11 @@ class TestRunPipeline:
             record = parse_mias_index(line)[0]
             result = run_pipeline(img, record, out_dir=tmp_path)
             report = json.loads((tmp_path / record.ref_id / "report.json").read_text())
-            crop, (cx, cy) = pipeline.crop_roi(img, record, RoiConfig())
+            crop, (cx, cy), truth = pipeline.crop_roi(img, record, RoiConfig())
             h, w = img.shape
             full_truth = circle_mask(w, h, crop.x0 + cx, crop.y0 + cy, record.radius)
+            assert np.array_equal(
+                full_truth[crop.y0:crop.y0 + crop.height, crop.x0:crop.x0 + crop.width], truth)
             full_mask = np.zeros((h, w), dtype=bool)
             full_mask[crop.y0:crop.y0 + crop.height, crop.x0:crop.x0 + crop.width] = result.mask
             want = metrics(confusion(full_mask, full_truth))
@@ -271,8 +282,8 @@ class TestRunPipeline:
         cx, cy = cx % w, cy % h
         record = MiasRecord("p1", "F", "CIRC", "B", cx, h - 1 - cy, r)
         img = np.zeros((h, w), dtype=np.uint8)
-        crop, (x, y) = pipeline.crop_roi(img, record, RoiConfig(margin))
-        in_crop = np.count_nonzero(circle_mask(crop.width, crop.height, x, y, r))
+        crop, (x, y), truth = pipeline.crop_roi(img, record, RoiConfig(margin))
+        in_crop = np.count_nonzero(truth)
         in_image = np.count_nonzero(circle_mask(w, h, cx, cy, r))
         config = dataclasses.replace(PipelineConfig(), roi=RoiConfig(margin))
         try:
@@ -312,6 +323,92 @@ class TestRunPipeline:
         assert 0.0 <= report["dice"] <= 1.0
         assert report["tp"] + report["fp"] + report["fn"] + report["tn"] == \
             np.prod(run_pipeline(img, rec).mask.shape)
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_data_error_after_the_check_names_the_film(self, from_file, refusal_dataset):
+        # sy012's constant film passes the check; its map has no threshold
+        path = refusal_dataset / "sy012.pgm"
+        record = parse_mias_index(synth_index_line("sy012", "G", 64, 64, 14))[0]
+        where = f"id sy012 ({path})" if from_file else "id sy012"
+        with pytest.raises(TexturedgeError, match=re.escape(
+                f"{where}: map is constant; no threshold exists")):
+            run_pipeline(path if from_file else pipeline.read_pgm(path), record)
+
+
+# --- score_point against the tests' oracles ------------------------------------
+
+@pytest.fixture(scope="module")
+def enhanced_cases():
+    """The three synthetic cases, each enhanced once, with their records."""
+    return [(pipeline.enhance_image(synth_mass_image(seed, cx, cy, r), PipelineConfig()),
+             parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0])
+            for ref, tissue, cx, cy, r, seed in SYNTH_CASES]
+
+
+def oracle_score_point(enhanced, record, config):
+    """``score_point`` written out from the library's crop on: the
+    quantization ``(v * L) // 256``, one per-pixel oracle map per direction
+    and their sum, the oracle threshold, mask and contours, and the circle
+    truth with its confusion counts as boolean sums."""
+    crop, (cx, cy), _ = pipeline.crop_roi(enhanced, record, config.roi)
+    glcm, segment = config.glcm, config.segment
+    q = QuantizedImage((crop.image.astype(np.int64) * glcm.levels // 256).astype(np.uint8),
+                       glcm.levels)
+    offsets = offsets_for_distance(glcm.distance)
+    maps = {angle: oracle_texture_map(q, Descriptor.CONTRAST, glcm.window_side, offsets[angle])
+            for angle in ANGLES}
+    sum_map = maps[0] + maps[45] + maps[90] + maps[135]
+    spec = segment.threshold_method
+    if spec.method == "otsu":
+        threshold = oracle_otsu_threshold(sum_map)
+    elif spec.method == "fixed":
+        threshold = spec.value
+    else:
+        threshold = float(np.percentile(sum_map, spec.value))
+    mask = oracle_refine_mask(sum_map >= threshold, (cx, cy), segment.close_radius,
+                              segment.fill_holes)
+    yy, xx = np.mgrid[0:crop.height, 0:crop.width]
+    truth = (xx - cx) ** 2 + (yy - cy) ** 2 <= record.radius ** 2
+    counts = ConfusionCounts(int(np.sum(mask & truth)), int(np.sum(mask & ~truth)),
+                             int(np.sum(~mask & truth)), int(np.sum(~mask & ~truth)))
+    return maps, sum_map, threshold, mask, oracle_trace_contour(mask), truth, counts
+
+
+def assert_score_point_matches_oracle(enhanced, record, config):
+    result = pipeline.score_point(enhanced, record, config)
+    maps, sum_map, threshold, mask, contours, truth, counts = oracle_score_point(
+        enhanced, record, config)
+    for angle in ANGLES:
+        assert np.array_equal(result.direction_maps[angle], maps[angle]), angle
+    assert np.array_equal(result.sum_map, sum_map)
+    assert result.threshold == threshold
+    assert np.array_equal(result.mask, mask)
+    assert result.contours == contours
+    assert result.report.counts == counts
+    assert np.array_equal(result.roc.points, oracle_roc_points(sum_map, truth))
+    assert abs(result.roc.az - oracle_concordance_az(sum_map, truth)) <= 1e-12
+
+
+class TestScorePoint:
+    @pytest.mark.parametrize("case", range(len(SYNTH_CASES)))
+    def test_default_config_matches_oracle_chain(self, case, enhanced_cases):
+        assert_score_point_matches_oracle(*enhanced_cases[case], PipelineConfig())
+
+    @given(case=st.integers(0, len(SYNTH_CASES) - 1), levels=st.integers(2, 16),
+           window=st.sampled_from([3, 5, 7, 9]), distance=st.integers(1, 3),
+           close_radius=st.integers(0, 4), fill_holes=st.booleans(),
+           threshold=st.one_of(
+               st.just(ThresholdSpec()),
+               st.builds(ThresholdSpec, st.just("fixed"), st.floats(0.0, 50.0)),
+               st.builds(ThresholdSpec, st.just("percentile"), st.floats(0.0, 100.0))))
+    @settings(max_examples=15, deadline=None)
+    def test_settings_match_oracle_chain(self, enhanced_cases, case, levels, window, distance,
+                                         close_radius, fill_holes, threshold):
+        # the settings that act after enhancement, on the images enhanced once
+        assume(distance < window)
+        config = PipelineConfig(glcm=GlcmConfig(levels, window, distance),
+                                segment=SegmentConfig(threshold, close_radius, fill_holes))
+        assert_score_point_matches_oracle(*enhanced_cases[case], config)
 
 
 class TestExperiment:
@@ -400,6 +497,45 @@ class TestExperiment:
                 where + "homogeneous_region (0, 0, 8, 8) is not inside the 6x6 image")):
             run_experiment(refusal_dataset, ["sy001", "sy011"], config, out_dir=tmp_path / "out")
         assert calls == [] and not (tmp_path / "out").exists()
+
+    def test_data_error_while_a_film_runs_names_it_and_stops_the_batch(
+            self, refusal_dataset, tmp_path):
+        # sy012 passes the check and fails at its threshold, after sy001's
+        # tree is written: that tree stays and the error names the film
+        where = f"id sy012 ({refusal_dataset / 'sy012.pgm'}): "
+        with pytest.raises(TexturedgeError, match=re.escape(
+                where + "map is constant; no threshold exists")):
+            run_experiment(refusal_dataset, ["sy001", "sy012"], out_dir=tmp_path / "out")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["sy001"]
+
+    def test_internal_invariant_while_a_film_runs_keeps_its_class(self, synth_dataset,
+                                                                 monkeypatch):
+        # named like a data error, but still exit 3's class, not exit 2's
+        def broken_srad(*args):
+            raise InternalInvariantError("SRAD band 1 ended with exit status 7")
+
+        monkeypatch.setattr(pipeline, "srad", broken_srad)
+        where = f"id sy001 ({synth_dataset / 'sy001.pgm'}): "
+        with pytest.raises(InternalInvariantError, match=re.escape(
+                where + "SRAD band 1 ended with exit status 7")):
+            run_experiment(synth_dataset, ["sy001"])
+
+    def test_each_film_is_checked_once_and_enhanced_once(self, synth_dataset, monkeypatch):
+        # counted by wrapping the names pipeline calls, as perfbench/spans.py
+        # does: one check and one crop per film before the first film runs,
+        # one crop and one SRAD per film while it runs
+        calls = collections.Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("_check_run_input", "extract_roi", "srad"):
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        run_experiment(synth_dataset, [case[0] for case in SYNTH_CASES])
+        assert calls == {"_check_run_input": 3, "extract_roi": 6, "srad": 3}
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(TexturedgeError, match="no annotation index at"):
