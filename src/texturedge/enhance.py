@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInvariantError, TexturedgeError
-from .imgio import as_gray_image
+from .imgio import as_gray_image, round_to_uint8
 
 _EPS = 1e-6
 # rows per SRAD tile; a band's six private float32 scratch planes of
@@ -129,33 +129,33 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     one float64 plane, and neither plane lives through the steps.
 
     The field lives in two image-sized float32 buffers in one shared
-    anonymous mapping: each step reads one and writes the other. Both
-    buffers, and each band's scratch planes below, start on a 64-byte cache
-    line. NumPy's widest loops (AVX-512 where the CPU has it) load and
-    store 64 bytes at a time, and an array that starts off a line, as a
-    large ``np.empty`` one from the allocator's mmap path does, splits a
-    line at every such access: at 1024 columns that cost about 30 % of a
-    step's time. Where the data lives changes no pass and no bit.
+    anonymous mapping: each step reads one and writes the other. ``_planes``
+    starts both, and each band's scratch planes below, on a 64-byte cache
+    line. NumPy's widest loops (AVX-512 where the CPU has it) load and store
+    64 bytes at a time, and an array that starts off a line, as a large
+    ``np.empty`` one from the allocator's mmap path does, splits a line at
+    every such access: at 1024 columns that cost about 30 % of a step's
+    time. Where the data lives changes no pass and no bit.
 
     The rows are split into contiguous bands, one per CPU this process may
     run on but never more than there are ``TILE_ROWS``-row tiles. This
-    process steps the first band and an ``os.fork``-ed child steps each of
-    the others; with one band no child is started and the same loop runs.
-    Threads would not do: a step is ufunc calls only, and each call hands
-    the GIL over, a cost that grows with the number of calls (two threads
-    stepping separate half-films took 1.3 times one thread's time with
-    64-row tiles and 3.2 times with 16-row ones). Every band steps the same
-    two buffers, tile by tile, and keeps every temporary in its own scratch
-    planes, so no step allocates an image-sized array or a padded copy;
-    every view a tile reads or writes is sliced once per call, for either
-    buffer as the source. A tile reads its neighbours' rows (one above, two
-    below) where they lie. After each step every band waits at a one-byte
-    pipe barrier for all the others, the only synchronisation; no field
-    byte crosses a pipe. Double buffering makes that enough: step ``n``
-    reads buffer ``s`` and writes only its band's rows of buffer ``1 - s``,
-    nothing writes buffer ``s`` again until step ``n + 1``, and no band
-    starts step ``n + 1`` before every band has passed the barrier after
-    step ``n``. No process outlives the call. Each pixel goes through
+    process steps the first band and a child forked by ``_in_processes``
+    each of the others; with one band no child is started and the same loop
+    runs. Threads would not do: a step is ufunc calls only, and each call
+    hands the GIL over, a cost that grows with the number of calls (two
+    threads stepping separate half-films took 1.3 times one thread's time
+    with 64-row tiles and 3.2 times with 16-row ones). Every band steps the
+    same two buffers, tile by tile, and keeps every temporary in its own
+    scratch planes, so no step allocates an image-sized array or a padded
+    copy; every view a tile reads or writes is sliced once per call, for
+    either buffer as the source. A tile reads its neighbours' rows (one
+    above, two below) where they lie. After each step every band waits at
+    that helper's barrier for all the others, the only synchronisation; no
+    field byte crosses a pipe. Double buffering makes that enough: step
+    ``n`` reads buffer ``s`` and writes only its band's rows of buffer
+    ``1 - s``, nothing writes buffer ``s`` again until step ``n + 1``, and
+    no band starts step ``n + 1`` before every band has passed the barrier
+    after step ``n``. No process outlives the call. Each pixel goes through
     the same IEEE operations in the same order for any tiling and band
     count, so the float field is bit-identical to evaluating the formulas
     above in float32, with the same float32 scalars, one whole array at a
@@ -193,44 +193,24 @@ def srad(img, params: SradParams = SradParams()) -> np.ndarray:
     scaled = a.astype(np.float64)
     scaled /= 255.0
     scaled += _EPS
-    fields = _shared_fields(scaled)
+    fields = _planes(a.shape, 2)
+    fields[0][...] = scaled
     del scaled  # no float64 plane lives through the diffusion
     scaled = _diffuse(fields, params).astype(np.float64)
     del fields  # unmaps both buffers
     scaled *= 255.0
-    return _round_to_uint8(scaled)
+    return round_to_uint8(scaled)
 
 
-def _round_to_uint8(x: np.ndarray) -> np.ndarray:
-    """Float64 ``x`` rounded half up and clipped to [0, 255], as uint8;
-    ``x`` is overwritten."""
-    x += 0.5
-    np.floor(x, out=x)
-    np.clip(x, 0.0, 255.0, out=x)
-    return x.astype(np.uint8)
-
-
-def _aligned_empty(shape) -> np.ndarray:
-    """An uninitialised C-ordered float32 array of ``shape`` whose data
-    starts on a 64-byte cache line (see ``srad``)."""
-    nbytes = int(np.prod(shape)) * 4
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + nbytes].view(np.float32).reshape(shape)
-
-
-def _shared_fields(start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SRAD's two float32 field buffers shaped like ``start``, in one
-    anonymous mapping that forked children share, with ``start`` in the
-    first. A mapping starts on a page and the second buffer on the next
-    64-byte cache line after the first (see ``srad``)."""
-    nbytes = start.size * 4
-    second = -(-nbytes // 64) * 64
-    shared = mmap.mmap(-1, second + nbytes)
-    fields = tuple(np.frombuffer(shared, np.float32, start.size, offset).reshape(start.shape)
-                   for offset in (0, second))
-    fields[0][...] = start
-    return fields
+def _planes(shape, count: int) -> list[np.ndarray]:
+    """``count`` C-ordered float32 arrays of ``shape``, zero-filled, in one
+    anonymous mapping that forked children share. The mapping starts on a
+    page and each array on a 64-byte cache line (see ``srad``)."""
+    size = int(np.prod(shape))
+    stride = -(-size * 4 // 64) * 64
+    shared = mmap.mmap(-1, count * stride)
+    return [np.frombuffer(shared, np.float32, size, p * stride).reshape(shape)
+            for p in range(count)]
 
 
 def _worker_count() -> int:
@@ -249,16 +229,17 @@ def _diffuse(fields, params: SradParams) -> np.ndarray:
     ``fields[0]``, returned as whichever of the two ``fields`` holds it.
 
     ``fields`` are two C-ordered float32 arrays of one shape in memory
-    that forked children share, as ``_shared_fields`` makes them; both are
+    that forked children share, as ``_planes`` makes them; both are
     overwritten. Buffers that do not start on a 64-byte cache line give the
     same field in slower steps. ``q0`` starts from the homogeneous region
     (inside ``fields[0]``) and decays in float64; each step rounds its
     scalars once, before any band starts.
 
-    This process steps band 0 and starts one forked child per other band
-    (see ``srad``). A child that dies, even after its last step, or a tile
-    step that raises in band 0, raises ``InternalInvariantError`` naming
-    the band, after every child has been reaped.
+    ``_in_processes`` steps band 0 in this process and each other band in a
+    forked child (see ``srad``). A child that dies, even after its last
+    step, or a tile step that raises in band 0, raises
+    ``InternalInvariantError`` naming the band, after every child has been
+    reaped.
     """
     height, width = fields[0].shape
     params.check_fits(width, height)
@@ -283,67 +264,84 @@ def _diffuse(fields, params: SradParams) -> np.ndarray:
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    fds, links, pids = [], [], {}  # links[b - 1]: this end of band b's two pipes
+    return fields[_in_processes(
+        workers, lambda b, sync: _run_band(fields, bands[b], b, steps, k, sync))]
 
-    def ended(b, status):
-        return f"SRAD band {b} ended with exit status {os.waitstatus_to_exitcode(status)}"
+
+def _in_processes(count: int, run):
+    """``run(0, sync)`` in this process and ``run(p, sync)`` in one forked
+    child for each other ``p < count``, none for ``count == 1``; returns
+    this process's result.
+
+    ``sync()`` is a barrier: no process returns from its ``n``-th call
+    before every process has made its ``n``-th. Each child writes one byte
+    up one pipe and waits for one byte down another; this process reads a
+    byte from every child, then writes one to each. No other byte crosses a
+    pipe. A child keeps only its own two pipe ends and leaves by
+    ``os._exit``: status 0 once ``run`` returns, 1 if it raises.
+
+    A child that dies, even after its last ``sync``, raises
+    ``InternalInvariantError`` naming it; an exception from this process's
+    ``run`` propagates as it is. Either comes after every child has been
+    reaped: closing this process's pipe ends makes a waiting child's
+    ``sync`` raise, and the child exit.
+    """
+    fds, links, pids = [], [], {}  # links[p - 1]: this end of child p's two pipes
+
+    def ended(p, status):
+        return f"SRAD band {p} ended with exit status {os.waitstatus_to_exitcode(status)}"
 
     def sync():
-        for b, (up, _) in enumerate(links, 1):
+        for p, (up, _) in enumerate(links, 1):
             if not os.read(up, 1):
-                raise InternalInvariantError(ended(b, os.waitpid(pids.pop(b), 0)[1]))
+                raise InternalInvariantError(ended(p, os.waitpid(pids.pop(p), 0)[1]))
         for _, down in links:
             os.write(down, b"\0")
 
     try:
-        for b in range(1, workers):
+        for p in range(1, count):
             up, down = os.pipe(), os.pipe()
             fds += (*up, *down)
             with warnings.catch_warnings():
                 # Python 3.12+ warns that a fork in a process with other
-                # threads (OpenBLAS's idle pool) may deadlock the child. This
-                # child runs only ufunc passes over its planes and the shared
-                # fields, and pipe I/O: it takes no BLAS, logging or other
-                # lock a thread of the parent could have held at the fork.
+                # threads (OpenBLAS's idle pool) may deadlock the child. A
+                # SRAD child runs only ufunc passes over its planes and the
+                # shared fields, and pipe I/O: it takes no BLAS, logging or
+                # other lock a thread of the parent could have held at the
+                # fork.
                 warnings.filterwarnings("ignore", r"This process .*is multi-threaded, "
                                         r"use of fork\(\)", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    for fd in fds:
-                        if fd not in (up[1], down[0]):
-                            os.close(fd)
-                    _band_child(fields, bands[b], b, steps, k, up[1], down[0])
+                    for fd in set(fds) - {up[1], down[0]}:
+                        os.close(fd)
+
+                    def child_sync():
+                        os.write(up[1], b"\0")
+                        if not os.read(down[0], 1):
+                            raise InternalInvariantError(f"SRAD band {p} lost band 0")
+
+                    run(p, child_sync)
                     code = 0
                 finally:
                     os._exit(code)
-            pids[b] = pid
+            pids[p] = pid
             for fd in (up[1], down[0]):
                 fds.remove(fd)
                 os.close(fd)
             links.append((up[0], down[1]))
-        src = _run_band(fields, bands[0], 0, steps, k, sync)
+        result = run(0, sync)
     finally:
         # a child still running sees its pipes close and exits
         for fd in fds:
             os.close(fd)
-        statuses = [(b, os.waitpid(pid, 0)[1]) for b, pid in pids.items()]
-    for b, status in statuses:
+        statuses = [(p, os.waitpid(pid, 0)[1]) for p, pid in pids.items()]
+    for p, status in statuses:
         if status:
-            raise InternalInvariantError(ended(b, status))
-    return fields[src]
-
-
-def _band_child(fields, tiles, b, steps, k, up, down) -> None:
-    """Band ``b``'s steps in a forked child, synchronised with the parent
-    through the pipe ends ``up`` (to it) and ``down`` (from it)."""
-    def sync():
-        os.write(up, b"\0")
-        if not os.read(down, 1):
-            raise InternalInvariantError(f"SRAD band {b} lost band 0")
-
-    _run_band(fields, tiles, b, steps, k, sync)
+            raise InternalInvariantError(ended(p, status))
+    return result
 
 
 def _run_band(fields, tiles, b, steps, k, sync) -> int:
@@ -351,7 +349,7 @@ def _run_band(fields, tiles, b, steps, k, sync) -> int:
     to wait for every band to finish it; returns the index of the buffer
     that holds the result."""
     height, width = fields[0].shape
-    planes = [_aligned_empty((min(TILE_ROWS, height) + 2, width)) for _ in range(6)]
+    planes = _planes((min(TILE_ROWS, height) + 2, width), 6)
     tile_steps = [[_srad_tile(fields[i], fields[1 - i], r0, r1, planes) for r0, r1 in tiles]
                   for i in (0, 1)]
     src = 0
@@ -455,7 +453,7 @@ def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:
     clipped = clipped + excess // 256  # uniform one-pass redistribution; residual dropped
     cdf = np.cumsum(clipped)
     scale = 255.0 / float(cdf[-1])
-    return np.floor(cdf * scale + 0.5).astype(np.uint8)
+    return round_to_uint8(cdf * scale)
 
 
 def _axis_interp(edges: np.ndarray):
@@ -500,4 +498,4 @@ def clahe(img, params: ClaheParams = ClaheParams()) -> np.ndarray:
     top *= 1.0 - wy
     bottom *= wy
     top += bottom
-    return _round_to_uint8(top)
+    return round_to_uint8(top)

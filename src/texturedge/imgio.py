@@ -42,6 +42,15 @@ def as_gray_image(arr) -> np.ndarray:
     return a.astype(np.uint8)
 
 
+def round_to_uint8(x: np.ndarray) -> np.ndarray:
+    """Float64 ``x`` rounded half up and clipped to [0, 255], as uint8: the
+    one rounding rule of every 8-bit output. ``x`` is overwritten."""
+    x += 0.5
+    np.floor(x, out=x)
+    np.clip(x, 0.0, 255.0, out=x)
+    return x.astype(np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # PGM codec
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import TexturedgeError
-from .imgio import as_gray_image
+from .imgio import as_gray_image, round_to_uint8
 
 
 class Offset(NamedTuple):
@@ -213,7 +213,6 @@ class _StripEvaluator:
             self._starts = np.searchsorted(diff[self._order], idx)
         elif kind is Descriptor.ENTROPY and pair_count > 0:
             self._terms = _entropy_terms(pair_count)
-        self._scratch = np.empty((0, levels * levels), dtype=np.float64)
 
     def __call__(self, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         kind, divisor = self.kind, self.pair_count
@@ -232,13 +231,9 @@ class _StripEvaluator:
             out[...] = np.einsum("ij,ij->i", flat, flat)
             divisor *= divisor
         else:
-            if self._scratch.shape != flat.shape:
-                self._scratch = np.empty(flat.shape, dtype=np.float64)
-            # counts lie in [0, pair_count]; a mode other than "raise"
-            # writes straight into the scratch buffer
-            np.take(self._terms, flat, out=self._scratch, mode="wrap")
+            terms = self._terms[flat]
             # a running sum in code order, so a zero term adds an exact 0.0
-            out[...] = np.add.accumulate(self._scratch, axis=-1, out=self._scratch)[:, -1]
+            out[...] = np.add.accumulate(terms, axis=-1, out=terms)[:, -1]
         out /= divisor
         return out
 
@@ -445,8 +440,5 @@ def texture_map_to_gray(m: np.ndarray) -> tuple[np.ndarray, float, float]:
     """
     a = np.asarray(m, dtype=np.float64)
     lo, hi = float(a.min()), float(a.max())
-    if hi > lo:
-        scaled = (a - lo) * (255.0 / (hi - lo))
-    else:
-        scaled = np.zeros_like(a)
-    return np.clip(np.floor(scaled + 0.5), 0.0, 255.0).astype(np.uint8), lo, hi
+    scaled = (a - lo) * (255.0 / (hi - lo)) if hi > lo else np.zeros_like(a)
+    return round_to_uint8(scaled), lo, hi

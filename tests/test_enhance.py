@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -39,8 +40,9 @@ from texturedge import SradParams, enhance, srad
 print(" ".join(np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])))
 img = np.random.default_rng(11).integers(0, 256, size=(130, 77), dtype=np.uint8)
 params = SradParams(iterations=5, homogeneous_region=(3, 3, 20, 20))
-u = (img.astype(np.float64) / 255.0 + 1e-6).astype(np.float32)
-print(enhance._diffuse(enhance._shared_fields(u), params).tobytes().hex())
+fields = enhance._planes(img.shape, 2)
+fields[0][...] = (img.astype(np.float64) / 255.0 + 1e-6).astype(np.float32)
+print(enhance._diffuse(fields, params).tobytes().hex())
 print(srad(img, params).tobytes().hex())
 '''
 
@@ -98,7 +100,9 @@ def _field(img):
 
 def _fields(img):
     """``_diffuse``'s two shared buffers with ``img``'s start field in the first."""
-    return enhance._shared_fields(_field(img))
+    fields = enhance._planes(img.shape, 2)
+    fields[0][...] = _field(img)
+    return fields
 
 
 def _quantize(field):
@@ -527,51 +531,47 @@ class TestSrad:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_srad_peak_holds_one_float64_plane(self, workers, monkeypatch, rng):
         # entry and exit each convert in place on one float64 plane: the
-        # heap's peak is the exit's float64 plane and uint8 output (band 0's
-        # scratch planes stay below it), with a quarter field of slack; one
-        # more float64 or field-sized temporary at either end breaks the
-        # bound. tracemalloc sees this process's heap only: not the two
-        # fields, which lie in a shared mapping, nor a child's planes; with
-        # one worker every band's planes are this process's.
+        # heap's peak is the exit's float64 plane and uint8 output, with a
+        # quarter field of slack; one more float64 or field-sized temporary
+        # at either end breaks the bound. tracemalloc sees this process's
+        # heap only: not the two fields nor any band's scratch planes, which
+        # all lie in anonymous mappings.
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         img = rng.integers(0, 256, size=(512, 256), dtype=np.uint8)
         field = img.size * 4
-        scratch = 6 * (enhance.TILE_ROWS + 2) * img.shape[1] * 4  # band 0's
         tracemalloc.start()
         try:
             srad(img, SradParams(iterations=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < max(8 * img.size + img.size, scratch) + field // 4
+        assert peak < 8 * img.size + img.size + field // 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_steps_allocate_no_image_sized_array(self, workers, monkeypatch, rng):
-        # at most seven scratch planes for the one band this process steps
-        # and a quarter image of slack: one image-sized temporary per step,
-        # or a copy of a half-image band, breaks the bound. tracemalloc sees
-        # this process's heap only: not the two fields, which lie in a
-        # shared mapping, nor a child's planes; with one worker every band's
-        # planes are this process's. The image is tall enough for a quarter
-        # of it to outweigh seven planes, and wide enough for the slack to
-        # hold each tile's views (about 5 kB).
+        # a quarter image of slack and nothing more: one image-sized
+        # temporary per step, or a copy of a half-image band, breaks the
+        # bound. tracemalloc sees this process's heap only: not the two
+        # fields nor any band's scratch planes, which all lie in anonymous
+        # mappings. The slack holds the views of every tile step this
+        # process makes, about 5.6 kB each (0.72 MB for one worker's 128),
+        # and the image is wide enough for that.
         monkeypatch.setattr(enhance, "_worker_count", lambda: workers)
         fields = _fields(rng.integers(0, 256, size=(2048, 512), dtype=np.uint8))
         field = fields[0].nbytes
-        scratch = 7 * (enhance.TILE_ROWS + 2) * fields[0].shape[1] * 4  # band 0's
         tracemalloc.start()
         try:
             enhance._diffuse(fields, SradParams(iterations=3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < scratch + field // 4
+        assert peak < field // 4
 
     def test_no_field_byte_crosses_a_pipe(self, monkeypatch, rng):
         # two bands step one shared pair of fields: each read or write on a
         # band pipe moves one barrier byte, never rows of the field. The
         # forked child inherits the wrapped calls, and a failed assertion
-        # there ends it with status 1, which _diffuse raises
+        # there ends it with status 1, which _in_processes raises
         pipes, moved = set(), []
         pipe, read, write, readv = os.pipe, os.read, os.write, os.readv
 
@@ -668,6 +668,94 @@ class TestSrad:
         img = rng.integers(0, 256, size=(17, 31), dtype=np.uint8)
         out = srad(img, SradParams(iterations=15))
         assert out.shape == img.shape and out.dtype == np.uint8
+
+
+def _open_fds():
+    """This process's open file descriptors, or None where there is no
+    /proc/self/fd to list them."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def in_processes(count, run):
+    """``enhance._in_processes(count, run)``, which must leave every fd as it
+    found it and no child unreaped, whether it returns or raises."""
+    before = _open_fds()
+    try:
+        return enhance._in_processes(count, run)
+    finally:
+        assert _open_fds() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestInProcesses:
+    """The process helper on its own, with fake ``run``s and no SRAD. A
+    child's failed assertion ends it with status 1, which the helper raises."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_no_process_passes_a_sync_before_every_process_reaches_it(self, count):
+        reached = np.frombuffer(mmap.mmap(-1, 8 * count), np.int64)
+
+        def run(p, sync):
+            for n in range(1, 6):
+                if p == count - 1:
+                    time.sleep(0.01)  # the last process is always the slowest
+                reached[p] = n
+                sync()
+                assert reached.min() >= n
+            return p
+
+        assert in_processes(count, run) == 0
+        assert list(reached) == [5] * count
+
+    def test_one_process_forks_nothing(self, monkeypatch):
+        def refuse():
+            raise AssertionError("one process needs no fork and no pipe")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "pipe", refuse)
+        calls = []
+
+        def run(p, sync):
+            sync()
+            sync()
+            calls.append(p)
+            return "here"
+
+        assert in_processes(1, run) == "here" and calls == [0]
+
+    @pytest.mark.parametrize("fault,status", [
+        ("raises", 1), ("dies", 7), ("dies-after-its-last-sync", 7)])
+    def test_failed_child_raises_invariant_error_naming_it(self, fault, status):
+        # child 2 fails between its two syncs or after the last; child 1
+        # then finds its pipe closed, or has already ended cleanly
+        def run(p, sync):
+            sync()
+            if p == 2 and fault == "raises":
+                raise ValueError("a fault in child 2")
+            if p == 2 and fault == "dies":
+                os._exit(7)
+            sync()
+            if p == 2 and fault == "dies-after-its-last-sync":
+                os._exit(7)
+            return p
+
+        with pytest.raises(InternalInvariantError,
+                           match=f"^SRAD band 2 ended with exit status {status}$"):
+            in_processes(3, run)
+
+    def test_failure_here_propagates_after_every_child_is_reaped(self):
+        def run(p, sync):
+            sync()
+            if p == 0:
+                raise ValueError("a fault in this process")
+            sync()
+
+        with pytest.raises(ValueError, match="^a fault in this process$"):
+            in_processes(3, run)
 
 
 class TestClahe:

@@ -410,6 +410,19 @@ class TestScorePoint:
                                 segment=SegmentConfig(threshold, close_radius, fill_holes))
         assert_score_point_matches_oracle(*enhanced_cases[case], config)
 
+    @given(size=st.integers(64, 96), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=50, deadline=None)  # about 4 s on 2 vCPUs
+    def test_seeded_film_matches_oracle_chain(self, size, seed, data):
+        # a new film per example: enhance_image, then score_point on its
+        # output, against the oracles on that same enhanced image
+        r = data.draw(st.integers(6, 16), label="radius")
+        cx = data.draw(st.integers(r, size - 1 - r), label="cx")
+        cy = data.draw(st.integers(r, size - 1 - r), label="cy")
+        config = PipelineConfig()
+        enhanced = pipeline.enhance_image(synth_mass_image(seed, cx, cy, r, size), config)
+        record = parse_mias_index(synth_index_line("sy100", "F", cx, cy, r, size))[0]
+        assert_score_point_matches_oracle(enhanced, record, config)
+
 
 class TestExperiment:
     def test_three_ids_three_rows_plus_aggregates(self, synth_dataset, caplog):
