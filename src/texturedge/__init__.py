@@ -42,7 +42,6 @@ from .segment import binarize, otsu_threshold, refine_mask, trace_contour
 from .texture import (
     ANGLES,
     Descriptor,
-    Glcm,
     Offset,
     QuantizedImage,
     contrast,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANGLES", "ClaheParams", "ConfusionCounts", "Descriptor", "EvalReport",
-    "Glcm", "MiasRecord", "Offset", "PipelineConfig", "PipelineResult",
+    "MiasRecord", "Offset", "PipelineConfig", "PipelineResult",
     "QuantizedImage", "RocCurve", "RoiCrop", "RoiSpec", "SradParams",
     "ThresholdSpec", "binarize", "circle_mask", "clahe", "confusion",
     "contrast", "decode_pgm", "descriptor", "directional_sum", "encode_pgm",

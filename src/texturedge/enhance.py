@@ -24,6 +24,8 @@ _EPS = 1e-6
 # with two bands, 32-row tiles beat 64-row ones in 12 of 14 alternating srad
 # calls (medians 0.251 and 0.285 s wall, 2 vCPUs)
 TILE_ROWS = 32
+# bytes of a forked SRAD band's exception text that reach the caller
+_TEXT_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,8 @@ def _worker_count() -> int:
 
 def _diffuse(fields, params: SradParams) -> np.ndarray:
     """The float field after ``params.iterations`` SRAD steps from
-    ``fields[0]``, returned as whichever of the two ``fields`` holds it.
+    ``fields[0]``, returned as whichever of the two ``fields`` holds it:
+    each step that is not the identity swaps them.
 
     ``fields`` are two C-ordered float32 arrays of one shape in memory
     that forked children share, as ``_planes`` makes them; both are
@@ -236,8 +239,8 @@ def _diffuse(fields, params: SradParams) -> np.ndarray:
     scalars once, before any band starts.
 
     ``_in_processes`` steps band 0 in this process and each other band in a
-    forked child (see ``srad``). A child that dies, even after its last
-    step, or a tile step that raises in band 0, raises
+    forked child (see ``srad``). A tile step that raises, in any band, or a
+    child that dies, even after its last step, raises
     ``InternalInvariantError`` naming the band, after every child has been
     reaped.
     """
@@ -264,32 +267,36 @@ def _diffuse(fields, params: SradParams) -> np.ndarray:
     workers = min(_worker_count(), len(tiles))
     bands = [tiles[i * len(tiles) // workers:(i + 1) * len(tiles) // workers]
              for i in range(workers)]
-    return fields[_in_processes(
-        workers, lambda b, sync: _run_band(fields, bands[b], b, steps, k, sync))]
+    _in_processes(workers, lambda b, sync: _run_band(fields, bands[b], b, steps, k, sync))
+    return fields[len(steps) % 2]
 
 
 def _in_processes(count: int, run):
     """``run(0, sync)`` in this process and ``run(p, sync)`` in one forked
-    child for each other ``p < count``, none for ``count == 1``; returns
-    this process's result.
+    child for each other ``p < count``, none for ``count == 1``.
 
     ``sync()`` is a barrier: no process returns from its ``n``-th call
     before every process has made its ``n``-th. Each child writes one byte
     up one pipe and waits for one byte down another; this process reads a
     byte from every child, then writes one to each. No other byte crosses a
     pipe. A child keeps only its own two pipe ends and leaves by
-    ``os._exit``: status 0 once ``run`` returns, 1 if it raises.
+    ``os._exit``: status 0 once ``run`` returns, 1 if it raises, after
+    writing the exception's text into its slot of a shared mapping.
 
-    A child that dies, even after its last ``sync``, raises
-    ``InternalInvariantError`` naming it; an exception from this process's
-    ``run`` propagates as it is. Either comes after every child has been
-    reaped: closing this process's pipe ends makes a waiting child's
-    ``sync`` raise, and the child exit.
+    A child that raises or dies, even after its last ``sync``, raises
+    ``InternalInvariantError``: with the child's text, an
+    ``InternalInvariantError``'s as it is and another exception's as
+    ``SRAD band <p> raised <repr>``, or else naming the band and its exit
+    status. An exception from this process's ``run`` propagates as it is.
+    Either comes after every child has been reaped: closing this process's
+    pipe ends makes a waiting child's ``sync`` raise, and the child exit.
     """
     fds, links, pids = [], [], {}  # links[p - 1]: this end of child p's two pipes
+    texts = mmap.mmap(-1, _TEXT_BYTES * count)  # child p's exception text at _TEXT_BYTES * p
 
     def ended(p, status):
-        return f"SRAD band {p} ended with exit status {os.waitstatus_to_exitcode(status)}"
+        text = texts[_TEXT_BYTES * p:_TEXT_BYTES * (p + 1)].rstrip(b"\0").decode(errors="replace")
+        return text or f"SRAD band {p} ended with exit status {os.waitstatus_to_exitcode(status)}"
 
     def sync():
         for p, (up, _) in enumerate(links, 1):
@@ -325,6 +332,10 @@ def _in_processes(count: int, run):
 
                     run(p, child_sync)
                     code = 0
+                except Exception as exc:
+                    text = (str(exc) if isinstance(exc, InternalInvariantError)
+                            else f"SRAD band {p} raised {exc!r}").encode()[:_TEXT_BYTES]
+                    texts[_TEXT_BYTES * p:_TEXT_BYTES * p + len(text)] = text
                 finally:
                     os._exit(code)
             pids[p] = pid
@@ -332,7 +343,7 @@ def _in_processes(count: int, run):
                 fds.remove(fd)
                 os.close(fd)
             links.append((up[0], down[1]))
-        result = run(0, sync)
+        run(0, sync)
     finally:
         # a child still running sees its pipes close and exits
         for fd in fds:
@@ -341,28 +352,23 @@ def _in_processes(count: int, run):
     for p, status in statuses:
         if status:
             raise InternalInvariantError(ended(p, status))
-    return result
 
 
-def _run_band(fields, tiles, b, steps, k, sync) -> int:
+def _run_band(fields, tiles, b, steps, k, sync) -> None:
     """Every step for ``tiles``, band ``b``'s, with ``sync()`` after each
-    to wait for every band to finish it; returns the index of the buffer
-    that holds the result."""
+    to wait for every band to finish it; step ``n`` reads ``fields[n % 2]``."""
     height, width = fields[0].shape
     planes = _planes((min(TILE_ROWS, height) + 2, width), 6)
     tile_steps = [[_srad_tile(fields[i], fields[1 - i], r0, r1, planes) for r0, r1 in tiles]
                   for i in (0, 1)]
-    src = 0
     with np.errstate(divide="ignore"):  # a flat pixel's ks / 0 (see srad)
-        for ks, q0_4 in steps:
+        for n, (ks, q0_4) in enumerate(steps):
             try:
-                for step in tile_steps[src]:
+                for step in tile_steps[n % 2]:
                     step(ks, q0_4, k)
             except Exception as exc:
                 raise InternalInvariantError(f"SRAD band {b} raised {exc!r}") from exc
-            src = 1 - src
             sync()
-    return src
 
 
 def _srad_tile(src, dst, r0, r1, planes):

@@ -6,7 +6,10 @@ computed for a fixed pixel displacement. Four displacement directions
 (0, 45, 90, 135 degrees) are combined by elementwise sum to close mass
 outlines.
 
-``texture_map_naive`` recounts every window from scratch;
+A window's GLCM is its ``(levels, levels)`` int64 count matrix, as
+``glcm_window`` returns it; ``descriptor`` reads the pair count as the
+matrix's sum. ``texture_map_naive`` recounts every window from scratch and
+evaluates each row of windows through the same ``_evaluate``;
 ``texture_map_sliding`` gives the same bits faster (see its docstring).
 ``box_sums`` is the package's one window sum: the maps of all four
 descriptors and ``segment``'s disk erosion read their window sums from
@@ -19,6 +22,7 @@ independent of the caller's threading.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -98,27 +102,16 @@ def quantize(img, levels: int) -> QuantizedImage:
     return QuantizedImage(q.astype(np.uint8), levels)
 
 
-@dataclass(frozen=True, eq=False)
-class Glcm:
-    """Co-occurrence tallies for one displacement: ``counts`` holds the
-    exact ordered-pair tallies, which sum to ``pair_count`` (0 for an empty
-    region)."""
-
-    counts: np.ndarray  # (levels, levels) int64
-    pair_count: int
-
-    @property
-    def levels(self) -> int:
-        return self.counts.shape[0]
-
-
 def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
-                offset: Offset, symmetric: bool = False) -> Glcm:
-    """GLCM of one rectangular region ``(x, y, width, height)``.
+                offset: Offset, symmetric: bool = False) -> np.ndarray:
+    """GLCM of one rectangular region ``(x, y, width, height)``: the
+    ``(levels, levels)`` int64 count matrix.
 
-    Tallies ordered pairs ``(q[y, x], q[y+dy, x+dx])`` over every position
-    where both endpoints fall inside the region, normalized by the pair
-    count. ``symmetric=True`` also tallies each pair reversed.
+    Entry ``(i, j)`` tallies the ordered pairs ``(q[y, x], q[y+dy, x+dx])``
+    equal to ``(i, j)`` over every position where both endpoints fall
+    inside the region; ``symmetric=True`` also tallies each pair reversed.
+    The matrix sums to the pair count, 0 when the offset fits no pair in
+    the region.
     """
     x, y, w, h = region
     dx, dy = int(offset[0]), int(offset[1])
@@ -130,7 +123,7 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
     levels = q.levels
     codes = _codes(*_pairs(q.values[y:y + h, x:x + w], dx, dy), levels, symmetric)
     counts = np.bincount(codes.ravel(), minlength=levels * levels)
-    return Glcm(counts.reshape(levels, levels), codes.size)
+    return counts.reshape(levels, levels)
 
 
 def _pairs(values: np.ndarray, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,69 +177,62 @@ def _entropy_terms(pair_count: int) -> np.ndarray:
     return np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
 
 
-class _StripEvaluator:
-    """One descriptor over strips of flattened count matrices.
+def _evaluate(kind: Descriptor, flat: np.ndarray, pair_count: int,
+              out: np.ndarray) -> np.ndarray:
+    """One descriptor of each row of ``flat``, an ``(n, levels^2)`` int64
+    strip of flattened count matrices that each sum to ``pair_count``;
+    writes the ``n`` float64 values into ``out``.
 
-    Built once per ``(kind, levels, pair_count)``, so the weights and the
-    entropy table are made once per map, not per strip. Calling it on an
-    ``(n, levels^2)`` int64 strip writes the ``n`` float64 values into
-    ``out``. The scalar API and the naive kernel evaluate through it, so
-    equal tallies always give bit-identical values: entropy sums each
-    window's ``levels^2`` terms left to right in code order, so a cell
-    counted 0 times adds an exact 0.0 and leaving it out keeps every bit,
-    as the sliding kernel's per-code sum does. IDM folds the tallies
-    into exact per-difference counts and hands them to ``_idm``, as the
-    sliding kernel does with its box counts.
+    ``descriptor`` and the naive kernel evaluate through it, so equal
+    tallies always give bit-identical values: entropy sums each window's
+    ``levels^2`` terms left to right in code order, so a cell counted 0
+    times adds an exact 0.0 and leaving it out keeps every bit, as the
+    sliding kernel's per-code sum does. IDM folds the tallies into exact
+    per-difference counts and hands them to ``_idm``, as the sliding kernel
+    does with its box counts. The weights are made on every call, once per
+    row of the naive kernel.
     """
-
-    def __init__(self, kind: Descriptor, levels: int, pair_count: int):
-        self.kind = kind
-        self.pair_count = pair_count
-        idx = np.arange(levels, dtype=np.int64)
-        diff = np.abs(idx[:, None] - idx[None, :]).reshape(-1)
-        self._terms = None
-        if kind is Descriptor.CONTRAST:
-            self._terms = np.square(diff)
-        elif kind is Descriptor.IDM:
-            # the cells sorted by |i - j|; difference d's run starts at _starts[d]
-            self._order = np.argsort(diff, kind="stable")
-            self._starts = np.searchsorted(diff[self._order], idx)
-        elif kind is Descriptor.ENTROPY and pair_count > 0:
-            self._terms = _entropy_terms(pair_count)
-
-    def __call__(self, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        kind, divisor = self.kind, self.pair_count
-        if divisor == 0:
-            out[...] = 0.0
-            return out
-        if kind is Descriptor.CONTRAST:
-            # integer matmul is exact, so the division is the only rounding step
-            out[...] = flat @ self._terms
-        elif kind is Descriptor.IDM:
-            # integer sums are exact in any order
-            by_d = np.add.reduceat(flat[:, self._order], self._starts, axis=1)
-            return _idm(np.flatnonzero(by_d.any(axis=0)), lambda d: by_d[:, d], divisor, out)
-        elif kind is Descriptor.ASM:
-            # an integer sum of squares is exact in any order
-            out[...] = np.einsum("ij,ij->i", flat, flat)
-            divisor *= divisor
-        else:
-            terms = self._terms[flat]
-            # a running sum in code order, so a zero term adds an exact 0.0
-            out[...] = np.add.accumulate(terms, axis=-1, out=terms)[:, -1]
-        out /= divisor
+    divisor = pair_count
+    if divisor == 0:
+        out[...] = 0.0
         return out
+    idx = np.arange(math.isqrt(flat.shape[1]), dtype=np.int64)
+    diff = np.abs(idx[:, None] - idx[None, :]).reshape(-1)
+    if kind is Descriptor.CONTRAST:
+        # integer matmul is exact, so the division is the only rounding step
+        out[...] = flat @ np.square(diff)
+    elif kind is Descriptor.IDM:
+        # the cells sorted by |i - j|, so difference d's run starts at
+        # starts[d]; integer sums are exact in any order
+        order = np.argsort(diff, kind="stable")
+        starts = np.searchsorted(diff[order], idx)
+        by_d = np.add.reduceat(flat[:, order], starts, axis=1)
+        return _idm(np.flatnonzero(by_d.any(axis=0)), lambda d: by_d[:, d], divisor, out)
+    elif kind is Descriptor.ASM:
+        # an integer sum of squares is exact in any order
+        out[...] = np.einsum("ij,ij->i", flat, flat)
+        divisor *= divisor
+    else:
+        terms = _entropy_terms(pair_count)[flat]
+        # a running sum in code order, so a zero term adds an exact 0.0
+        out[...] = np.add.accumulate(terms, axis=-1, out=terms)[:, -1]
+    out /= divisor
+    return out
 
 
-def descriptor(g: Glcm, kind) -> float:
-    """Scalar descriptor of one GLCM; ``kind`` is a ``Descriptor`` or its value."""
-    evaluate = _StripEvaluator(Descriptor(kind), g.levels, g.pair_count)
-    return float(evaluate(g.counts.reshape(1, -1), np.empty(1))[0])
+def descriptor(counts: np.ndarray, kind) -> float:
+    """Scalar descriptor of one GLCM, given as its ``(levels, levels)``
+    count matrix (see ``glcm_window``); the pair count is the matrix's sum
+    and an all-zero matrix gives 0.0. ``kind`` is a ``Descriptor`` or its
+    value."""
+    flat = np.asarray(counts, dtype=np.int64).reshape(1, -1)
+    return float(_evaluate(Descriptor(kind), flat, int(flat.sum()), np.empty(1))[0])
 
 
-def contrast(g: Glcm) -> float:
-    """Sum over (i, j) of (i - j)^2 p(i, j): the intensity-contrast measure."""
-    return descriptor(g, Descriptor.CONTRAST)
+def contrast(counts: np.ndarray) -> float:
+    """Sum over (i, j) of (i - j)^2 p(i, j), ``p`` the count matrix over its
+    sum: the intensity-contrast measure."""
+    return descriptor(counts, Descriptor.CONTRAST)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +277,11 @@ def texture_map_naive(q: QuantizedImage, kind, window_side: int = 7,
         return out
     codes = _codes(a, b, q.levels, symmetric)
     ll = q.levels * q.levels
-    evaluate = _StripEvaluator(kind, q.levels, pair_count)
     for r in range(h):
         strip = np.empty((w, ll), dtype=np.int64)
         for c in range(w):
             strip[c] = np.bincount(codes[:, r:r + n_rows, c:c + n_cols].ravel(), minlength=ll)
-        evaluate(strip, out[r])
+        _evaluate(kind, strip, pair_count, out[r])
     return out
 
 
@@ -338,14 +323,14 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     IDM are linear in the pair counts and ignore ``symmetric``: a reversed
     pair has the same difference, so symmetry doubles every integer sum and
     the pair count N, and the quotient keeps its bits. CONTRAST divides its
-    box sums of ``(a - b)^2`` once by the anchor count, as
-    ``_StripEvaluator`` does; IDM weights the box counts of the anchors with
-    each ``|a - b| = d`` that occurs through ``_idm``, as the evaluator does.
+    box sums of ``(a - b)^2`` once by the anchor count, as ``_evaluate``
+    does; IDM weights the box counts of the anchors with each ``|a - b| = d``
+    that occurs through ``_idm``, as ``_evaluate`` does.
 
     ENTROPY and ASM take one box count per pair code ``k`` that occurs: of
     the anchors whose code is ``k`` and, when ``symmetric``, of those whose
     reversed code is ``k``. ASM sums the counts squared in int64; ENTROPY
-    sums their terms from the table the evaluator uses, left to right in
+    sums their terms from the table ``_evaluate`` uses, left to right in
     code order as it does, so a code that a window lacks adds an exact 0.0.
     The cost is one box sum per code that occurs: tens to a few hundred on
     film crops, but all ``levels^2`` on uniform noise, where a running

@@ -415,14 +415,16 @@ class TestSrad:
         assert_same_bits(enhance._diffuse(_fields(img), params),
                          _srad_reference_field(img, params))
 
-    @pytest.mark.parametrize("band,after_last_step", [
-        pytest.param(0, False, id="0"), pytest.param(1, False, id="1"),
-        pytest.param(1, True, id="1-after-its-last-step")])
-    def test_failed_band_raises_invariant_error(self, band, after_last_step, monkeypatch, rng):
-        # band 0 raises in its second step, or band 1's child dies in its
-        # second step or after its last one, past every barrier, where only
-        # its exit status shows it; either way every child is reaped (see
-        # no_child_left)
+    @pytest.mark.parametrize("band,fault", [
+        pytest.param(0, "raises", id="0"), pytest.param(1, "dies", id="1"),
+        pytest.param(1, "dies-after-its-last-step", id="1-after-its-last-step"),
+        pytest.param(1, "raises", id="1-raises")])
+    def test_failed_band_raises_invariant_error(self, band, fault, monkeypatch, rng):
+        # band 0 or band 1's child raises in its second step, or band 1's
+        # child dies in its second step or after its last one, past every
+        # barrier, where only its exit status shows it; a child's exception
+        # text reaches this process, and either way every child is reaped
+        # (see no_child_left)
         parent, tile, run_band = os.getpid(), enhance._srad_tile, enhance._run_band
 
         def failing_tile(src, dst, r0, r1, planes):
@@ -433,7 +435,7 @@ class TestSrad:
             def fail(*scalars):
                 calls.append(1)
                 if len(calls) == 2:
-                    if band:
+                    if fault == "dies":
                         os._exit(7)
                     raise FloatingPointError("overflow")
                 step(*scalars)
@@ -441,18 +443,18 @@ class TestSrad:
             return fail
 
         def exiting_band(fields, tiles, b, *rest):
-            src = run_band(fields, tiles, b, *rest)
+            run_band(fields, tiles, b, *rest)
             if b == band:
                 os._exit(7)
-            return src
 
-        if after_last_step:
+        if fault == "dies-after-its-last-step":
             monkeypatch.setattr(enhance, "_run_band", exiting_band)
         else:
             monkeypatch.setattr(enhance, "_srad_tile", failing_tile)
         monkeypatch.setattr(enhance, "_worker_count", lambda: 3)
         img = rng.integers(0, 256, size=(3 * enhance.TILE_ROWS, 9), dtype=np.uint8)
-        what = "ended with exit status 7" if band else r"raised FloatingPointError\('overflow'\)"
+        what = ("ended with exit status 7" if fault.startswith("dies")
+                else r"raised FloatingPointError\('overflow'\)")
         with pytest.raises(InternalInvariantError, match=f"^SRAD band {band} {what}$"):
             enhance._diffuse(_fields(img), SradParams(iterations=5))
 
@@ -571,7 +573,7 @@ class TestSrad:
         # two bands step one shared pair of fields: each read or write on a
         # band pipe moves one barrier byte, never rows of the field. The
         # forked child inherits the wrapped calls, and a failed assertion
-        # there ends it with status 1, which _in_processes raises
+        # there ends it with status 1, which _in_processes raises with its text
         pipes, moved = set(), []
         pipe, read, write, readv = os.pipe, os.read, os.write, os.readv
 
@@ -684,7 +686,7 @@ def in_processes(count, run):
     found it and no child unreaped, whether it returns or raises."""
     before = _open_fds()
     try:
-        return enhance._in_processes(count, run)
+        enhance._in_processes(count, run)
     finally:
         assert _open_fds() == before
         with pytest.raises(ChildProcessError):
@@ -693,7 +695,8 @@ def in_processes(count, run):
 
 class TestInProcesses:
     """The process helper on its own, with fake ``run``s and no SRAD. A
-    child's failed assertion ends it with status 1, which the helper raises."""
+    child's failed assertion ends it with status 1, and the helper raises
+    its text."""
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_no_process_passes_a_sync_before_every_process_reaches_it(self, count):
@@ -706,9 +709,8 @@ class TestInProcesses:
                 reached[p] = n
                 sync()
                 assert reached.min() >= n
-            return p
 
-        assert in_processes(count, run) == 0
+        in_processes(count, run)
         assert list(reached) == [5] * count
 
     def test_one_process_forks_nothing(self, monkeypatch):
@@ -723,15 +725,16 @@ class TestInProcesses:
             sync()
             sync()
             calls.append(p)
-            return "here"
 
-        assert in_processes(1, run) == "here" and calls == [0]
+        in_processes(1, run)
+        assert calls == [0]
 
     @pytest.mark.parametrize("fault,status", [
         ("raises", 1), ("dies", 7), ("dies-after-its-last-sync", 7)])
     def test_failed_child_raises_invariant_error_naming_it(self, fault, status):
         # child 2 fails between its two syncs or after the last; child 1
-        # then finds its pipe closed, or has already ended cleanly
+        # then finds its pipe closed, or has already ended cleanly. A raised
+        # exception's text reaches this process, an exit shows only its status
         def run(p, sync):
             sync()
             if p == 2 and fault == "raises":
@@ -741,10 +744,10 @@ class TestInProcesses:
             sync()
             if p == 2 and fault == "dies-after-its-last-sync":
                 os._exit(7)
-            return p
 
-        with pytest.raises(InternalInvariantError,
-                           match=f"^SRAD band 2 ended with exit status {status}$"):
+        what = (r"raised ValueError\('a fault in child 2'\)" if fault == "raises"
+                else f"ended with exit status {status}")
+        with pytest.raises(InternalInvariantError, match=f"^SRAD band 2 {what}$"):
             in_processes(3, run)
 
     def test_failure_here_propagates_after_every_child_is_reaped(self):

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from texturedge import (
     Descriptor,
-    Glcm,
     Offset,
     QuantizedImage,
     contrast,
@@ -131,19 +131,18 @@ class TestGlcmWindow:
         values = np.array([[0, 0, 1, 1]] * 4, dtype=np.uint8)
         q = QuantizedImage(values, 2)
         g = glcm_window(q, (0, 0, 4, 4), Offset(1, 0))
-        assert g.pair_count == 12
-        assert np.array_equal(g.counts, [[4, 4], [0, 4]])
+        assert g.dtype == np.int64 and g.shape == (2, 2)
+        assert np.array_equal(g, [[4, 4], [0, 4]])
 
     def test_constant_region(self):
         q = QuantizedImage(np.full((5, 5), 3, dtype=np.uint8), 8)
         g = glcm_window(q, (0, 0, 5, 5), Offset(1, -1))
-        assert g.counts[3, 3] == g.pair_count == int(g.counts.sum()) == 16
+        assert g[3, 3] == int(g.sum()) == 16
 
     def test_single_pixel_region(self):
         q = QuantizedImage(np.zeros((3, 3), dtype=np.uint8), 2)
         g = glcm_window(q, (1, 1, 1, 1), Offset(1, 0))
-        assert g.pair_count == 0
-        assert not g.counts.any()
+        assert g.shape == (2, 2) and not g.any()
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("dx, dy", [(4, 0), (-4, 0), (0, 3), (0, -3),
@@ -152,8 +151,7 @@ class TestGlcmWindow:
         # the region is 4 wide and 3 high, inside a larger image
         q = QuantizedImage((np.arange(42, dtype=np.uint8) % 4).reshape(6, 7), 4)
         g = glcm_window(q, (1, 2, 4, 3), Offset(dx, dy), symmetric)
-        assert g.pair_count == 0
-        assert not g.counts.any()
+        assert g.shape == (4, 4) and not g.any()
         assert all(descriptor(g, kind) == 0.0 for kind in Descriptor)
 
     def test_empty_region_error(self):
@@ -176,8 +174,7 @@ class TestGlcmWindow:
         q = QuantizedImage(values, 4)
         g = glcm_window(q, (0, 0, 6, 6), Offset(1, 0))
         gs = glcm_window(q, (0, 0, 6, 6), Offset(1, 0), symmetric=True)
-        assert gs.pair_count == 2 * g.pair_count
-        assert np.array_equal(gs.counts, g.counts + g.counts.T)
+        assert np.array_equal(gs, g + g.T)
 
     def test_matches_oracle_probabilities(self, rng):
         values = rng.integers(0, 8, size=(10, 10), dtype=np.uint8)
@@ -185,45 +182,38 @@ class TestGlcmWindow:
         for off in ALL_OFFSETS:
             g = glcm_window(q, (1, 2, 7, 7), off)
             counts, n = oracle_glcm_probabilities(values, (1, 2, 7, 7), off)
-            assert g.pair_count == n
             for (i, j), c in counts.items():
-                assert g.counts[i, j] == c
-            assert int(g.counts.sum()) == n
+                assert g[i, j] == c
+            assert int(g.sum()) == n
 
 
 # --- descriptors -------------------------------------------------------------
 
-def _glcm_from_counts(counts):
-    c = np.array(counts, dtype=np.int64)
-    return Glcm(c, int(c.sum()))
-
-
 class TestDescriptors:
     def test_single_cell_degenerate(self):
-        g = _glcm_from_counts([[0, 0], [0, 5]])
+        g = np.array([[0, 0], [0, 5]])
         assert descriptor(g, "entropy") == 0.0
         assert descriptor(g, "asm") == 1.0
         assert descriptor(g, "idm") == 1.0
         assert contrast(g) == 0.0
 
     def test_uniform_two_level(self):
-        g = _glcm_from_counts([[1, 1], [1, 1]])
+        g = np.array([[1, 1], [1, 1]])
         assert descriptor(g, "entropy") == 2.0
         assert descriptor(g, "asm") == 0.25
         assert contrast(g) == 0.5
 
     def test_diagonal_contrast_zero(self):
-        g = _glcm_from_counts([[1, 0], [0, 1]])
+        g = np.array([[1, 0], [0, 1]])
         assert contrast(g) == 0.0
 
     def test_anti_diagonal(self):
-        g = _glcm_from_counts([[0, 1], [1, 0]])
+        g = np.array([[0, 1], [1, 0]])
         assert contrast(g) == 1.0
         assert descriptor(g, "idm") == 0.5
 
     def test_contrast_is_contrast_descriptor(self, rng):
-        c = rng.integers(0, 9, size=(8, 8))
-        g = Glcm(c.astype(np.int64), int(c.sum()))
+        g = rng.integers(0, 9, size=(8, 8))
         assert contrast(g) == descriptor(g, Descriptor.CONTRAST)
 
     def test_contrast_against_double_sum_oracle(self, rng):
@@ -239,14 +229,25 @@ class TestDescriptors:
                     min_size=4, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_invariant_ranges(self, counts):
-        g = _glcm_from_counts(counts)
-        if g.pair_count == 0:
+        g = np.array(counts)
+        if g.sum() == 0:
             return
-        assert int(g.counts.sum()) == g.pair_count
         assert contrast(g) >= 0.0
         assert 0.0 < descriptor(g, "asm") <= 1.0
         assert 0.0 < descriptor(g, "idm") <= 1.0
-        assert 0.0 <= descriptor(g, "entropy") <= 2.0 * np.log2(g.levels)
+        assert 0.0 <= descriptor(g, "entropy") <= 2.0 * np.log2(len(g))
+
+    @given(st.integers(2, 16).flatmap(
+        lambda levels: arrays(np.int64, (levels, levels), elements=st.integers(0, 60))))
+    @settings(max_examples=200, deadline=None)
+    def test_contrast_and_asm_are_correctly_rounded(self, counts):
+        # each is one exact integer sum divided once, so each is the exact
+        # quotient rounded to the nearest float
+        n = int(counts.sum())
+        assume(n > 0)
+        cells = [((i - j) ** 2, int(c)) for (i, j), c in np.ndenumerate(counts)]
+        assert contrast(counts) == float(Fraction(sum(w * c for w, c in cells), n))
+        assert descriptor(counts, "asm") == float(Fraction(sum(c * c for _, c in cells), n * n))
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=40), st.data())
     @settings(max_examples=200, deadline=None)
@@ -265,7 +266,7 @@ class TestDescriptors:
                                        min_size=len(counted), max_size=len(counted)))
             flat = np.zeros(levels * levels, dtype=np.int64)
             flat[sorted(cells)] = counted
-            g = Glcm(flat.reshape(levels, levels), n)
+            g = flat.reshape(levels, levels)
             assert descriptor(g, Descriptor.ENTROPY).hex() == want.hex()
 
 
@@ -295,9 +296,8 @@ class TestIdm:
                 counts = rng.integers(0, 60, size=(levels, levels))
                 counts[rng.random((levels, levels)) >= density] = 0
                 counts[0, 0] += 1  # at least one pair
-                g = Glcm(counts.astype(np.int64), int(counts.sum()))
                 want = float(oracle_idm(counts))
-                got = descriptor(g, "idm")
+                got = descriptor(counts, "idm")
                 assert abs(got - want) <= 4 * np.spacing(want), (levels, density, got, want)
 
     @pytest.mark.parametrize("levels, h, w", [(2, 11, 13), (8, 11, 13), (32, 11, 13),
