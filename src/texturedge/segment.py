@@ -3,9 +3,10 @@
 Recipe: Otsu threshold on the map, morphological closing by a disk,
 optional hole filling, then keep the connected component whose centroid
 sits closest to the annotated mass center. Contours come from clockwise
-Moore boundary tracing. One box-count erosion, counted by
-``texture.box_sums``, serves both passes of the closing and the overlay
-boundary; scipy is used only to label connected components.
+Moore boundary tracing. One erosion, its box counts from ``texture.box_sums``
+in the narrowest lane that holds the box area (uint8 up to 255 pixels),
+serves both passes of the closing and the overlay boundary; scipy only
+labels connected components.
 """
 from __future__ import annotations
 

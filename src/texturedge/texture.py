@@ -127,15 +127,16 @@ def glcm_window(q: QuantizedImage, region: tuple[int, int, int, int],
 
 
 def _pairs(values: np.ndarray, dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor and partner planes (int64) of every pair
+    """Anchor and partner planes (int32) of every pair
     ``(v[y, x], v[y+dy, x+dx])`` whose two ends both lie inside ``values``;
-    both are empty when ``|dx| >= width`` or ``|dy| >= height``."""
+    both are empty when ``|dx| >= width`` or ``|dy| >= height``. Their
+    squared differences and codes ``a * levels + b`` are at most 65,535."""
     if (dx, dy) == (0, 0):
         raise ValueError("offset must not be (0, 0)")
     h, w = values.shape
     rows, cols = max(0, h - abs(dy)), max(0, w - abs(dx))
     y0, x0 = max(0, -dy), max(0, -dx)
-    v = values.astype(np.int64)
+    v = values.astype(np.int32)
     return (v[y0:y0 + rows, x0:x0 + cols],
             v[y0 + dy:y0 + dy + rows, x0 + dx:x0 + dx + cols])
 
@@ -224,8 +225,11 @@ def descriptor(counts: np.ndarray, kind) -> float:
     """Scalar descriptor of one GLCM, given as its ``(levels, levels)``
     count matrix (see ``glcm_window``); the pair count is the matrix's sum
     and an all-zero matrix gives 0.0. ``kind`` is a ``Descriptor`` or its
-    value."""
-    flat = np.asarray(counts, dtype=np.int64).reshape(1, -1)
+    value; any other array raises ``ValueError``."""
+    m = np.asarray(counts, dtype=np.int64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or (m < 0).any():
+        raise ValueError(f"count matrix must be square 2-D, >= 0, got shape {m.shape}")
+    flat = m.reshape(1, -1)
     return float(_evaluate(Descriptor(kind), flat, int(flat.sum()), np.empty(1))[0])
 
 
@@ -304,12 +308,18 @@ def _runs(x: np.ndarray, n: int, step: int) -> np.ndarray:
 
 def box_sums(plane: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     """The sum over every ``n_rows x n_cols`` box of the 2-D ``plane``:
-    entry (r, c) sums ``plane[r:r + n_rows, c:c + n_cols]`` exactly, in
-    int32 for a boolean plane, else in int64. ``_runs`` sums the plane
-    flat, one row and then one element apart, so each add is one contiguous
-    pass; a sum that wraps past the end of a row lands on an entry that the
-    returned view leaves out."""
-    x = plane.astype(np.int32 if plane.dtype == bool else np.int64, order="C")
+    entry (r, c) sums ``plane[r:r + n_rows, c:c + n_cols]`` exactly, in the
+    lane ``np.min_scalar_type`` gives the bound, box area x largest entry
+    magnitude (uint8 up to uint64), or ``-bound - 1`` for a plane with a
+    negative entry (int8 up to int64); a boolean plane's bound is the area,
+    and it is read as a uint8 view. ``_runs`` sums the plane flat, one row
+    and then one element apart, so each add is one contiguous pass and each
+    partial sum adds at most a box's entries; a sum that wraps past the end
+    of a row lands on an entry that the returned view leaves out."""
+    x = plane.view(np.uint8) if plane.dtype == bool else plane
+    lo, hi = (0, 1) if plane.dtype == bool else (int(x.min(initial=0)), int(x.max(initial=0)))
+    bound = n_rows * n_cols * max(hi, -lo)
+    x = x.astype(np.min_scalar_type(bound if lo == 0 else -bound - 1), order="C", copy=False)
     sums = _runs(_runs(x.ravel(), n_rows, x.shape[1]), n_cols, 1)
     shape = (x.shape[0] - n_rows + 1, x.shape[1] - n_cols + 1)
     return np.lib.stride_tricks.as_strided(sums, shape, x.strides, writeable=False)
@@ -319,7 +329,8 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
                         offset: Offset = Offset(1, 0), symmetric: bool = False) -> np.ndarray:
     """Fast kernel: bit-identical to ``texture_map_naive``.
 
-    Every descriptor reads its windows through ``box_sums``. CONTRAST and
+    Every descriptor reads its windows through ``box_sums``; the int32
+    planes meet Python ints, as a NumPy int64 would widen them. CONTRAST and
     IDM are linear in the pair counts and ignore ``symmetric``: a reversed
     pair has the same difference, so symmetry doubles every integer sum and
     the pair count N, and the quotient keeps its bits. CONTRAST divides its
@@ -347,7 +358,7 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
         return sums.astype(np.float64) / (n_rows * n_cols)
     if kind is Descriptor.IDM:
         diff = np.abs(a - b)
-        return _idm(np.flatnonzero(np.bincount(diff.ravel())),
+        return _idm(np.flatnonzero(np.bincount(diff.ravel())).tolist(),
                     lambda d: box_sums(diff == d, n_rows, n_cols),
                     n_rows * n_cols, np.empty((h, w), dtype=np.float64))
     levels = q.levels
@@ -358,16 +369,16 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     entropy = kind is Descriptor.ENTROPY
     terms = _entropy_terms(pair_count) if entropy else None
     total = np.zeros((h, w), dtype=np.float64 if entropy else np.int64)
-    for k in occurring:
+    for k in occurring.tolist():
         # symmetric also counts k = i * levels + j at each anchor whose code
         # is j * levels + i, so one plane of codes serves both orders
-        i, j = divmod(int(k), levels)
+        i, j = divmod(k, levels)
         hits = codes == k
         if symmetric and i != j:
             hits |= codes == j * levels + i
         count = box_sums(hits, n_rows, n_cols)
         if symmetric and i == j:
-            count = 2 * count  # a pair of equal levels is its own reverse
+            count = 2 * count.astype(np.int64)  # its own reverse; 2x can pass the lane
         total += np.take(terms, count) if entropy else np.square(count, dtype=np.int64)
     return total / (pair_count if entropy else pair_count * pair_count)
 

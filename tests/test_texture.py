@@ -34,6 +34,18 @@ from texturedge.texture import (
 ALL_OFFSETS = tuple(offsets_for_distance(1).values())
 JOINT_DESCRIPTORS = (Descriptor.ENTROPY, Descriptor.ASM, Descriptor.IDM)
 
+# (plane dtype, extreme entry, box, lane): box area x largest entry magnitude
+# either side of each lane's top; a boolean plane's largest entry is 1, and
+# a negative entry keeps a signed lane that holds -bound - 1 to bound
+LANE_EDGES = [
+    (bool, 1, (15, 17), np.uint8), (bool, 1, (16, 16), np.uint16),
+    (np.uint8, 17, (3, 5), np.uint8), (np.uint8, 16, (4, 4), np.uint16),
+    (np.int32, 4369, (3, 5), np.uint16), (np.int32, 4096, (4, 4), np.uint32),
+    (np.int64, 286331153, (3, 5), np.uint32), (np.int64, 2 ** 28, (4, 4), np.uint64),
+    (np.int8, -1, (1, 127), np.int8), (np.int8, -1, (2, 64), np.int16),
+    (np.int16, -4681, (1, 7), np.int16), (np.int16, -2048, (4, 4), np.int32),
+    (np.int64, 1 - 2 ** 31, (1, 1), np.int32), (np.int64, -2 ** 27, (4, 4), np.int64)]
+
 
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
@@ -225,6 +237,15 @@ class TestDescriptors:
                 want = oracle_contrast(values, (1, 1, 7, 7), off)
                 assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("counts", [np.ones((2, 3)), -np.eye(2), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["not-square", "negative", "one-dimensional", "three-dimensional"])
+    def test_malformed_count_matrix_is_refused(self, counts):
+        for kind in Descriptor:
+            with pytest.raises(ValueError, match="count matrix must be square 2-D, >= 0"):
+                descriptor(counts, kind)
+        with pytest.raises(ValueError, match="count matrix"):
+            contrast(counts)
+
     @given(st.lists(st.lists(st.integers(0, 20), min_size=4, max_size=4),
                     min_size=4, max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -371,16 +392,30 @@ class TestSummedArea:
                     got = box_sums(plane, n_rows, n_cols)
                     assert got.shape == want.shape and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("dtype,table_dtype", [
-        (bool, np.int32), (np.uint8, np.int64), (np.int32, np.int64), (np.int64, np.int64)])
-    def test_table_is_int32_for_a_boolean_plane_only(self, dtype, table_dtype):
-        sums = box_sums(np.ones((3, 4), dtype=dtype), 2, 3)
-        assert sums.dtype == table_dtype and sums.shape == (2, 2) and (sums == 6).all()
+    @pytest.mark.parametrize("dtype,top,box,lane", LANE_EDGES, ids=[
+        f"{np.dtype(d).name}-{b[0] * b[1] * abs(t)}-{np.dtype(lane).name}"
+        for d, t, b, lane in LANE_EDGES])
+    def test_narrowest_lane_for_the_box_bound(self, dtype, top, box, lane, rng):
+        n_rows, n_cols = box
+        shape = (n_rows + 3, n_cols + 4)
+        # a plane full of the extreme entry reaches the bound in every box
+        extreme = np.full(shape, top, dtype=dtype)
+        mixed = (rng.integers(0, 2, size=shape) if dtype is bool else
+                 rng.integers(min(top, 0), abs(top) + 1, size=shape)).astype(dtype)
+        mixed[1, 2] = top
+        for plane in (extreme, mixed, mixed[::-1]):
+            want = np.lib.stride_tricks.sliding_window_view(
+                plane.astype(np.int64), box).sum(axis=(-2, -1))
+            got = box_sums(plane, n_rows, n_cols)
+            assert got.dtype == lane and np.array_equal(got, want)
 
+    # (plane, sums) dtypes: an int32 plane of squared differences at most 49
+    # (8 levels) summed over a 4 x 4 box in uint16; every box of the maps and
+    # of the radius-2 closing holds at most 16 booleans, counted in uint8
     @pytest.mark.parametrize("user,tables", [
-        (Descriptor.CONTRAST, {np.dtype(np.int64)}), (Descriptor.IDM, {np.dtype(bool)}),
-        ("refine_mask", {np.dtype(bool)}), ("make_overlay", {np.dtype(bool)}),
-        (Descriptor.ENTROPY, {np.dtype(bool)}), (Descriptor.ASM, {np.dtype(bool)})])
+        (Descriptor.CONTRAST, {(np.int32, np.uint16)}), (Descriptor.IDM, {(bool, np.uint8)}),
+        ("refine_mask", {(bool, np.uint8)}), ("make_overlay", {(bool, np.uint8)}),
+        (Descriptor.ENTROPY, {(bool, np.uint8)}), (Descriptor.ASM, {(bool, np.uint8)})])
     def test_maps_and_closing_go_through_box_sums(self, user, tables, rng, monkeypatch):
         q = quantize(rng.integers(0, 256, size=(12, 12), dtype=np.uint8), 8)
         if user == "refine_mask":
@@ -396,13 +431,14 @@ class TestSummedArea:
         planes = []
 
         def recorded(plane, n_rows, n_cols):
-            planes.append(plane.dtype)
-            return box_sums(plane, n_rows, n_cols)
+            sums = box_sums(plane, n_rows, n_cols)
+            planes.append((plane.dtype, sums.dtype))
+            return sums
 
         monkeypatch.setattr(texture, "box_sums", recorded)
         monkeypatch.setattr(segment, "box_sums", recorded)
         assert np.array_equal(run(), want)
-        assert planes and set(planes) == tables
+        assert planes and set(planes) == {tuple(map(np.dtype, pair)) for pair in tables}
 
     @pytest.mark.parametrize("kind", [Descriptor.ENTROPY, Descriptor.ASM])
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -579,6 +615,26 @@ class TestTextureMaps:
                 m = texture_map_sliding(q, kind, 3, Offset(5, 0), symmetric)
                 assert not m.any()
                 assert_same_bits(m, texture_map_naive(q, kind, 3, Offset(5, 0), symmetric))
+
+    @pytest.mark.parametrize("levels", [2, 8])
+    @pytest.mark.parametrize("crop", ["constant", "two-level", "halves"])
+    def test_sliding_equals_naive_at_the_lane_edges(self, crop, levels, rng):
+        # windows 13 and 15 hold 143 to 210 pairs: a box count fits uint8 but
+        # a symmetric count of equal levels, doubled, passes 255 on the
+        # constant and halves crops. The crops hold the top and bottom
+        # levels, so the squared differences sum in uint8 at 2 levels and in
+        # uint16 at 8 (uint32 at 256: the float-bits test at 256 levels)
+        img = {"constant": np.full((30, 30), 255),
+               "two-level": np.where(rng.random((30, 30)) < 0.5, 0, 255),
+               "halves": np.repeat([[0, 255]], 15, axis=1).repeat(30, axis=0)}[crop]
+        q = quantize(img.astype(np.uint8), levels)
+        for window in (13, 15):
+            for distance in (1, 2):
+                for off in offsets_for_distance(distance).values():
+                    for kind in Descriptor:
+                        for symmetric in (False, True):
+                            assert_same_bits(texture_map_sliding(q, kind, window, off, symmetric),
+                                             texture_map_naive(q, kind, window, off, symmetric))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(2, 40),
            st.sampled_from([2, 3, 8, 32]), st.sampled_from([3, 5, 9, 13]),
