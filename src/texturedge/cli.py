@@ -30,9 +30,9 @@ from .pipeline import (
     enhance_image,
     experiment_csv,
     experiment_jsonl,
-    find_index_file,
     from_plain,
     load_config,
+    read_index,
     run_experiment,
     run_pipeline,
     segment_map,
@@ -247,8 +247,7 @@ def _record_for(args):
         if len(records) != 1:
             raise ValueError(f"--record must hold one annotation line, got {len(records)}")
         return records[0]
-    index = find_index_file(_dataset_dir(args)).read_text()
-    return select_record(parse_mias_index(index), args.ref_id)
+    return select_record(read_index(_dataset_dir(args)), args.ref_id)
 
 
 def _cmd_pipeline(args) -> int:
@@ -261,9 +260,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _build_config(args)
-    root = _dataset_dir(args)
     out = Path(args.out)
-    rows = run_experiment(root, args.ids, config, out_dir=out)
+    rows = run_experiment(_dataset_dir(args), args.ids, config, out_dir=out)
     out.mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
     (out / "report.csv").write_text(experiment_csv(rows))
     (out / "report.jsonl").write_text(experiment_jsonl(rows))

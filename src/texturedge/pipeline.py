@@ -203,11 +203,21 @@ def enhance_image(img, config: PipelineConfig) -> np.ndarray:
 def crop_roi(enhanced: np.ndarray, record: MiasRecord,
              roi: RoiConfig) -> tuple[RoiCrop, tuple[int, int], np.ndarray]:
     """The square crop around the record's mass, the mass center (x, y) in
-    that crop and the record's circle over it (the proxy ground truth)."""
+    that crop and the record's circle over it (the proxy ground truth), which
+    must lie whole in the crop, clipped to the image, and not cover it."""
     spec = RoiSpec.from_mias(record, enhanced.shape[0], roi.margin_factor)
     crop = extract_roi(enhanced, spec)
-    cx, cy = spec.center_x - crop.x0, spec.center_y - crop.y0
-    return crop, (cx, cy), circle_mask(crop.width, crop.height, cx, cy, record.radius)
+    height, width = enhanced.shape
+    x, y, r = spec.center_x, spec.center_y, record.radius
+    # the circle's image pixels span its centre's row and column, clipped
+    if (max(0, x - r) < crop.x0 or min(width - 1, x + r) >= crop.x0 + crop.width
+            or max(0, y - r) < crop.y0 or min(height - 1, y + r) >= crop.y0 + crop.height):
+        raise TexturedgeError(f"the crop at margin_factor {roi.margin_factor} "
+                              f"leaves out part of the radius-{r} circle")
+    cx, cy = x - crop.x0, y - crop.y0
+    truth = circle_mask(crop.width, crop.height, cx, cy, r)
+    reference_counts(truth)
+    return crop, (cx, cy), truth
 
 
 def texture_maps(roi_image, glcm: GlcmConfig, kind=Descriptor.CONTRAST,
@@ -257,50 +267,40 @@ def _naming_film(image, record: MiasRecord):
     where = f"id {record.ref_id}" + (f" ({Path(image)})" if isinstance(image, (str, Path)) else "")
     try:
         yield
-    except InternalInvariantError as exc:
-        raise InternalInvariantError(f"{where}: {exc}") from None
-    except TexturedgeError as exc:
-        raise TexturedgeError(f"{where}: {exc}") from None
-    except ValueError as exc:
+    except (TexturedgeError, ValueError) as exc:
+        if isinstance(exc, InternalInvariantError):
+            raise InternalInvariantError(f"{where}: {exc}") from None
+        if isinstance(exc, TexturedgeError):
+            raise TexturedgeError(f"{where}: {exc}") from None
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _check_run_input(image, record: MiasRecord, config: PipelineConfig) -> np.ndarray:
-    """The image, read once, after what ``run_pipeline`` refuses before SRAD:
-    no image file or circle, an undecodable PGM, a circle ``crop_roi`` refuses,
-    one covering the crop or one the crop cuts (an image pixel of the circle
-    left outside it), too many CLAHE tiles or a homogeneous region outside the
-    image. Every refusal from the PGM on names the id and the file."""
+def _check_run_input(image, record: MiasRecord, config: PipelineConfig) -> None:
+    """What a run refuses before SRAD: no image file or circle, an undecodable
+    PGM, a circle ``crop_roi`` refuses, too many CLAHE tiles or a homogeneous
+    region outside the image; from the PGM on, each names the id and file."""
     from_file = isinstance(image, (str, Path))
     if from_file and not Path(image).is_file():
         raise TexturedgeError(f"no image file at {Path(image)}")
     check_geometry(record)
     with _naming_film(image, record):
         img = read_pgm(image) if from_file else image
-        # enhancement keeps the shape, so this is score_point's crop and truth
-        crop, (cx, cy), truth = crop_roi(img, record, config.roi)
+        # enhancement keeps the shape, so this is score_point's crop
+        crop_roi(img, record, config.roi)
         height, width = img.shape
-        # the circle's image pixels span its centre's row and column, clipped
-        x, y, r = crop.x0 + cx, crop.y0 + cy, record.radius
-        if (max(0, x - r) < crop.x0 or min(width - 1, x + r) >= crop.x0 + crop.width
-                or max(0, y - r) < crop.y0 or min(height - 1, y + r) >= crop.y0 + crop.height):
-            raise TexturedgeError(f"the crop at margin_factor {config.roi.margin_factor} "
-                                  f"leaves out part of the radius-{r} circle")
-        reference_counts(truth)
         config.srad.check_fits(width, height)
         config.clahe.check_fits(width, height)
-    return img
 
 
 def score_point(enhanced: np.ndarray, record: MiasRecord,
                 config: PipelineConfig) -> PipelineResult:
-    """Every step after enhancement, scored against the circle; no I/O, no check.
+    """Every step after enhancement, scored against the circle; no I/O.
 
     Confusion metrics and the ROC area are taken over the ROI crop, the only
-    place texture scores exist. A crop that would leave out an image pixel
-    of the circle is refused, so the whole image would change only tn and
-    specificity: ``report.json`` carries those as ``image_tn`` and
-    ``image_specificity``.
+    place texture scores exist. Its only check is ``crop_roi``'s, which
+    refuses a crop that would leave out an image pixel of the circle, so the
+    whole image would change only tn and specificity: ``report.json``
+    carries those as ``image_tn`` and ``image_specificity``.
 
     ``az`` is ``roc_az(sum_map, filled circle)`` over the crop: it asks how
     well the summed contrast map ranks mass pixels above the rest. The map
@@ -315,21 +315,30 @@ def score_point(enhanced: np.ndarray, record: MiasRecord,
                           contours, metrics(confusion(mask, truth)), roc_az(sum_map, truth))
 
 
+def _run_films(films: Sequence[tuple], config: PipelineConfig, out_dir):
+    """Check every ``(image, record)`` pair, then run, write and yield each."""
+    for image, record in films:
+        _check_run_input(image, record, config)
+    for image, record in films:
+        with _naming_film(image, record):
+            img = read_pgm(image) if isinstance(image, (str, Path)) else image
+            result = score_point(enhance_image(img, config), record, config)
+            if out_dir is not None:
+                write_artifacts(result, record, out_dir)
+        yield result
+
+
 def run_pipeline(image, record: MiasRecord, config: PipelineConfig = PipelineConfig(),
                  out_dir=None) -> PipelineResult:
-    """Run every stage on one image, score the mask against the record's
-    circle and, if ``out_dir`` is given, write the full artifact set under
-    ``out_dir/<ref_id>/``.
+    """Run every stage on one image as ``run_experiment`` runs each film,
+    score the mask against the record's circle and, if ``out_dir`` is given,
+    write the full artifact set under ``out_dir/<ref_id>/``.
 
     ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
     circle geometry (it defines the ROI and the proxy ground truth);
     otherwise ``TexturedgeError`` is raised.
     """
-    img = _check_run_input(image, record, config)
-    with _naming_film(image, record):
-        result = score_point(enhance_image(img, config), record, config)
-        if out_dir is not None:
-            write_artifacts(result, record, out_dir)
+    (result,) = _run_films([(image, record)], config, out_dir)
     return result
 
 
@@ -366,8 +375,7 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> None
 
 
 def _report_json(result: PipelineResult, record: MiasRecord) -> str:
-    # the crop holds the mask and every image pixel of the circle
-    # (_check_run_input), so the whole image adds only true negatives
+    # the crop holds the mask and all of the circle (crop_roi): the rest is true negatives
     c = result.report.counts
     image = metrics(dataclasses.replace(c, tn=result.enhanced.size - c.tp - c.fp - c.fn))
     return json.dumps({
@@ -399,11 +407,11 @@ _METRIC_FIELDS = ("dice", "precision", "recall", "specificity", "f_measure", "az
 CSV_COLUMNS = ("ref_id", "tissue", "tp", "fp", "fn", "tn") + _METRIC_FIELDS
 
 
-def find_index_file(dataset_dir) -> Path:
+def read_index(dataset_dir) -> list[MiasRecord]:
     index = Path(dataset_dir) / "Info.txt"
     if not index.is_file():
         raise TexturedgeError(f"no annotation index at {index}")
-    return index
+    return parse_mias_index(index.read_text())
 
 
 def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = PipelineConfig(),
@@ -417,25 +425,17 @@ def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = Pip
     sequentially so output ordering never depends on scheduling. Every id's
     record, image file, PGM decoding, circle, crop and fit to the SRAD and
     CLAHE settings are checked once, before the first image runs, so a refused
-    id leaves nothing written. Each film is then decoded again rather than kept
-    from the check: on a 1024² P5 film (2 vCPUs) that costs about 0.6 ms
-    against a run of about 0.45 s, and keeping them would hold 1 MB per id for
-    the batch. A later data or usage error names its id and file and stops the
-    batch; earlier trees stay.
+    id leaves nothing written. Each film, and ``run_pipeline``'s from a path,
+    is then decoded again rather than kept from the check: on a 1024² P5 film
+    (2 vCPUs) under 2 ms against a run of about 0.4 s, where keeping them
+    would hold 1 MB per id. A later data or usage error names its id and file
+    and stops the batch; earlier trees stay.
     """
     root = Path(dataset_dir)
-    records = parse_mias_index(find_index_file(root).read_text())
+    records = read_index(root)
     runs = [(root / f"{ref}.pgm", select_record(records, ref)) for ref in sorted(set(ids))]
-    for path, record in runs:
-        _check_run_input(path, record, config)
-    rows = []
-    for path, record in runs:
-        with _naming_film(path, record):
-            result = score_point(enhance_image(read_pgm(path), config), record, config)
-            if out_dir is not None:
-                write_artifacts(result, record, out_dir)
-        rows.append(ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az))
-    return rows
+    return [ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az)
+            for (_, record), result in zip(runs, _run_films(runs, config, out_dir))]
 
 
 def _row_doc(row: ExperimentRow) -> dict:

@@ -225,11 +225,13 @@ def descriptor(counts: np.ndarray, kind) -> float:
     """Scalar descriptor of one GLCM, given as its ``(levels, levels)``
     count matrix (see ``glcm_window``); the pair count is the matrix's sum
     and an all-zero matrix gives 0.0. ``kind`` is a ``Descriptor`` or its
-    value; any other array raises ``ValueError``."""
-    m = np.asarray(counts, dtype=np.int64)
+    value; any other array or a non-whole entry raises ``ValueError``."""
+    m = np.asarray(counts)
+    if m.dtype.kind not in "biu" and not (whole := np.isfinite(m) & (m == np.floor(m))).all():
+        raise ValueError(f"count matrix must hold whole numbers, got {m[~whole][0].item()!r}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or (m < 0).any():
         raise ValueError(f"count matrix must be square 2-D, >= 0, got shape {m.shape}")
-    flat = m.reshape(1, -1)
+    flat = m.astype(np.int64).reshape(1, -1)
     return float(_evaluate(Descriptor(kind), flat, int(flat.sum()), np.empty(1))[0])
 
 

@@ -35,6 +35,7 @@ from texturedge import pipeline
 from texturedge.enhance import SradParams, srad
 from texturedge.errors import InternalInvariantError, TexturedgeError
 from texturedge.evalmetrics import circle_mask, confusion, metrics
+from texturedge.imgio import RoiSpec, extract_roi
 from texturedge.pipeline import (
     GlcmConfig,
     RoiConfig,
@@ -277,20 +278,29 @@ class TestRunPipeline:
     @example(40, 40, 5, 1.0, 35, 10)
     @settings(max_examples=300, deadline=None)
     def test_crop_holds_the_circle_or_is_refused(self, w, h, r, margin, cx, cy):
-        # the refusal fires exactly when the crop leaves out an image pixel
-        # of the circle, and never from margin 1.5 on
+        # crop_roi refuses exactly when the crop leaves out an image pixel
+        # of the circle, never from margin 1.5 on, and the run's check
+        # refuses exactly what crop_roi does, with the film's id in front
         cx, cy = cx % w, cy % h
         record = MiasRecord("p1", "F", "CIRC", "B", cx, h - 1 - cy, r)
         img = np.zeros((h, w), dtype=np.uint8)
-        crop, (x, y), truth = pipeline.crop_roi(img, record, RoiConfig(margin))
-        in_crop = np.count_nonzero(truth)
+        spec = RoiSpec.from_mias(record, h, margin)
+        crop = extract_roi(img, spec)
+        in_crop = np.count_nonzero(circle_mask(crop.width, crop.height, spec.center_x - crop.x0,
+                                               spec.center_y - crop.y0, r))
         in_image = np.count_nonzero(circle_mask(w, h, cx, cy, r))
         config = dataclasses.replace(PipelineConfig(), roi=RoiConfig(margin))
-        try:
-            pipeline._check_run_input(img, record, config)
-            refused = False
-        except TexturedgeError as exc:
-            refused = "leaves out part of the radius" in str(exc)
+        messages = []
+        for check in (lambda: pipeline.crop_roi(img, record, RoiConfig(margin)),
+                      lambda: pipeline._check_run_input(img, record, config)):
+            try:
+                check()
+                messages.append(None)
+            except TexturedgeError as exc:
+                messages.append(str(exc))
+        crop_message, check_message = messages
+        assert check_message == (crop_message and f"id p1: {crop_message}")
+        refused = crop_message is not None and "leaves out part of the radius" in crop_message
         assert refused == (in_crop < in_image)
         assert not (refused and margin >= 1.5)
 
@@ -549,6 +559,35 @@ class TestExperiment:
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         run_experiment(synth_dataset, [case[0] for case in SYNTH_CASES])
         assert calls == {"_check_run_input": 3, "extract_roi": 6, "srad": 3}
+
+    def test_a_film_path_is_checked_once_and_decoded_twice(self, synth_dataset, monkeypatch):
+        # run_pipeline runs the batch's loop: one check, whose crop and
+        # decode come before SRAD, then a second decode, crop and SRAD
+        calls = collections.Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("_check_run_input", "extract_roi", "srad", "read_pgm"):
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        run_pipeline(synth_dataset / "sy001.pgm", first_case_record())
+        assert calls == {"_check_run_input": 1, "extract_roi": 2, "srad": 1, "read_pgm": 2}
+
+    @pytest.mark.parametrize("case", SYNTH_CASES, ids=[case[0] for case in SYNTH_CASES])
+    def test_run_pipeline_is_the_one_film_experiment(self, synth_dataset, tmp_path, case):
+        # the same film through both entry points: the same <id>/ tree,
+        # report and az
+        ref, tissue, cx, cy, r, _ = case
+        record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0]
+        result = run_pipeline(synth_dataset / f"{ref}.pgm", record, out_dir=tmp_path / "a")
+        (row,) = run_experiment(synth_dataset, [ref], out_dir=tmp_path / "b")
+        assert [p.name for p in (tmp_path / "b").iterdir()] == [ref]
+        assert tree_digest(tmp_path / "a" / ref) == tree_digest(tmp_path / "b" / ref)
+        assert row.report == result.report
+        assert row.az == result.roc.az
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(TexturedgeError, match="no annotation index at"):

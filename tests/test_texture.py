@@ -237,14 +237,32 @@ class TestDescriptors:
                 want = oracle_contrast(values, (1, 1, 7, 7), off)
                 assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("counts", [np.ones((2, 3)), -np.eye(2), np.ones(4), np.ones((2, 2, 2))],
-                             ids=["not-square", "negative", "one-dimensional", "three-dimensional"])
-    def test_malformed_count_matrix_is_refused(self, counts):
+    @pytest.mark.parametrize("counts, fault", [
+        (np.ones((2, 3)), "must be square 2-D, >= 0"),
+        (-np.eye(2), "must be square 2-D, >= 0"),
+        (np.ones(4), "must be square 2-D, >= 0"),
+        (np.ones((2, 2, 2)), "must be square 2-D, >= 0"),
+        # cast to int64 these would read 0, 1 or NumPy's undefined value
+        (np.full((2, 2), 0.5), "must hold whole numbers, got 0.5"),
+        (np.array([[1.9, 0], [0, 1]]), "must hold whole numbers, got 1.9"),
+        (np.array([[np.nan, 0], [0, 1]]), "must hold whole numbers, got nan"),
+        (np.array([[1, 0], [0, np.inf]]), "must hold whole numbers, got inf"),
+        (np.array([[1, -np.inf], [0, 1]]), "must hold whole numbers, got -inf"),
+    ], ids=["not-square", "negative", "one-dimensional", "three-dimensional",
+            "fractional", "fractional-part", "nan", "inf", "minus-inf"])
+    def test_malformed_count_matrix_is_refused(self, counts, fault):
         for kind in Descriptor:
-            with pytest.raises(ValueError, match="count matrix must be square 2-D, >= 0"):
+            with pytest.raises(ValueError, match=f"count matrix {fault}"):
                 descriptor(counts, kind)
         with pytest.raises(ValueError, match="count matrix"):
             contrast(counts)
+
+    def test_whole_float_and_boolean_counts_are_counts(self):
+        for kind in Descriptor:
+            want = descriptor(np.array([[2, 0], [1, 1]]), kind)
+            assert descriptor(np.array([[2.0, 0.0], [1.0, 1.0]]), kind) == want
+            assert (descriptor(np.eye(2, dtype=bool), kind)
+                    == descriptor(np.eye(2, dtype=int), kind))
 
     @given(st.lists(st.lists(st.integers(0, 20), min_size=4, max_size=4),
                     min_size=4, max_size=4))
