@@ -24,12 +24,9 @@ from .errors import InternalInvariantError, TexturedgeError
 from .evalmetrics import confusion, metrics, roc_az, roc_points_csv
 from .imgio import parse_mias_index, read_pgm, write_pgm
 from .pipeline import (
-    DATASET_ENV_VAR,
     PipelineConfig,
     ThresholdSpec,
     enhance_image,
-    experiment_csv,
-    experiment_jsonl,
     from_plain,
     load_config,
     read_index,
@@ -49,6 +46,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+DATASET_ENV_VAR = "TEXTUREDGE_MIAS_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,11 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("enhance", help="SRAD + CLAHE on a whole image")
+    p.set_defaults(run=_cmd_enhance)
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--output", required=True)
     _add_config_flags(p, _SRAD_CLAHE)
 
     p = sub.add_parser("texture", help="direction contrast maps of a ROI image")
+    p.set_defaults(run=_cmd_texture)
     p.add_argument("-i", "--input", required=True, help="ROI image (PGM)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--descriptor", default="contrast",
@@ -159,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _GLCM)
 
     p = sub.add_parser("segment", help="mask + contours from a texture map")
+    p.set_defaults(run=_cmd_segment)
     p.add_argument("-i", "--input", required=True, help="texture map (.f64)")
     p.add_argument("--center", required=True, type=_parse_center,
                    help="mass center as X,Y in map coords")
@@ -166,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _SEGMENTING)
 
     p = sub.add_parser("eval", help="metrics of a predicted mask vs. a reference mask")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--pred", required=True, help="predicted mask (0/255 PGM)")
     p.add_argument("--truth", required=True, help="reference mask (0/255 PGM)")
     p.add_argument("--scores", help="texture map (.f64) for the ROC area")
@@ -173,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here instead of stdout")
 
     p = sub.add_parser("pipeline", help="full run on one annotated image")
+    p.set_defaults(run=_cmd_pipeline)
     p.add_argument("--image", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--record", help="annotation line, e.g. 'mdb005 F CIRC B 477 133 30'")
@@ -182,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _CONFIG_FLAGS)
 
     p = sub.add_parser("experiment", help="batch run over dataset ids")
+    p.set_defaults(run=_cmd_experiment)
     p.add_argument("--dataset", help=f"dataset dir (default ${DATASET_ENV_VAR})")
     p.add_argument("--ids", nargs="*", default=[], help="record ids (empty: no rows)")
     p.add_argument("--out", required=True, help="output directory")
@@ -193,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dataset_dir(args) -> Path:
     value = getattr(args, "dataset", None) or os.environ.get(DATASET_ENV_VAR)
     if not value:
-        raise ValueError(
-            f"no dataset directory: pass --dataset or set ${DATASET_ENV_VAR}")
+        raise ValueError(f"no dataset directory: pass --dataset or set ${DATASET_ENV_VAR}")
     return Path(value)
 
 
@@ -260,24 +264,9 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _build_config(args)
-    out = Path(args.out)
-    rows = run_experiment(_dataset_dir(args), args.ids, config, out_dir=out)
-    out.mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
-    (out / "report.csv").write_text(experiment_csv(rows))
-    (out / "report.jsonl").write_text(experiment_jsonl(rows))
-    for row in rows:
+    for row in run_experiment(_dataset_dir(args), args.ids, config, out_dir=args.out):
         print(f"{row.ref_id} {row.tissue} dice {row.report.dice!r} az {row.az!r}")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "enhance": _cmd_enhance,
-    "texture": _cmd_texture,
-    "segment": _cmd_segment,
-    "eval": _cmd_eval,
-    "pipeline": _cmd_pipeline,
-    "experiment": _cmd_experiment,
-}
 
 
 def main(argv=None) -> int:
@@ -291,16 +280,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InternalInvariantError as exc:
         print(f"texturedge: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except (ValueError, TexturedgeError, OSError) as exc:
         print(f"texturedge: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TexturedgeError, OSError) as exc:
-        print(f"texturedge: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ runs stay total.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +43,10 @@ class EvalReport:
     zero_denominator: tuple[str, ...] = field(default=())
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.counts.tp, "fp": self.counts.fp,
-            "fn": self.counts.fn, "tn": self.counts.tn,
-            "dice": self.dice, "precision": self.precision,
-            "recall": self.recall, "specificity": self.specificity,
-            "f_measure": self.f_measure,
-            "zero_denominator": list(self.zero_denominator),
-        }
+        """Every field by name, the counts flattened in and ``zero_denominator``
+        as a list: the keys of ``report.json``, a JSONL row and ``eval``'s output."""
+        doc = dataclasses.asdict(self)
+        return {**doc.pop("counts"), **doc, "zero_denominator": list(self.zero_denominator)}
 
 
 @dataclass(frozen=True, eq=False)

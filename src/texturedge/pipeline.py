@@ -53,8 +53,6 @@ from .texture import (
 
 logger = logging.getLogger(__name__)
 
-DATASET_ENV_VAR = "TEXTUREDGE_MIAS_DIR"
-
 THRESHOLD_METHODS = ("otsu", "fixed", "percentile")
 
 
@@ -429,13 +427,20 @@ def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = Pip
     is then decoded again rather than kept from the check: on a 1024² P5 film
     (2 vCPUs) under 2 ms against a run of about 0.4 s, where keeping them
     would hold 1 MB per id. A later data or usage error names its id and file
-    and stops the batch; earlier trees stay.
+    and stops the batch; earlier trees stay. Given ``out_dir``, each id's
+    tree goes to ``out_dir/<id>/`` and, after the last film, ``report.csv``
+    and ``report.jsonl`` (``experiment_csv``, ``experiment_jsonl``) to it.
     """
     root = Path(dataset_dir)
     records = read_index(root)
     runs = [(root / f"{ref}.pgm", select_record(records, ref)) for ref in sorted(set(ids))]
-    return [ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az)
+    rows = [ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az)
             for (_, record), result in zip(runs, _run_films(runs, config, out_dir))]
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
+        Path(out_dir, "report.csv").write_text(experiment_csv(rows))
+        Path(out_dir, "report.jsonl").write_text(experiment_jsonl(rows))
+    return rows
 
 
 def _row_doc(row: ExperimentRow) -> dict:

@@ -171,11 +171,12 @@ def _idm(differences, count, pair_count: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_terms(pair_count: int) -> np.ndarray:
-    """Entry ``c`` is ``c * (log2 N - log2 c)``, ``N = pair_count``: the
-    entropy term of a cell counted ``c`` times, >= 0, and 0.0 for ``c = 0``."""
-    ks = np.arange(1, pair_count + 1, dtype=np.float64)
-    return np.concatenate(([0.0], ks * (np.log2(float(pair_count)) - np.log2(ks))))
+def _entropy_terms(counts, pair_count: int) -> np.ndarray:
+    """``c * (log2 N - log2 max(c, 1))`` for each count ``c`` of ``counts``,
+    ``N = pair_count``, in a new float64 array: the entropy term of a cell
+    counted ``c`` times, >= 0, and 0.0 for ``c = 0``."""
+    c = np.asarray(counts, dtype=np.float64)
+    return c * (np.log2(float(pair_count)) - np.log2(np.maximum(c, 1.0)))
 
 
 def _evaluate(kind: Descriptor, flat: np.ndarray, pair_count: int,
@@ -188,7 +189,8 @@ def _evaluate(kind: Descriptor, flat: np.ndarray, pair_count: int,
     tallies always give bit-identical values: entropy sums each window's
     ``levels^2`` terms left to right in code order, so a cell counted 0
     times adds an exact 0.0 and leaving it out keeps every bit, as the
-    sliding kernel's per-code sum does. IDM folds the tallies into exact
+    sliding kernel's per-code sum does; each term is taken at its count, not
+    from a table of ``pair_count + 1``. IDM folds the tallies into exact
     per-difference counts and hands them to ``_idm``, as the sliding kernel
     does with its box counts. The weights are made on every call, once per
     row of the naive kernel.
@@ -214,7 +216,7 @@ def _evaluate(kind: Descriptor, flat: np.ndarray, pair_count: int,
         out[...] = np.einsum("ij,ij->i", flat, flat)
         divisor *= divisor
     else:
-        terms = _entropy_terms(pair_count)[flat]
+        terms = _entropy_terms(flat, pair_count)
         # a running sum in code order, so a zero term adds an exact 0.0
         out[...] = np.add.accumulate(terms, axis=-1, out=terms)[:, -1]
     out /= divisor
@@ -223,16 +225,25 @@ def _evaluate(kind: Descriptor, flat: np.ndarray, pair_count: int,
 
 def descriptor(counts: np.ndarray, kind) -> float:
     """Scalar descriptor of one GLCM, given as its ``(levels, levels)``
-    count matrix (see ``glcm_window``); the pair count is the matrix's sum
+    count matrix (see ``glcm_window``); the pair count N is the matrix's sum
     and an all-zero matrix gives 0.0. ``kind`` is a ``Descriptor`` or its
-    value; any other array or a non-whole entry raises ``ValueError``."""
+    value; any other array, a non-whole entry or N past ``isqrt(2**63 - 1)``
+    = 3,037,000,499 raises ``ValueError``: up to it, every integer sum is
+    exact in int64, ASM's squared counts (<= N^2) and contrast's
+    ``c * (i - j)^2`` (<= (side - 1)^2 N) too."""
     m = np.asarray(counts)
     if m.dtype.kind not in "biu" and not (whole := np.isfinite(m) & (m == np.floor(m))).all():
         raise ValueError(f"count matrix must hold whole numbers, got {m[~whole][0].item()!r}")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or (m < 0).any():
         raise ValueError(f"count matrix must be square 2-D, >= 0, got shape {m.shape}")
-    flat = m.astype(np.int64).reshape(1, -1)
-    return float(_evaluate(Descriptor(kind), flat, int(flat.sum()), np.empty(1))[0])
+    bound = math.isqrt(2**63 - 1)  # the largest pair count whose square fits int64
+    n = m.max(initial=0).item()  # checked before the int64 cast, which could wrap it
+    if n <= bound:
+        flat = m.astype(np.int64).reshape(1, -1)
+        n = int(flat.sum())
+    if n > bound:
+        raise ValueError(f"count matrix must hold <= {bound} pairs, got at least {n!r}")
+    return float(_evaluate(Descriptor(kind), flat, n, np.empty(1))[0])
 
 
 def contrast(counts: np.ndarray) -> float:
@@ -369,7 +380,7 @@ def texture_map_sliding(q: QuantizedImage, kind, window_side: int = 7,
     if symmetric:
         occurring = np.union1d(occurring, occurring % levels * levels + occurring // levels)
     entropy = kind is Descriptor.ENTROPY
-    terms = _entropy_terms(pair_count) if entropy else None
+    terms = _entropy_terms(np.arange(pair_count + 1), pair_count) if entropy else None
     total = np.zeros((h, w), dtype=np.float64 if entropy else np.int64)
     for k in occurring.tolist():
         # symmetric also counts k = i * levels + j at each anchor whose code

@@ -20,9 +20,9 @@ from texturedge import (
     write_pgm,
 )
 from texturedge import cli, pipeline
-from texturedge.cli import _build_config, build_parser, main
+from texturedge.cli import DATASET_ENV_VAR, _build_config, build_parser, main
 from texturedge.errors import InternalInvariantError
-from texturedge.pipeline import DATASET_ENV_VAR, crop_roi
+from texturedge.pipeline import crop_roi
 from texturedge.segment import mask_to_gray
 from texturedge.texture import (
     ANGLES,
@@ -64,7 +64,7 @@ class TestTopLevel:
                 commands.add(build_parser().parse_args(argv[1:]).command)
             except SystemExit:
                 pytest.fail(f"README example does not parse: {shlex.join(argv)}")
-        assert commands >= set(cli._COMMANDS)
+        assert commands >= {"enhance", "texture", "segment", "eval", "pipeline", "experiment"}
 
 
 # (flags, config section, field, value), spelled out here rather than read
@@ -455,6 +455,18 @@ class TestExperimentCommand:
         for ref in ids:
             assert (out / ref / "mask.pgm").is_file()
 
+    def test_library_and_cli_write_the_same_tree(self, synth_dataset, tmp_path):
+        # run_experiment writes the reports too, so both trees are whole
+        ids = [case[0] for case in SYNTH_CASES]
+        run_experiment(synth_dataset, ids, out_dir=tmp_path / "a")
+        assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", *ids,
+                       "--out", str(tmp_path / "b")) == 0
+        trees = [{p.relative_to(root).as_posix(): p.read_bytes()
+                  for p in root.rglob("*") if p.is_file()}
+                 for root in (tmp_path / "a", tmp_path / "b")]
+        assert {"report.csv", "report.jsonl"} <= trees[0].keys()
+        assert trees[0] == trees[1]
+
     def test_unknown_id_is_data_error(self, synth_dataset, tmp_path):
         assert run_cli("experiment", "--dataset", str(synth_dataset),
                        "--ids", "zz001", "--out", str(tmp_path / "x")) == 2
@@ -677,7 +689,8 @@ class TestEvalScopeAndRoc:
         # scoring has no scope setting: no subcommand takes the former flag
         required = {command: argv for command, (argv, _) in SUBCOMMAND_FLAG_SETS.items()}
         required["eval"] = ["--pred", "p.pgm", "--truth", "t.pgm"]
-        assert set(required) == set(cli._COMMANDS)
+        assert set(required) == {"enhance", "texture", "segment", "eval", "pipeline",
+                                 "experiment"}
         for command, argv in required.items():
             with pytest.raises(SystemExit) as excinfo:
                 run_cli(command, *argv, "--eval-full-image")

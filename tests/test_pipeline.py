@@ -584,7 +584,8 @@ class TestExperiment:
         record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0]
         result = run_pipeline(synth_dataset / f"{ref}.pgm", record, out_dir=tmp_path / "a")
         (row,) = run_experiment(synth_dataset, [ref], out_dir=tmp_path / "b")
-        assert [p.name for p in (tmp_path / "b").iterdir()] == [ref]
+        names = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert names == ["report.csv", "report.jsonl", ref]
         assert tree_digest(tmp_path / "a" / ref) == tree_digest(tmp_path / "b" / ref)
         assert row.report == result.report
         assert row.az == result.roc.az

@@ -248,14 +248,47 @@ class TestDescriptors:
         (np.array([[np.nan, 0], [0, 1]]), "must hold whole numbers, got nan"),
         (np.array([[1, 0], [0, np.inf]]), "must hold whole numbers, got inf"),
         (np.array([[1, -np.inf], [0, 1]]), "must hold whole numbers, got -inf"),
+        # past isqrt(2**63 - 1) pairs an int64 sum can wrap: these read ASM
+        # 0.0, contrast -511.0, ASM 0.0 unwarned, ASM 1.2e-38 and ASM 0.0
+        (np.array([[2**32]]), "must hold <= 3037000499 pairs, got at least 4294967296"),
+        (np.pad([[2**50]], ((0, 255), (255, 0))),
+         "must hold <= 3037000499 pairs, got at least 1125899906842624"),
+        (np.array([[2**63]], dtype=np.uint64),
+         "must hold <= 3037000499 pairs, got at least 9223372036854775808"),
+        (np.array([[1e30, 0], [0, 1]]), r"must hold <= 3037000499 pairs, got at least 1e\+30"),
+        (np.array([[2**62, 0], [0, 2**62]]),
+         "must hold <= 3037000499 pairs, got at least 4611686018427387904"),
+        (np.array([[1518500250, 0], [0, 1518500250]]),
+         "must hold <= 3037000499 pairs, got at least 3037000500$"),
     ], ids=["not-square", "negative", "one-dimensional", "three-dimensional",
-            "fractional", "fractional-part", "nan", "inf", "minus-inf"])
+            "fractional", "fractional-part", "nan", "inf", "minus-inf", "count-2**32",
+            "contrast-past-int64", "uint64-2**63", "float-1e30", "asm-past-int64",
+            "sum-past-bound"])
     def test_malformed_count_matrix_is_refused(self, counts, fault):
         for kind in Descriptor:
             with pytest.raises(ValueError, match=f"count matrix {fault}"):
                 descriptor(counts, kind)
         with pytest.raises(ValueError, match="count matrix"):
             contrast(counts)
+
+    def test_pair_count_at_the_bound_is_exact(self):
+        # 3037000499 pairs in one cell, and 3037000498 in two equal halves
+        for kind in Descriptor:
+            descriptor(np.array([[3037000499]]), kind)
+        assert descriptor(np.array([[3037000499]]), "asm") == 1.0
+        assert descriptor(np.array([[1518500249, 0], [0, 1518500249]]), "asm") == 0.5
+
+    def test_entropy_builds_no_table_of_the_pair_count(self):
+        # the terms are taken at the matrix's two counts, not gathered from
+        # a table of 2 * 10**7 + 1 floats
+        tracemalloc.start()
+        try:
+            value = descriptor([[10**7, 0], [0, 10**7]], "entropy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert peak < 2**20
 
     def test_whole_float_and_boolean_counts_are_counts(self):
         for kind in Descriptor:
@@ -294,7 +327,7 @@ class TestDescriptors:
         # the cells counted at least once, in code order, placed among zero
         # cells at any positions of any grid large enough to hold them
         n = sum(counted)
-        terms = texture._entropy_terms(n)
+        terms = texture._entropy_terms(np.arange(n + 1), n)
         want = 0.0
         for c in counted:
             want += terms[c]
