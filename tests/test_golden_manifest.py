@@ -7,6 +7,10 @@ The manifest holds the NumPy version and one SHA-256 per file written by:
   once with ``--distance 2``, each run's stdout included;
 - ``texture`` on sy001's ``roi.pgm`` from the default run, for every
   descriptor, without and with ``--symmetric``;
+- ``pipeline --record`` on sy001, its stdout included, and ``eval`` of that
+  run's ``mask.pgm`` against the crop's circle, once with ``--scores`` (its
+  ``contrast_sum.f64``) and ``--roc-csv`` and once without, each stdout
+  included;
 
 and by the dataset those runs read. A change that alters an output byte
 fails here and lists the changed, missing and extra files. A change that
@@ -31,8 +35,9 @@ import numpy as np
 import pytest
 
 from conftest import SYNTH_CASES, load_benchmark_films, synth_index_line, synth_mass_image
-from texturedge import Descriptor, write_pgm
+from texturedge import Descriptor, circle_mask, read_pgm, write_pgm
 from texturedge.cli import main
+from texturedge.segment import mask_to_gray
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 EXPERIMENTS = {"defaults": [], "distance_2": ["--distance", "2"]}
@@ -70,6 +75,21 @@ def build(work: Path, film) -> dict[str, str]:
             out = work / "texture" / (kind.value + suffix)
             _cli("texture", "-i", str(roi), "--out", str(out), "--descriptor", kind.value,
                  *flags)
+    ref, tissue, cx, cy, r, _ = SYNTH_CASES[0]
+    run = work / "pipeline"
+    stdout = _cli("pipeline", "--image", str(data / f"{ref}.pgm"),
+                  "--record", synth_index_line(ref, tissue, cx, cy, r), "--out", str(run))
+    (work / "pipeline.stdout").write_text(stdout)
+    x0, y0 = json.loads((run / ref / "report.json").read_text())["roi_offset"]
+    height, width = read_pgm(run / ref / "mask.pgm").shape
+    truth = work / "eval" / "truth.pgm"
+    truth.parent.mkdir()
+    write_pgm(truth, mask_to_gray(circle_mask(width, height, cx - x0, cy - y0, r)))
+    masks = ["--pred", str(run / ref / "mask.pgm"), "--truth", str(truth)]
+    stdout = _cli("eval", *masks, "--scores", str(run / ref / "contrast_sum.f64"),
+                  "--roc-csv", str(work / "eval" / "roc_points.csv"))
+    (work / "eval" / "scores.stdout").write_text(stdout)
+    (work / "eval" / "no_scores.stdout").write_text(_cli("eval", *masks))
     return {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(work.rglob("*")) if p.is_file()}
 
