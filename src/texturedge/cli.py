@@ -21,12 +21,13 @@ import sys
 from pathlib import Path
 
 from .errors import InternalInvariantError, TexturedgeError
-from .evalmetrics import confusion, metrics, roc_az, roc_points_csv
+from .evalmetrics import roc_points_csv
 from .imgio import parse_mias_index, read_pgm, write_pgm
 from .pipeline import (
     PipelineConfig,
     ThresholdSpec,
     enhance_image,
+    evaluate,
     from_plain,
     load_config,
     read_index,
@@ -40,6 +41,7 @@ from .pipeline import (
     write_maps,
     write_segmentation,
 )
+from .segment import read_mask
 from .texture import Descriptor, decode_texture_map
 
 EXIT_OK = 0
@@ -227,17 +229,12 @@ def _cmd_segment(args) -> int:
 def _cmd_eval(args) -> int:
     if args.roc_csv and not args.scores:
         raise ValueError("--roc-csv needs --scores")
-    pred = read_pgm(args.pred) >= 128
-    truth = read_pgm(args.truth) >= 128
-    report = metrics(confusion(pred, truth))
-    doc = report.as_dict()
-    if args.scores:
-        scores = decode_texture_map(Path(args.scores).read_bytes())
-        curve = roc_az(scores, truth)
-        doc["az"] = curve.az
-        if args.roc_csv:
-            Path(args.roc_csv).write_text(roc_points_csv(curve))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    pred, truth = read_mask(args.pred), read_mask(args.truth)
+    scores = decode_texture_map(Path(args.scores).read_bytes()) if args.scores else None
+    report, curve = evaluate(pred, truth, scores)
+    if args.roc_csv:
+        Path(args.roc_csv).write_text(roc_points_csv(curve))
+    text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -258,14 +255,14 @@ def _cmd_pipeline(args) -> int:
     config = _build_config(args)
     record = _record_for(args)
     result = run_pipeline(args.image, record, config, out_dir=args.out)
-    print(f"{record.ref_id} dice {result.report.dice!r} az {result.roc.az!r}")
+    print(f"{record.ref_id} dice {result.report.dice!r} az {result.report.az!r}")
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     config = _build_config(args)
     for row in run_experiment(_dataset_dir(args), args.ids, config, out_dir=args.out):
-        print(f"{row.ref_id} {row.tissue} dice {row.report.dice!r} az {row.az!r}")
+        print(f"{row.ref_id} {row.tissue} dice {row.report.dice!r} az {row.report.az!r}")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +31,13 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All ratio metrics are in [0, 1]. ``f_measure`` is computed from the
+    """Every score of one mask, the one record that ``report.json``, the
+    experiment rows and ``eval`` print: a new score is a field here.
+
+    All ratio metrics are in [0, 1]. ``f_measure`` is computed from the
     counts (2tp / (2tp + fp + fn)), which is algebraically the harmonic mean
-    of precision and recall and exactly equals Dice."""
+    of precision and recall and exactly equals Dice. ``az`` is the ROC area
+    of a score map, ``None`` when none was scored."""
 
     dice: float
     precision: float
@@ -41,11 +46,13 @@ class EvalReport:
     f_measure: float
     counts: ConfusionCounts
     zero_denominator: tuple[str, ...] = field(default=())
+    az: Optional[float] = None
 
     def as_dict(self) -> dict:
-        """Every field by name, the counts flattened in and ``zero_denominator``
-        as a list: the keys of ``report.json``, a JSONL row and ``eval``'s output."""
-        doc = dataclasses.asdict(self)
+        """Every field by name but a ``None`` one, the counts flattened in and
+        ``zero_denominator`` as a list: the keys of ``report.json``, a JSONL
+        row and ``eval``'s output."""
+        doc = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
         return {**doc.pop("counts"), **doc, "zero_denominator": list(self.zero_denominator)}
 
 

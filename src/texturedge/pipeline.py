@@ -1,9 +1,9 @@
 """End-to-end orchestration: enhance -> ROI -> texture -> segment -> evaluate.
 
 Each stage is one function here (``enhance_image``, ``crop_roi``,
-``texture_maps``, ``segment_map``, ``score_point`` and the ``write_*``
-writers), called by ``run_pipeline``, ``run_experiment`` and the CLI's
-stage subcommands alike. One JSON config document drives every stage;
+``texture_maps``, ``segment_map``, ``evaluate``, ``score_point`` and the
+``write_*`` writers), called by ``run_pipeline``, ``run_experiment`` and the
+CLI's stage subcommands alike. One JSON config document drives every stage;
 identical inputs and config produce byte-identical output trees. Batch
 experiments aggregate per tissue class.
 """
@@ -27,6 +27,7 @@ from . import segment as seg
 from .enhance import ClaheParams, SradParams, clahe, srad
 from .errors import InternalInvariantError, TexturedgeError
 from .evalmetrics import (
+    ConfusionCounts,
     EvalReport,
     RocCurve,
     circle_mask,
@@ -245,6 +246,16 @@ def segment_map(sum_map: np.ndarray, center, segment: SegmentConfig):
     return threshold, mask, seg.trace_contour(mask)
 
 
+def evaluate(mask, truth, scores=None) -> tuple[EvalReport, Optional[RocCurve]]:
+    """The scores of ``mask`` against the boolean reference ``truth`` and,
+    given a score map, its ROC curve, whose area is the report's ``az``."""
+    report = metrics(confusion(mask, truth))
+    if scores is None:
+        return report, None
+    curve = roc_az(scores, truth)
+    return dataclasses.replace(report, az=curve.az), curve
+
+
 def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
     """The first record for ``ref_id`` carrying circle geometry, else its
     first record. Only one lesion per id is scored: further geometry records
@@ -292,7 +303,8 @@ def _check_run_input(image, record: MiasRecord, config: PipelineConfig) -> None:
 
 def score_point(enhanced: np.ndarray, record: MiasRecord,
                 config: PipelineConfig) -> PipelineResult:
-    """Every step after enhancement, scored against the circle; no I/O.
+    """Every step after enhancement, scored by ``evaluate`` against the
+    circle; no I/O.
 
     Confusion metrics and the ROC area are taken over the ROI crop, the only
     place texture scores exist. Its only check is ``crop_roi``'s, which
@@ -300,17 +312,17 @@ def score_point(enhanced: np.ndarray, record: MiasRecord,
     whole image would change only tn and specificity: ``report.json``
     carries those as ``image_tn`` and ``image_specificity``.
 
-    ``az`` is ``roc_az(sum_map, filled circle)`` over the crop: it asks how
-    well the summed contrast map ranks mass pixels above the rest. The map
-    peaks on the mass border, not inside it, so ``az`` stays near or below
-    chance even when the mask is good: 0.253/0.530/0.434 against Dice
+    ``report.az`` is ``roc_az(sum_map, filled circle)`` over the crop: it
+    asks how well the summed contrast map ranks mass pixels above the rest.
+    The map peaks on the mass border, not inside it, so ``az`` stays near or
+    below chance even when the mask is good: 0.253/0.530/0.434 against Dice
     0.64/0.80/0.77 on the three synthetic test cases.
     """
     crop, center, truth = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
     threshold, mask, contours = segment_map(sum_map, center, config.segment)
     return PipelineResult(record.ref_id, enhanced, crop, direction_maps, sum_map, threshold, mask,
-                          contours, metrics(confusion(mask, truth)), roc_az(sum_map, truth))
+                          contours, *evaluate(mask, truth, sum_map))
 
 
 def _run_films(films: Sequence[tuple], config: PipelineConfig, out_dir):
@@ -377,15 +389,12 @@ def _report_json(result: PipelineResult, record: MiasRecord) -> str:
     c = result.report.counts
     image = metrics(dataclasses.replace(c, tn=result.enhanced.size - c.tp - c.fp - c.fn))
     return json.dumps({
-        "ref_id": result.ref_id,
-        "tissue": record.tissue,
+        **_row_doc(ExperimentRow(result.ref_id, record.tissue, result.report)),
         "abnormality": record.abnormality,
         "roi_offset": [result.roi.x0, result.roi.y0],
         "threshold": result.threshold,
-        "az": result.roc.az,
         "image_tn": image.counts.tn,
         "image_specificity": image.specificity,
-        **result.report.as_dict(),
     }, indent=2, sort_keys=True) + "\n"
 
 
@@ -398,11 +407,13 @@ class ExperimentRow:
     ref_id: str
     tissue: str
     report: EvalReport
-    az: float
 
 
-_METRIC_FIELDS = ("dice", "precision", "recall", "specificity", "f_measure", "az")
-CSV_COLUMNS = ("ref_id", "tissue", "tp", "fp", "fn", "tn") + _METRIC_FIELDS
+# every score of EvalReport and every count, in declared order
+_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(EvalReport)
+                       if f.name not in ("counts", "zero_denominator"))
+_COUNT_FIELDS = tuple(f.name for f in dataclasses.fields(ConfusionCounts))
+CSV_COLUMNS = ("ref_id", "tissue") + _COUNT_FIELDS + _METRIC_FIELDS
 
 
 def read_index(dataset_dir) -> list[MiasRecord]:
@@ -415,7 +426,9 @@ def read_index(dataset_dir) -> list[MiasRecord]:
 def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = PipelineConfig(),
                    out_dir=None) -> list[ExperimentRow]:
     """Run and score the pipeline for each id in a dataset directory, with
-    ``config`` for every image. Every row is scored over its crop.
+    ``config`` for every image. Every row is scored over its crop, and its
+    ``report`` is its film's ``EvalReport`` (``az`` included), from which the
+    CSV, JSONL and per-tissue means take every score.
 
     The directory must hold ``<id>.pgm`` images and the index ``Info.txt``.
     When an id has several annotation lines, the first one carrying circle
@@ -434,7 +447,7 @@ def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = Pip
     root = Path(dataset_dir)
     records = read_index(root)
     runs = [(root / f"{ref}.pgm", select_record(records, ref)) for ref in sorted(set(ids))]
-    rows = [ExperimentRow(record.ref_id, record.tissue, result.report, result.roc.az)
+    rows = [ExperimentRow(record.ref_id, record.tissue, result.report)
             for (_, record), result in zip(runs, _run_films(runs, config, out_dir))]
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
@@ -444,8 +457,9 @@ def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = Pip
 
 
 def _row_doc(row: ExperimentRow) -> dict:
-    """One row's fields: its CSV columns, its JSONL line, what aggregates average."""
-    return {"ref_id": row.ref_id, "tissue": row.tissue, "az": row.az, **row.report.as_dict()}
+    """One row's fields: its CSV columns, its JSONL line, what aggregates
+    average, and the id, tissue and scores of ``report.json``."""
+    return {"ref_id": row.ref_id, "tissue": row.tissue, **row.report.as_dict()}
 
 
 def tissue_aggregates(rows: Sequence[ExperimentRow]) -> dict[str, dict[str, float]]:
@@ -466,7 +480,7 @@ def experiment_csv(rows: Sequence[ExperimentRow]) -> str:
     writer.writerow(CSV_COLUMNS)
     writer.writerows([doc[k] for k in CSV_COLUMNS] for doc in map(_row_doc, rows))
     for tissue, agg in tissue_aggregates(rows).items():
-        writer.writerow([f"mean:{tissue}", tissue, "", "", "", ""]
+        writer.writerow([f"mean:{tissue}", tissue, *[""] * len(_COUNT_FIELDS)]
                         + [agg[name] for name in _METRIC_FIELDS])
     return buf.getvalue()
 

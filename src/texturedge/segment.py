@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InternalInvariantError, TexturedgeError
-from .imgio import as_gray_image
+from .imgio import as_gray_image, read_pgm
 from .texture import box_sums
 
 _EIGHT = np.ones((3, 3), dtype=bool)
@@ -227,6 +227,16 @@ def contours_to_text(contours: list[list[tuple[int, int]]]) -> str:
 def mask_to_gray(mask) -> np.ndarray:
     """Render a boolean mask as a 0/255 image."""
     return np.where(np.asarray(mask, dtype=bool), 255, 0).astype(np.uint8)
+
+
+def read_mask(path) -> np.ndarray:
+    """The boolean mask of a 0/255 PGM, the inverse of ``mask_to_gray``;
+    raises ``TexturedgeError`` naming the file and its first other value."""
+    gray = read_pgm(path)
+    other = gray[(gray != 0) & (gray != 255)]
+    if other.size:
+        raise TexturedgeError(f"{path}: a mask holds only 0 and 255, found {other[0]}")
+    return gray == 255
 
 
 def boundary_pixels(mask) -> np.ndarray:

@@ -9,8 +9,11 @@ import pytest
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
 from texturedge import (
+    ConfusionCounts,
+    EvalReport,
     PipelineConfig,
     ThresholdSpec,
+    circle_mask,
     parse_config,
     parse_mias_index,
     quantize,
@@ -731,3 +734,103 @@ class TestEvalScopeAndRoc:
                        "--roc-csv", str(tmp_path / "roc.csv")) == 1
         assert "--roc-csv needs --scores" in capsys.readouterr().err
         assert not (tmp_path / "roc.csv").exists()
+
+
+class TestEvalMasks:
+    """``eval`` reads only the 0/255 masks that ``mask_to_gray`` writes."""
+
+    @pytest.mark.parametrize("flag", ["--pred", "--truth"])
+    @pytest.mark.parametrize("bad,value", [("zero_one", 1), ("one_pixel_128", 128)])
+    def test_other_values_are_a_data_error(self, flag, bad, value, tmp_path, capsys):
+        m = np.zeros((20, 20), dtype=bool)
+        m[5:15, 5:15] = True
+        write_pgm(tmp_path / "good.pgm", mask_to_gray(m))
+        if bad == "zero_one":  # a common mask export
+            gray = m.astype(np.uint8)
+        else:
+            gray = mask_to_gray(m)
+            gray[7, 3] = 128
+        write_pgm(tmp_path / "bad.pgm", gray)
+        masks = {"--pred": tmp_path / "good.pgm", "--truth": tmp_path / "good.pgm"}
+        masks[flag] = tmp_path / "bad.pgm"
+        assert run_cli("eval", "--pred", str(masks["--pred"]),
+                       "--truth", str(masks["--truth"])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"texturedge: {tmp_path / 'bad.pgm'}: a mask holds only 0 and 255, "
+                       f"found {value}\n")
+
+    def test_0_255_masks_are_scored_as_before(self, tmp_path, capsys):
+        write_pgm(tmp_path / "pred.pgm", np.array([[255, 0], [255, 255]], dtype=np.uint8))
+        write_pgm(tmp_path / "truth.pgm", np.array([[255, 255], [0, 255]], dtype=np.uint8))
+        assert run_cli("eval", "--pred", str(tmp_path / "pred.pgm"),
+                       "--truth", str(tmp_path / "truth.pgm")) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "tp": 2, "fp": 1, "fn": 1, "tn": 0, "dice": 2 / 3, "precision": 2 / 3,
+            "recall": 2 / 3, "specificity": 0.0, "f_measure": 2 / 3, "zero_denominator": []}
+
+
+class TestEvalIsThePipelinesScore:
+    """``eval`` and ``score_point`` build the same ``EvalReport``."""
+
+    @pytest.mark.parametrize("case", SYNTH_CASES, ids=[case[0] for case in SYNTH_CASES])
+    def test_eval_of_a_pipeline_tree_equals_its_report(self, case, synth_dataset, tmp_path):
+        ref, tissue, cx, cy, r, _ = case
+        assert run_cli("pipeline", "--image", str(synth_dataset / f"{ref}.pgm"),
+                       "--record", synth_index_line(ref, tissue, cx, cy, r),
+                       "--out", str(tmp_path)) == 0
+        tree = tmp_path / ref
+        report = json.loads((tree / "report.json").read_text())
+        x0, y0 = report["roi_offset"]
+        height, width = read_pgm(tree / "mask.pgm").shape
+        write_pgm(tmp_path / "circle.pgm",
+                  mask_to_gray(circle_mask(width, height, cx - x0, cy - y0, r)))
+        assert run_cli("eval", "--pred", str(tree / "mask.pgm"),
+                       "--truth", str(tmp_path / "circle.pgm"),
+                       "--scores", str(tree / "contrast_sum.f64"),
+                       "--roc-csv", str(tmp_path / "r.csv"), "-o", str(tmp_path / "e.json")) == 0
+        scored = json.loads((tmp_path / "e.json").read_text())
+        assert scored == {key: report[key] for key in scored}
+        assert (tmp_path / "r.csv").read_bytes() == (tree / "roc_points.csv").read_bytes()
+
+    def test_every_score_reaches_every_output(self, synth_dataset, tmp_path, capsys):
+        counts = {f.name for f in dataclasses.fields(ConfusionCounts)}
+        scores = {f.name for f in dataclasses.fields(EvalReport)} - {"counts", "zero_denominator"}
+        fields = counts | scores | {"zero_denominator"}  # a flag list, no CSV column
+        ids = [case[0] for case in SYNTH_CASES]
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--dataset", str(synth_dataset), "--ids", *ids,
+                       "--out", str(out)) == 0
+        for ref in ids:
+            assert fields <= json.loads((out / ref / "report.json").read_text()).keys()
+        docs = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+        rows = [doc for doc in docs if "aggregate" not in doc]
+        aggregates = [doc for doc in docs if "aggregate" in doc]
+        assert len(rows) == len(aggregates) == 3
+        assert all(fields <= row.keys() for row in rows)
+        assert all(scores <= aggregate.keys() for aggregate in aggregates)
+        header, *lines = (out / "report.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert counts | scores <= set(columns)
+        for line in lines[3:]:  # the per-tissue means
+            mean = dict(zip(columns, line.split(",")))
+            assert all(mean[name] for name in scores)
+
+        tree = out / ids[0]
+        masks = ["--pred", str(tree / "mask.pgm"), "--truth", str(tree / "mask.pgm")]
+        capsys.readouterr()
+        assert run_cli("eval", *masks, "--scores", str(tree / "contrast_sum.f64")) == 0
+        assert json.loads(capsys.readouterr().out).keys() == fields
+        assert run_cli("eval", *masks) == 0
+        assert json.loads(capsys.readouterr().out).keys() == fields - {"az"}
+
+    def test_scores_are_decoded_before_the_mask_shapes_are_compared(self, tmp_path, capsys):
+        write_pgm(tmp_path / "a.pgm", mask_to_gray(np.eye(8, dtype=bool)))
+        write_pgm(tmp_path / "b.pgm", mask_to_gray(np.eye(6, dtype=bool)))
+        masks = ["--pred", str(tmp_path / "a.pgm"), "--truth", str(tmp_path / "b.pgm")]
+        assert run_cli("eval", *masks) == 2
+        assert "mask shapes differ" in capsys.readouterr().err
+        (tmp_path / "bad.f64").write_bytes(b"not a map")
+        assert run_cli("eval", *masks, "--scores", str(tmp_path / "bad.f64")) == 2
+        assert capsys.readouterr().err == (
+            "texturedge: not a texture map stream (starts with b'not ')\n")

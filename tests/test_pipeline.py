@@ -588,7 +588,7 @@ class TestExperiment:
         assert names == ["report.csv", "report.jsonl", ref]
         assert tree_digest(tmp_path / "a" / ref) == tree_digest(tmp_path / "b" / ref)
         assert row.report == result.report
-        assert row.az == result.roc.az
+        assert row.report.az == result.roc.az
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(TexturedgeError, match="no annotation index at"):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from texturedge import binarize, circle_mask, otsu_threshold, refine_mask, trace_contour
+from texturedge import (binarize, circle_mask, otsu_threshold, refine_mask, trace_contour,
+                        write_pgm)
 from texturedge.errors import InternalInvariantError, TexturedgeError
 from texturedge.segment import (
     _close,
@@ -14,6 +15,7 @@ from texturedge.segment import (
     disk_rectangles,
     make_overlay,
     mask_to_gray,
+    read_mask,
 )
 
 
@@ -456,6 +458,18 @@ class TestRenderHelpers:
     def test_mask_to_gray(self):
         m = np.array([[True, False]])
         assert mask_to_gray(m).tolist() == [[255, 0]]
+
+    def test_read_mask_inverts_mask_to_gray(self, tmp_path):
+        m = np.random.default_rng(5).random((9, 7)) > 0.5
+        write_pgm(tmp_path / "m.pgm", mask_to_gray(m))
+        assert np.array_equal(read_mask(tmp_path / "m.pgm"), m)
+
+    def test_read_mask_names_the_first_other_value(self, tmp_path):
+        gray = mask_to_gray(np.eye(4, dtype=bool))
+        gray[2, 1], gray[3, 0] = 7, 128
+        write_pgm(tmp_path / "m.pgm", gray)
+        with pytest.raises(TexturedgeError, match=r"m\.pgm: a mask holds only 0 and 255, found 7$"):
+            read_mask(tmp_path / "m.pgm")
 
     def test_overlay_burns_boundary(self):
         img = np.zeros((7, 7), dtype=np.uint8)
