@@ -12,6 +12,7 @@ range), 2 data error (unreadable inputs, missing records, degenerate data),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -232,14 +233,27 @@ def _cmd_eval(args) -> int:
     pred, truth = read_mask(args.pred), read_mask(args.truth)
     scores = decode_texture_map(Path(args.scores).read_bytes()) if args.scores else None
     report, curve = evaluate(pred, truth, scores)
-    if args.roc_csv:
-        Path(args.roc_csv).write_text(roc_points_csv(curve))
     text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    _write_all({args.roc_csv: roc_points_csv(curve) if args.roc_csv else None, args.output: text})
+    if not args.output:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _write_all(texts: dict) -> None:
+    """Write each given path's text, or none: every path is opened (an
+    existing file without truncation) before the first write, and a file
+    created here is removed again when a later path will not open."""
+    with contextlib.ExitStack() as undo, contextlib.ExitStack() as files:
+        opened = []
+        for path, text in [(Path(p), t) for p, t in texts.items() if p]:
+            if not path.exists():
+                undo.callback(path.unlink, missing_ok=True)
+            opened.append((files.enter_context(open(path, "a")), text))
+        undo.pop_all()  # every path opened: nothing to undo
+        for f, text in opened:
+            f.truncate(0)
+            f.write(text)
 
 
 def _record_for(args):
@@ -253,9 +267,8 @@ def _record_for(args):
 
 def _cmd_pipeline(args) -> int:
     config = _build_config(args)
-    record = _record_for(args)
-    result = run_pipeline(args.image, record, config, out_dir=args.out)
-    print(f"{record.ref_id} dice {result.report.dice!r} az {result.report.az!r}")
+    result = run_pipeline(args.image, _record_for(args), config, out_dir=args.out)
+    print(f"{result.record.ref_id} dice {result.report.dice!r} az {result.report.az!r}")
     return EXIT_OK
 
 

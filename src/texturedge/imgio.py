@@ -282,8 +282,10 @@ def check_margin_factor(margin_factor: float) -> None:
 
 
 def extract_roi(img, roi: RoiSpec) -> RoiCrop:
-    """Crop the square of side ``2 * radius * margin_factor`` around the center,
-    clamped to the image bounds."""
+    """Crop the square of side ``2 * half``, ``half = floor(radius *
+    margin_factor + 0.5)``, with the center at index ``half``, clamped to the
+    image bounds: it holds a radius-r circle that the image edge does not
+    clip only when ``half >= r + 1``, i.e. ``margin_factor >= 1 + 1/(2r)``."""
     a = as_gray_image(img)
     if roi.radius <= 0:
         raise ValueError(f"radius must be positive, got {roi.radius}")

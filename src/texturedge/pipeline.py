@@ -105,6 +105,9 @@ class SegmentConfig:
 
 @dataclass(frozen=True)
 class RoiConfig:
+    """``margin_factor`` m >= 1; the crop holds a radius-r circle that the
+    image edge does not clip only from m >= 1 + 1/(2r) on (``extract_roi``)."""
+
     margin_factor: float = 1.5
 
     def __post_init__(self):
@@ -182,7 +185,7 @@ def load_config(path) -> PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    ref_id: str
+    record: MiasRecord
     enhanced: np.ndarray
     roi: RoiCrop
     direction_maps: dict[int, np.ndarray]
@@ -203,7 +206,8 @@ def crop_roi(enhanced: np.ndarray, record: MiasRecord,
              roi: RoiConfig) -> tuple[RoiCrop, tuple[int, int], np.ndarray]:
     """The square crop around the record's mass, the mass center (x, y) in
     that crop and the record's circle over it (the proxy ground truth), which
-    must lie whole in the crop, clipped to the image, and not cover it."""
+    must lie whole in the crop, clipped to the image, and not cover it: away
+    from the image edge, that needs ``margin_factor >= 1 + 1/(2r)``."""
     spec = RoiSpec.from_mias(record, enhanced.shape[0], roi.margin_factor)
     crop = extract_roi(enhanced, spec)
     height, width = enhanced.shape
@@ -271,40 +275,31 @@ def select_record(records: Sequence[MiasRecord], ref_id: str) -> MiasRecord:
 
 
 @contextlib.contextmanager
-def _naming_film(image, record: MiasRecord):
-    """An error raised inside, of the same exit code, with the film's id and file in front."""
-    where = f"id {record.ref_id}" + (f" ({Path(image)})" if isinstance(image, (str, Path)) else "")
-    try:
-        yield
-    except (TexturedgeError, ValueError) as exc:
-        if isinstance(exc, InternalInvariantError):
-            raise InternalInvariantError(f"{where}: {exc}") from None
-        if isinstance(exc, TexturedgeError):
-            raise TexturedgeError(f"{where}: {exc}") from None
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _check_run_input(image, record: MiasRecord, config: PipelineConfig) -> None:
-    """What a run refuses before SRAD: no image file or circle, an undecodable
-    PGM, a circle ``crop_roi`` refuses, too many CLAHE tiles or a homogeneous
-    region outside the image; from the PGM on, each names the id and file."""
-    from_file = isinstance(image, (str, Path))
-    if from_file and not Path(image).is_file():
-        raise TexturedgeError(f"no image file at {Path(image)}")
+def _film(image, record: MiasRecord):
+    """The film's pixels: ``image`` decoded if it is a PGM path, else as
+    given. A missing image file or a record without a circle is refused
+    first; from the decoding on, an error raised inside gets the film's id
+    and file in front and keeps its exit code's class."""
+    path = Path(image) if isinstance(image, (str, Path)) else None
+    if path is not None and not path.is_file():
+        raise TexturedgeError(f"no image file at {path}")
     check_geometry(record)
-    with _naming_film(image, record):
-        img = read_pgm(image) if from_file else image
-        # enhancement keeps the shape, so this is score_point's crop
-        crop_roi(img, record, config.roi)
-        height, width = img.shape
-        config.srad.check_fits(width, height)
-        config.clahe.check_fits(width, height)
+    where = f"id {record.ref_id}" + (f" ({path})" if path is not None else "")
+    try:
+        yield image if path is None else read_pgm(image)
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(f"{where}: {exc}") from None
+    except TexturedgeError as exc:
+        raise TexturedgeError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def score_point(enhanced: np.ndarray, record: MiasRecord,
                 config: PipelineConfig) -> PipelineResult:
     """Every step after enhancement, scored by ``evaluate`` against the
-    circle; no I/O.
+    circle; no I/O. The result carries ``record``, from which the artifact
+    tree, ``report.json`` and the experiment rows read its id and classes.
 
     Confusion metrics and the ROC area are taken over the ROI crop, the only
     place texture scores exist. Its only check is ``crop_roi``'s, which
@@ -321,20 +316,24 @@ def score_point(enhanced: np.ndarray, record: MiasRecord,
     crop, center, truth = crop_roi(enhanced, record, config.roi)
     direction_maps, sum_map = texture_maps(crop.image, config.glcm)
     threshold, mask, contours = segment_map(sum_map, center, config.segment)
-    return PipelineResult(record.ref_id, enhanced, crop, direction_maps, sum_map, threshold, mask,
+    return PipelineResult(record, enhanced, crop, direction_maps, sum_map, threshold, mask,
                           contours, *evaluate(mask, truth, sum_map))
 
 
 def _run_films(films: Sequence[tuple], config: PipelineConfig, out_dir):
     """Check every ``(image, record)`` pair, then run, write and yield each."""
     for image, record in films:
-        _check_run_input(image, record, config)
+        with _film(image, record) as img:
+            # enhancement keeps the shape, so this is score_point's crop
+            crop_roi(img, record, config.roi)
+            height, width = img.shape
+            config.srad.check_fits(width, height)
+            config.clahe.check_fits(width, height)
     for image, record in films:
-        with _naming_film(image, record):
-            img = read_pgm(image) if isinstance(image, (str, Path)) else image
+        with _film(image, record) as img:
             result = score_point(enhance_image(img, config), record, config)
             if out_dir is not None:
-                write_artifacts(result, record, out_dir)
+                write_artifacts(result, out_dir)
         yield result
 
 
@@ -342,7 +341,8 @@ def run_pipeline(image, record: MiasRecord, config: PipelineConfig = PipelineCon
                  out_dir=None) -> PipelineResult:
     """Run every stage on one image as ``run_experiment`` runs each film,
     score the mask against the record's circle and, if ``out_dir`` is given,
-    write the full artifact set under ``out_dir/<ref_id>/``.
+    write the full artifact set under ``out_dir/<ref_id>/``; the result
+    carries the record.
 
     ``image`` may be a PGM path or a 2-D uint8 array. The record must carry
     circle geometry (it defines the ROI and the proxy ground truth);
@@ -371,9 +371,9 @@ def write_segmentation(dest: Path, mask: np.ndarray, contours) -> None:
     (dest / "contours.txt").write_text(seg.contours_to_text(contours))
 
 
-def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> None:
+def write_artifacts(result: PipelineResult, out_dir) -> None:
     """Deterministic artifact tree for one pipeline run."""
-    dest = Path(out_dir) / result.ref_id
+    dest = Path(out_dir) / result.record.ref_id
     dest.mkdir(parents=True, exist_ok=True)
     write_pgm(dest / "enhanced.pgm", result.enhanced)
     write_pgm(dest / "roi.pgm", result.roi.image)
@@ -381,15 +381,15 @@ def write_artifacts(result: PipelineResult, record: MiasRecord, out_dir) -> None
     write_segmentation(dest, result.mask, result.contours)
     write_pgm(dest / "overlay.pgm", seg.make_overlay(result.roi.image, result.mask))
     (dest / "roc_points.csv").write_text(roc_points_csv(result.roc))
-    (dest / "report.json").write_text(_report_json(result, record))
+    (dest / "report.json").write_text(_report_json(result))
 
 
-def _report_json(result: PipelineResult, record: MiasRecord) -> str:
+def _report_json(result: PipelineResult) -> str:
     # the crop holds the mask and all of the circle (crop_roi): the rest is true negatives
-    c = result.report.counts
+    c, record = result.report.counts, result.record
     image = metrics(dataclasses.replace(c, tn=result.enhanced.size - c.tp - c.fp - c.fn))
     return json.dumps({
-        **_row_doc(ExperimentRow(result.ref_id, record.tissue, result.report)),
+        **_row_doc(ExperimentRow(record.ref_id, record.tissue, result.report)),
         "abnormality": record.abnormality,
         "roi_offset": [result.roi.x0, result.roi.y0],
         "threshold": result.threshold,
@@ -426,9 +426,10 @@ def read_index(dataset_dir) -> list[MiasRecord]:
 def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = PipelineConfig(),
                    out_dir=None) -> list[ExperimentRow]:
     """Run and score the pipeline for each id in a dataset directory, with
-    ``config`` for every image. Every row is scored over its crop, and its
-    ``report`` is its film's ``EvalReport`` (``az`` included), from which the
-    CSV, JSONL and per-tissue means take every score.
+    ``config`` for every image. Each row is read from its film's result
+    alone: the id and tissue from its record, and ``report``, its
+    ``EvalReport`` over the crop (``az`` included), from which the CSV, JSONL
+    and per-tissue means take every score.
 
     The directory must hold ``<id>.pgm`` images and the index ``Info.txt``.
     When an id has several annotation lines, the first one carrying circle
@@ -447,8 +448,8 @@ def run_experiment(dataset_dir, ids: Sequence[str], config: PipelineConfig = Pip
     root = Path(dataset_dir)
     records = read_index(root)
     runs = [(root / f"{ref}.pgm", select_record(records, ref)) for ref in sorted(set(ids))]
-    rows = [ExperimentRow(record.ref_id, record.tissue, result.report)
-            for (_, record), result in zip(runs, _run_films(runs, config, out_dir))]
+    rows = [ExperimentRow(result.record.ref_id, result.record.tissue, result.report)
+            for result in _run_films(runs, config, out_dir)]
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)  # only now: a refused id leaves nothing
         Path(out_dir, "report.csv").write_text(experiment_csv(rows))

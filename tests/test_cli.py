@@ -735,6 +735,45 @@ class TestEvalScopeAndRoc:
         assert "--roc-csv needs --scores" in capsys.readouterr().err
         assert not (tmp_path / "roc.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["--roc-csv", "-o"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_an_output_that_will_not_open_writes_neither(self, bad, existing, tmp_path, rng,
+                                                         capsys):
+        # either output in a missing directory: exit 2 naming it, no file
+        # made and an existing other output byte for byte as it was
+        write_pgm(tmp_path / "m.pgm", mask_to_gray(rng.random((12, 12)) > 0.5))
+        (tmp_path / "s.f64").write_bytes(encode_texture_map(rng.random((12, 12))))
+        outputs = {"--roc-csv": tmp_path / "roc.csv", "-o": tmp_path / "rep.json"}
+        outputs[bad] = tmp_path / "nodir" / outputs[bad].name
+        if existing:
+            for path in outputs.values():
+                if path.parent == tmp_path:
+                    path.write_bytes(b"before\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run_cli("eval", "--pred", str(tmp_path / "m.pgm"), "--truth",
+                       str(tmp_path / "m.pgm"), "--scores", str(tmp_path / "s.f64"),
+                       *[arg for flag, path in outputs.items() for arg in (flag, str(path))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"texturedge: [Errno 2] No such file or directory: '{outputs[bad]}'\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_outputs_overwrite_existing_files_whole(self, tmp_path, rng):
+        # an existing output, longer than its new text, is replaced whole
+        write_pgm(tmp_path / "m.pgm", mask_to_gray(rng.random((12, 12)) > 0.5))
+        (tmp_path / "s.f64").write_bytes(encode_texture_map(rng.random((12, 12))))
+        argv = ["eval", "--pred", str(tmp_path / "m.pgm"), "--truth", str(tmp_path / "m.pgm"),
+                "--scores", str(tmp_path / "s.f64")]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        reused.mkdir()
+        for name in ("roc.csv", "rep.json"):
+            (reused / name).write_text("x" * 100_000)
+        for d in (fresh, reused):
+            assert run_cli(*argv, "--roc-csv", str(d / "roc.csv"), "-o", str(d / "rep.json")) == 0
+        for name in ("roc.csv", "rep.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
 
 class TestEvalMasks:
     """``eval`` reads only the 0/255 masks that ``mask_to_gray`` writes."""

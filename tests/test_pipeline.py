@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import json
@@ -6,6 +5,7 @@ import math
 import re
 import typing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SYNTH_CASES, synth_index_line, synth_mass_image
+from test_enhance import (_clahe_float64_reference, _quantize, _srad_reference_field,
+                          oracle_relative_error)
 from test_evalmetrics import oracle_concordance_az, oracle_roc_points
 from test_segment import oracle_otsu_threshold, oracle_refine_mask, oracle_trace_contour
 from test_texture import oracle_texture_map
@@ -64,6 +66,10 @@ def tree_digest(root: Path) -> str:
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+class ReachedSrad(Exception):
+    """Raised by a stand-in for ``srad``: the run got past its checks."""
 
 
 def first_case_record():
@@ -276,11 +282,20 @@ class TestRunPipeline:
     # only the east end cut (the south end is clipped by the image), and only the south
     @example(40, 40, 5, 1.0, 10, 35)
     @example(40, 40, 5, 1.0, 35, 10)
+    # unclipped circles either side of margin 1 + 1/(2r): refused, then held
+    @example(40, 40, 3, 1.1, 20, 20)
+    @example(40, 40, 3, 1.17, 20, 20)
+    @example(40, 40, 10, 1.01, 20, 20)
+    @example(40, 40, 10, 1.05, 20, 20)
     @settings(max_examples=300, deadline=None)
     def test_crop_holds_the_circle_or_is_refused(self, w, h, r, margin, cx, cy):
         # crop_roi refuses exactly when the crop leaves out an image pixel
-        # of the circle, never from margin 1.5 on, and the run's check
-        # refuses exactly what crop_roi does, with the film's id in front
+        # of the circle, never from margin 1.5 on. For a circle the image
+        # does not clip, that is exactly when half = floor(r * margin + 0.5)
+        # < r + 1, since the crop spans 2 * half pixels with the centre at
+        # index half: margin >= 1 + 1/(2r) is needed, and margin 1 never
+        # holds one. A run refuses exactly what crop_roi does, with the
+        # film's id in front, before any SRAD
         cx, cy = cx % w, cy % h
         record = MiasRecord("p1", "F", "CIRC", "B", cx, h - 1 - cy, r)
         img = np.zeros((h, w), dtype=np.uint8)
@@ -290,19 +305,21 @@ class TestRunPipeline:
                                                spec.center_y - crop.y0, r))
         in_image = np.count_nonzero(circle_mask(w, h, cx, cy, r))
         config = dataclasses.replace(PipelineConfig(), roi=RoiConfig(margin))
-        messages = []
-        for check in (lambda: pipeline.crop_roi(img, record, RoiConfig(margin)),
-                      lambda: pipeline._check_run_input(img, record, config)):
-            try:
-                check()
-                messages.append(None)
-            except TexturedgeError as exc:
-                messages.append(str(exc))
-        crop_message, check_message = messages
-        assert check_message == (crop_message and f"id p1: {crop_message}")
+        try:
+            pipeline.crop_roi(img, record, RoiConfig(margin))
+            crop_message = None
+        except TexturedgeError as exc:
+            crop_message = str(exc)
+        with mock.patch.object(pipeline, "srad", side_effect=ReachedSrad), \
+                pytest.raises((TexturedgeError, ReachedSrad)) as caught:
+            run_pipeline(img, record, config)
+        run_message = str(caught.value) if caught.errisinstance(TexturedgeError) else None
+        assert run_message == (crop_message and f"id p1: {crop_message}")
         refused = crop_message is not None and "leaves out part of the radius" in crop_message
         assert refused == (in_crop < in_image)
         assert not (refused and margin >= 1.5)
+        if r <= cx < w - r and r <= cy < h - r:  # the image clips no side of the circle
+            assert refused == (math.floor(r * margin + 0.5) < r + 1)
 
     @pytest.mark.parametrize("spec", [
         ThresholdSpec("percentile", 75.0),
@@ -385,7 +402,11 @@ def oracle_score_point(enhanced, record, config):
 
 
 def assert_score_point_matches_oracle(enhanced, record, config):
-    result = pipeline.score_point(enhanced, record, config)
+    assert_result_matches_oracle(pipeline.score_point(enhanced, record, config), enhanced,
+                                 record, config)
+
+
+def assert_result_matches_oracle(result, enhanced, record, config):
     maps, sum_map, threshold, mask, contours, truth, counts = oracle_score_point(
         enhanced, record, config)
     for angle in ANGLES:
@@ -399,10 +420,43 @@ def assert_score_point_matches_oracle(enhanced, record, config):
     assert abs(result.roc.az - oracle_concordance_az(sum_map, truth)) <= 1e-12
 
 
+def assert_film_matches_oracle_chain(img, record, config):
+    """``run_pipeline`` on the raw film against the oracle chain. SRAD: the
+    float64 field of ``srad``'s formulas, rounded half up, within ``srad``'s
+    bound of one gray level, on at most 1e-4 of the pixels as on
+    test_enhance's grid (200 seeded 64-96 px films per SRAD setting of
+    ``test_seeded_film_matches_oracle_chain`` differed on 13 and 7 of 1.3 M
+    pixels, at most one per film). Then, from the library's SRAD image and
+    exactly: CLAHE with float64 tables, the crop and ``oracle_score_point``.
+    Returns the float64 field and the SRAD differences."""
+    result = run_pipeline(img, record, config)
+    smoothed = srad(img, config.srad)
+    field = _srad_reference_field(img, config.srad, np.float64)
+    off = smoothed.astype(np.int64) - _quantize(field)
+    assert np.abs(off).max() <= 1
+    assert np.count_nonzero(off) <= math.ceil(1e-4 * img.size)
+    enhanced = _clahe_float64_reference(smoothed, config.clahe)
+    assert np.array_equal(result.enhanced, enhanced)
+    roi = result.roi
+    assert np.array_equal(roi.image,
+                          enhanced[roi.y0:roi.y0 + roi.height, roi.x0:roi.x0 + roi.width])
+    assert_result_matches_oracle(result, enhanced, record, config)
+    return field, off
+
+
 class TestScorePoint:
     @pytest.mark.parametrize("case", range(len(SYNTH_CASES)))
-    def test_default_config_matches_oracle_chain(self, case, enhanced_cases):
-        assert_score_point_matches_oracle(*enhanced_cases[case], PipelineConfig())
+    def test_default_config_matches_oracle_chain(self, case):
+        # from the raw film on; measured: no pixel differs after SRAD, and
+        # the float field's largest relative error is 4.9e-7 to 5.1e-7,
+        # within test_enhance's 7.2e-6 for its grid
+        ref, tissue, cx, cy, r, seed = SYNTH_CASES[case]
+        img = synth_mass_image(seed, cx, cy, r)
+        record = parse_mias_index(synth_index_line(ref, tissue, cx, cy, r))[0]
+        params = PipelineConfig().srad
+        field, off = assert_film_matches_oracle_chain(img, record, PipelineConfig())
+        assert not off.any()
+        assert oracle_relative_error(img, params, field) <= 7.2e-6
 
     @given(case=st.integers(0, len(SYNTH_CASES) - 1), levels=st.integers(2, 16),
            window=st.sampled_from([3, 5, 7, 9]), distance=st.integers(1, 3),
@@ -421,17 +475,19 @@ class TestScorePoint:
         assert_score_point_matches_oracle(*enhanced_cases[case], config)
 
     @given(size=st.integers(64, 96), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    @settings(max_examples=50, deadline=None)  # about 4 s on 2 vCPUs
+    @settings(max_examples=50, deadline=None)  # about 9 s on 2 vCPUs
     def test_seeded_film_matches_oracle_chain(self, size, seed, data):
-        # a new film per example: enhance_image, then score_point on its
-        # output, against the oracles on that same enhanced image
+        # a new film per example, from the raw film on, at the default SRAD
+        # or with a homogeneous region in the background corner, whose q0
+        # near 0.06 makes c < 1 on about half of the pixels at the first step
         r = data.draw(st.integers(6, 16), label="radius")
         cx = data.draw(st.integers(r, size - 1 - r), label="cx")
         cy = data.draw(st.integers(r, size - 1 - r), label="cy")
-        config = PipelineConfig()
-        enhanced = pipeline.enhance_image(synth_mass_image(seed, cx, cy, r, size), config)
+        params = data.draw(st.sampled_from(
+            [SradParams(), SradParams(homogeneous_region=(0, 0, 16, 16))]), label="srad")
         record = parse_mias_index(synth_index_line("sy100", "F", cx, cy, r, size))[0]
-        assert_score_point_matches_oracle(enhanced, record, config)
+        assert_film_matches_oracle_chain(synth_mass_image(seed, cx, cy, r, size), record,
+                                         PipelineConfig(srad=params))
 
 
 class TestExperiment:
@@ -543,38 +599,34 @@ class TestExperiment:
                 where + "SRAD band 1 ended with exit status 7")):
             run_experiment(synth_dataset, ["sy001"])
 
-    def test_each_film_is_checked_once_and_enhanced_once(self, synth_dataset, monkeypatch):
-        # counted by wrapping the names pipeline calls, as perfbench/spans.py
-        # does: one check and one crop per film before the first film runs,
-        # one crop and one SRAD per film while it runs
-        calls = collections.Counter()
+    @staticmethod
+    def record_calls(monkeypatch, names):
+        """The names pipeline calls, in call order, as perfbench/spans.py wraps them."""
+        calls = []
 
         def counting(name, original):
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name)
                 return original(*args, **kwargs)
             return counted
 
-        for name in ("_check_run_input", "extract_roi", "srad"):
+        for name in names:
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        return calls
+
+    def test_each_film_is_checked_once_and_enhanced_once(self, synth_dataset, monkeypatch):
+        # one crop per film before the first SRAD, then one SRAD and one
+        # crop per film while it runs
+        calls = self.record_calls(monkeypatch, ["extract_roi", "srad"])
         run_experiment(synth_dataset, [case[0] for case in SYNTH_CASES])
-        assert calls == {"_check_run_input": 3, "extract_roi": 6, "srad": 3}
+        assert calls == ["extract_roi"] * 3 + ["srad", "extract_roi"] * 3
 
     def test_a_film_path_is_checked_once_and_decoded_twice(self, synth_dataset, monkeypatch):
-        # run_pipeline runs the batch's loop: one check, whose crop and
-        # decode come before SRAD, then a second decode, crop and SRAD
-        calls = collections.Counter()
-
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name in ("_check_run_input", "extract_roi", "srad", "read_pgm"):
-            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        # run_pipeline runs the batch's loop: one check, whose decode and
+        # crop come before SRAD, then a second decode, SRAD and crop
+        calls = self.record_calls(monkeypatch, ["read_pgm", "extract_roi", "srad"])
         run_pipeline(synth_dataset / "sy001.pgm", first_case_record())
-        assert calls == {"_check_run_input": 1, "extract_roi": 2, "srad": 1, "read_pgm": 2}
+        assert calls == ["read_pgm", "extract_roi", "read_pgm", "srad", "extract_roi"]
 
     @pytest.mark.parametrize("case", SYNTH_CASES, ids=[case[0] for case in SYNTH_CASES])
     def test_run_pipeline_is_the_one_film_experiment(self, synth_dataset, tmp_path, case):
